@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import logging
+import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -14,8 +16,19 @@ logger = logging.getLogger("tensorwalk")
 
 
 def format_exact(value: Fraction) -> str:
-    """Stable "num/den" serialization of an exact rational."""
-    return f"{value.numerator}/{value.denominator}"
+    """Stable "num/den" serialization of an exact rational of any size."""
+    # Python 3.11+ (and security releases of older lines) refuse int->str
+    # conversions above 4300 digits; exact values near the cutoff at n = 512
+    # have more. The limit is lifted for this conversion only.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    previous = get_limit() if get_limit else 0
+    if previous:
+        sys.set_int_max_str_digits(0)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    finally:
+        if previous:
+            sys.set_int_max_str_digits(previous)
 
 
 def format_float(value: float) -> str:
@@ -27,8 +40,13 @@ class TransitionKernel:
 
     States are arbitrary hashable labels. Construction validates exact row
     sums, stationarity normalization and detailed balance, so any kernel
-    that exists is reversible. Powers are cached and computed by repeated
-    exact multiplication.
+    that exists is reversible.
+
+    `step_distribution` never forms a matrix power. The kernel is scaled
+    once by D, the lcm of its entry denominators, into sparse integer rows;
+    one integer row vector per start is pushed through them, cached step by
+    step, and divided by D^r only when read. `power` keeps the full exact
+    r-step matrices (cached, by repeated multiplication) as the reference.
     """
 
     def __init__(self, states, matrix, stationary):
@@ -42,6 +60,17 @@ class TransitionKernel:
             raise ValueError("duplicate state labels")
         self._powers = [identity_matrix(len(self.states))]
         self.validate()
+        # Row i of the kernel scaled by D, as (j, D * K[i][j]) per nonzero entry.
+        self._scale = math.lcm(*(x.denominator for row in self.matrix for x in row))
+        self._integer_rows = tuple(
+            tuple(
+                (j, x.numerator * (self._scale // x.denominator))
+                for j, x in enumerate(row)
+                if x
+            )
+            for row in self.matrix
+        )
+        self._walks = {}
 
     @property
     def size(self) -> int:
@@ -81,8 +110,25 @@ class TransitionKernel:
         return self._powers[r]
 
     def step_distribution(self, start, r: int) -> tuple[Fraction, ...]:
-        """Distribution after r steps from a point mass at `start`."""
-        return self.power(r)[self.index(start)]
+        """Distribution after r steps from a point mass at `start`.
+
+        Equal to `power(r)[index(start)]`, computed as D^r times that row in
+        integers (see the class docstring).
+        """
+        if r < 0:
+            raise ValueError("negative power")
+        start_index = self.index(start)
+        point_mass = [int(j == start_index) for j in range(self.size)]
+        walk = self._walks.setdefault(start_index, [point_mass])
+        while len(walk) <= r:
+            nxt = [0] * self.size
+            for i, mass in enumerate(walk[-1]):
+                if mass:
+                    for j, a in self._integer_rows[i]:
+                        nxt[j] += mass * a
+            walk.append(nxt)
+        denominator = self._scale**r
+        return tuple(Fraction(mass, denominator) for mass in walk[r])
 
 
 @dataclass(frozen=True)

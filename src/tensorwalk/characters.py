@@ -215,24 +215,23 @@ def tensor_multiplicity(
 ) -> int:
     """Multiplicity of `rho` in the tensor product of `lam` with a character.
 
-    `eta_values` lists the (real) character values of the tensoring factor,
-    aligned with `conjugacy_classes(n)`. The averaged triple product must be
-    a nonnegative integer; anything else raises.
+    `eta_values` lists the integer character values of the tensoring factor,
+    aligned with `conjugacy_classes(n)`. The class-weighted triple product is
+    summed in integers and must be a nonnegative multiple of n!; anything
+    else raises.
     """
     if table is None:
         table = character_table(n)
-    total = Fraction(0)
-    for k, c in enumerate(table.classes):
-        total += (
-            Fraction(c.class_size)
-            * table.value(lam, c.cycle_type)
-            * Fraction(eta_values[k])
-            * table.value(rho, c.cycle_type)
+    total = sum(
+        c.class_size * eta * chi_lam * chi_rho
+        for c, eta, chi_lam, chi_rho in zip(
+            table.classes, eta_values, table.row(lam), table.row(rho), strict=True
         )
-    value = total / factorial(n)
-    if value.denominator != 1 or value < 0:
+    )
+    value, remainder = divmod(total, factorial(n))
+    if remainder or value < 0:
         raise ConsistencyError(
             f"tensor multiplicity not a nonnegative integer: "
-            f"lam={lam} rho={rho} value={value}"
+            f"lam={lam} rho={rho} value={Fraction(total, factorial(n))}"
         )
     return int(value)

@@ -39,15 +39,13 @@ def _emit_curve(curve: SeparationCurve, fmt: str, out: str | None) -> None:
     _write_output(curve.to_csv() if fmt == "csv" else curve.to_json(), out)
 
 
-def _sn_route_values(n, r, kernel, table):
+def _sn_route_values(n, r, kernel, eigenvalues):
     sign = snwalk.sign_shape(n)
     return {
         "kernel_power": 1 - snwalk.ratio_via_kernel(kernel, r, sign),
         "occupancy_tableaux": 1 - snwalk.ratio_via_occupancy(n, r, sign),
         "closed_form": snwalk.separation_closed_form(n, r),
-        "spectral": interpolation.separation_from_spectrum(
-            snwalk.spectrum_sn(n).eigenvalues, r
-        ),
+        "spectral": interpolation.separation_from_spectrum(eigenvalues, r),
     }
 
 
@@ -60,9 +58,9 @@ def cmd_sn_sep(args) -> int:
     curve = SeparationCurve(n=n)
     if multi:
         kernel = snwalk.build_kernel_characters(n)
-        table = character_table(n)
+        eigenvalues = snwalk.spectrum_sn(n).eigenvalues
         for r in range(r_max + 1):
-            values = _sn_route_values(n, r, kernel, table)
+            values = _sn_route_values(n, r, kernel, eigenvalues)
             baseline = values["closed_form"]
             for route in SN_ROUTES:
                 if values[route] != baseline:
@@ -244,9 +242,9 @@ def _sn_checks(n: int, r_max: int):
 
     def four_routes():
         k = get_kernel()
-        t = get_table()
+        eigenvalues = snwalk.spectrum_sn(n).eigenvalues
         for r in range(r_max + 1):
-            values = _sn_route_values(n, r, k, t)
+            values = _sn_route_values(n, r, k, eigenvalues)
             if len(set(values.values())) != 1:
                 raise ConsistencyError(f"separation routes disagree at r={r}")
 
@@ -380,6 +378,13 @@ def cmd_crosscheck(args) -> int:
     return 0 if all_ok else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sn-sep", help="separation curve for the symmetric group walk")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--rmax", type=_nonnegative_int, required=True)
     p.add_argument("--with-tv", action="store_true", help="append total variation rows")
     add_common(p)
     p.set_defaults(func=cmd_sn_sep)
@@ -412,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gl-sep", help="separation curve for the general linear walk")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--rmax", type=_nonnegative_int, required=True)
     add_common(p)
     p.set_defaults(func=cmd_gl_sep)
 
@@ -439,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="run the route-equality matrix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--rmax", type=int, default=None)
+    p.add_argument("--rmax", type=_nonnegative_int, default=None)
     add_common(p)
     p.set_defaults(func=cmd_crosscheck)
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra over rationals: products, powers, determinants, rank.
+"""Exact linear algebra over rationals: products, determinants, rank.
 
 Matrices are lists (or tuples) of rows; entries are Fractions unless a
 function says otherwise. Everything here is pure and exact.
@@ -23,22 +23,6 @@ def mat_mul(a, b) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_pow(a, r: int) -> Matrix:
-    """Exact r-th power by binary exponentiation, r >= 0."""
-    if r < 0:
-        raise ValueError("negative matrix power")
-    result = identity_matrix(len(a))
-    base = tuple(tuple(row) for row in a)
-    while r:
-        if r & 1:
-            result = mat_mul(result, base)
-        base_needed = r > 1
-        if base_needed:
-            base = mat_mul(base, base)
-        r >>= 1
-    return result
 
 
 def mat_sub(a, b) -> Matrix:

@@ -1,7 +1,13 @@
+import csv
+import io
+import json
 import logging
+import sys
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorwalk.chains import (
     SeparationCurve,
@@ -11,8 +17,42 @@ from tensorwalk.chains import (
     format_float,
 )
 from tensorwalk.errors import ConsistencyError
+from tensorwalk.interpolation import BirthDeathChain
+from tensorwalk.snwalk import build_kernel_characters
 
 HALF = Fraction(1, 2)
+
+
+@cache
+def sn_kernel(n):
+    return build_kernel_characters(n)
+
+
+def fresh_copy(kernel):
+    """Same kernel with empty caches."""
+    return TransitionKernel(kernel.states, kernel.matrix, kernel.stationary)
+
+
+def assert_rows_match_powers(kernel, steps):
+    # Reads the steps in the drawn order, so later reads can come from the
+    # cached integer rows as well as from fresh propagation.
+    for r in steps:
+        for start in kernel.states:
+            row = kernel.step_distribution(start, r)
+            assert row == kernel.power(r)[kernel.index(start)]
+
+
+@st.composite
+def birth_death_chains(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    rate = st.fractions(min_value=Fraction(1, 9), max_value=HALF, max_denominator=9)
+    down = draw(st.lists(rate, min_size=d, max_size=d))
+    up = draw(st.lists(rate, min_size=d, max_size=d))
+    hold = [
+        1 - (down[x - 1] if x > 0 else 0) - (up[x] if x < d else 0)
+        for x in range(d + 1)
+    ]
+    return BirthDeathChain(down=tuple(down), hold=tuple(hold), up=tuple(up))
 
 
 def two_state_kernel():
@@ -47,6 +87,10 @@ class TestTransitionKernel:
                 stationary=[HALF, HALF],
             )
 
+    def test_step_distribution_rejects_negative_steps(self):
+        with pytest.raises(ValueError):
+            two_state_kernel().step_distribution("a", -1)
+
     def test_rejects_duplicate_states(self):
         with pytest.raises(ValueError):
             TransitionKernel(
@@ -54,6 +98,27 @@ class TestTransitionKernel:
                 matrix=[[HALF, HALF], [HALF, HALF]],
                 stationary=[HALF, HALF],
             )
+
+
+class TestStepDistribution:
+    """Integer row propagation equals the row of the exact Fraction power."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_symmetric_group_kernels(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        steps = data.draw(
+            st.lists(st.integers(min_value=0, max_value=3 * n), min_size=1, max_size=3)
+        )
+        assert_rows_match_powers(fresh_copy(sn_kernel(n)), steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        birth_death_chains(),
+        st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=3),
+    )
+    def test_birth_death_kernels(self, chain, steps):
+        assert_rows_match_powers(chain.kernel(), steps)
 
 
 class TestSpectrum:
@@ -76,6 +141,51 @@ class TestFormatting:
 
     def test_float_17_digits(self):
         assert format_float(1 / 3) == "0.33333333333333331"
+
+    def test_python_without_digit_limit(self, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert format_exact(Fraction(-7, 3)) == "-7/3"
+
+
+def digit_limit():
+    """Python's int<->str digit limit, or None where there is none."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else None
+
+
+def parse_exact(text):
+    """Inverse of format_exact for values of any size."""
+    previous = digit_limit()
+    if previous:
+        sys.set_int_max_str_digits(0)
+    try:
+        num, den = text.split("/")
+        return Fraction(int(num), int(den))
+    finally:
+        if previous:
+            sys.set_int_max_str_digits(previous)
+
+
+class TestHugeValues:
+    """Exact values above Python's default 4300-digit int->str limit."""
+
+    VALUE = Fraction(10**4999 + 1, 10**5000)
+
+    def test_format_exact(self):
+        limit = digit_limit()
+        text = format_exact(self.VALUE)
+        assert text == "1" + "0" * 4998 + "1/1" + "0" * 5000
+        assert parse_exact(text) == self.VALUE
+        assert digit_limit() == limit
+
+    def test_curve_csv_and_json(self):
+        for q in (None, 3):
+            curve = SeparationCurve(n=512, q=q)
+            curve.add(0, self.VALUE, "closed_form")
+            (row,) = csv.DictReader(io.StringIO(curve.to_csv()))
+            assert parse_exact(row["s_exact"]) == self.VALUE
+            (record,) = json.loads(curve.to_json())["records"]
+            assert parse_exact(record["s_exact"]) == self.VALUE
 
 
 class TestSeparationCurve:

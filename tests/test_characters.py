@@ -13,7 +13,7 @@ from tensorwalk.characters import (
     tensor_multiplicity,
 )
 from tensorwalk.combinat import Partition, count_syt, enumerate_partitions
-from tensorwalk.errors import SizeLimitError
+from tensorwalk.errors import ConsistencyError, SizeLimitError
 
 from oracles import fixed_point_census, signed_sum_by_enumeration
 
@@ -203,6 +203,14 @@ class TestTensorMultiplicity:
         eta = defining_character_values(table.classes)
         assert tensor_multiplicity(3, Partition([3]), eta, Partition([2, 1]), table) == 1
         assert tensor_multiplicity(3, Partition([1, 1, 1]), eta, Partition([3]), table) == 0
+
+    def test_non_integer_average_raises(self):
+        # A class function that is not a character: 1 on the identity class
+        # only. Its average against the trivial character twice is 1/6.
+        table = character_table(3)
+        eta = [1 if c.fixed_points == 3 else 0 for c in table.classes]
+        with pytest.raises(ConsistencyError, match="value=1/6"):
+            tensor_multiplicity(3, Partition([3]), eta, Partition([3]), table)
 
     def test_dimension_consistency(self):
         for n in range(2, 7):

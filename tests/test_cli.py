@@ -77,6 +77,12 @@ class TestSnSep:
         assert code == 2
         assert "error" in err
 
+    def test_negative_rmax(self, capsys):
+        code, out, err = run_cli(capsys, "sn-sep", "--n", "5", "--rmax", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--rmax" in err
+
 
 class TestGlSep:
     def test_curve_values(self, capsys):
@@ -91,6 +97,12 @@ class TestGlSep:
         code, _, err = run_cli(capsys, "gl-sep", "--n", "1", "--q", "2", "--rmax", "2")
         assert code == 2
         assert "excluded" in err
+
+    def test_negative_rmax(self, capsys):
+        code, out, err = run_cli(capsys, "gl-sep", "--n", "2", "--q", "2", "--rmax", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--rmax" in err
 
 
 class TestProfile:
@@ -189,6 +201,12 @@ class TestCrosscheck:
         code, out, _ = run_cli(capsys, "crosscheck", "--n", "3", "--q", "3")
         assert code == 0
         assert "ALL PASS" in out
+
+    def test_negative_rmax(self, capsys):
+        code, out, err = run_cli(capsys, "crosscheck", "--n", "4", "--rmax", "-1")
+        assert code == 2
+        assert "ALL PASS" not in out
+        assert "--rmax" in err
 
 
 class TestUsage:
