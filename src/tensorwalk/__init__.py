@@ -40,6 +40,7 @@ from .glwalk import (
     gl_separation_closed_form,
     gl_separation_exact,
     gl_separation_limit,
+    gl_separation_routes,
     gl_spectrum,
     is_prime_power,
 )
@@ -68,6 +69,7 @@ from .snwalk import (
     separation_closed_form,
     separation_exact,
     separation_profile,
+    separation_routes,
     spectrum_sn,
     tensor_power_check,
     tv_exact,

@@ -15,8 +15,8 @@ from functools import cache
 from math import comb, factorial
 
 from .combinat import Partition, count_skew_syt_row, enumerate_partitions
-from .config import effective_max_n
-from .errors import ConsistencyError, SizeLimitError
+from .config import check_n
+from .errors import ConsistencyError, common_value
 
 
 @dataclass
@@ -31,18 +31,9 @@ class ClassDescriptor:
     sign: int
 
 
-def _check_n(n: int) -> None:
-    limit = effective_max_n()
-    if not 1 <= n <= limit:
-        raise SizeLimitError(
-            f"n={n} outside the supported range 1..{limit} "
-            "(raise TENSORWALK_MAX_N to override)"
-        )
-
-
 def conjugacy_classes(n: int) -> list[ClassDescriptor]:
     """One descriptor per cycle type, in the fixed partition order."""
-    _check_n(n)
+    check_n(n)
     out = []
     for ct in enumerate_partitions(n):
         counts = Counter(ct.parts)
@@ -151,7 +142,7 @@ class CharacterTable:
 
 def character_table(n: int) -> CharacterTable:
     """Integer character table of the symmetric group on n letters."""
-    _check_n(n)
+    check_n(n)
     partitions = enumerate_partitions(n)
     classes = conjugacy_classes(n)
     values = [
@@ -189,12 +180,8 @@ def fixed_point_character_sum(
         term = Fraction((-1) ** j, factorial(j)) * count_skew_syt_row(lam, n - i - j)
         by_formula += term
     by_formula *= Fraction(factorial(n), factorial(i))
-    if by_formula != by_classes:
-        raise ConsistencyError(
-            f"fixed point character sum mismatch for n={n} lam={lam} i={i}: "
-            f"classes={by_classes} formula={by_formula}"
-        )
-    return by_classes
+    sums = {"classes": by_classes, "formula": by_formula}
+    return common_value(sums, f"the fixed point character sum, n={n} lam={lam} i={i}")
 
 
 def signed_fixed_point_sum(n: int, i: int) -> int:

@@ -17,13 +17,10 @@ from .chains import SeparationCurve, format_exact, format_float
 from .characters import character_table
 from .combinat import enumerate_partitions
 from .config import effective_max_n
-from .errors import ConsistencyError
+from .errors import ConsistencyError, common_value
 from .occupancy import RandomSource, merge_estimates
 
 CLOSED_FORM_MAX_N = 512
-
-SN_ROUTES = ("kernel_power", "occupancy_tableaux", "closed_form", "spectral")
-GL_ROUTES = ("closed_form", "span_probability", "spectral")
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -39,16 +36,6 @@ def _emit_curve(curve: SeparationCurve, fmt: str, out: str | None) -> None:
     _write_output(curve.to_csv() if fmt == "csv" else curve.to_json(), out)
 
 
-def _sn_route_values(n, r, kernel, eigenvalues):
-    sign = snwalk.sign_shape(n)
-    return {
-        "kernel_power": 1 - snwalk.ratio_via_kernel(kernel, r, sign),
-        "occupancy_tableaux": 1 - snwalk.ratio_via_occupancy(n, r, sign),
-        "closed_form": snwalk.separation_closed_form(n, r),
-        "spectral": interpolation.separation_from_spectrum(eigenvalues, r),
-    }
-
-
 def cmd_sn_sep(args) -> int:
     n, r_max = args.n, args.rmax
     if n < 2 or n > CLOSED_FORM_MAX_N:
@@ -60,15 +47,9 @@ def cmd_sn_sep(args) -> int:
         kernel = snwalk.build_kernel_characters(n)
         eigenvalues = snwalk.spectrum_sn(n).eigenvalues
         for r in range(r_max + 1):
-            values = _sn_route_values(n, r, kernel, eigenvalues)
-            baseline = values["closed_form"]
-            for route in SN_ROUTES:
-                if values[route] != baseline:
-                    raise ConsistencyError(
-                        f"route {route} disagrees at n={n} r={r}: "
-                        f"{values[route]} vs closed form {baseline}"
-                    )
-                curve.add(r, values[route], route)
+            routes = snwalk.separation_routes(n, r, kernel, eigenvalues)
+            for route, value in routes.items():
+                curve.add(r, value, route)
             if args.with_tv:
                 curve.add(r, snwalk.tv_exact(n, r, kernel), "total_variation")
     else:
@@ -81,21 +62,9 @@ def cmd_sn_sep(args) -> int:
 def cmd_gl_sep(args) -> int:
     n, q, r_max = args.n, args.q, args.rmax
     curve = SeparationCurve(n=n, q=q)
-    spectrum = glwalk.gl_spectrum(n, q).eigenvalues
     for r in range(r_max + 1):
-        values = {
-            "closed_form": glwalk.gl_separation_exact(n, q, r),
-            "span_probability": 1 - occupancy.qspan_exact(n, r, n, q),
-            "spectral": interpolation.separation_from_spectrum(spectrum, r),
-        }
-        baseline = values["closed_form"]
-        for route in GL_ROUTES:
-            if values[route] != baseline:
-                raise ConsistencyError(
-                    f"route {route} disagrees at n={n} q={q} r={r}: "
-                    f"{values[route]} vs closed form {baseline}"
-                )
-            curve.add(r, values[route], route)
+        for route, value in glwalk.gl_separation_routes(n, q, r).items():
+            curve.add(r, value, route)
     _emit_curve(curve, args.format, args.out)
     return 0
 
@@ -244,9 +213,7 @@ def _sn_checks(n: int, r_max: int):
         k = get_kernel()
         eigenvalues = snwalk.spectrum_sn(n).eigenvalues
         for r in range(r_max + 1):
-            values = _sn_route_values(n, r, k, eigenvalues)
-            if len(set(values.values())) != 1:
-                raise ConsistencyError(f"separation routes disagree at r={r}")
+            snwalk.separation_routes(n, r, k, eigenvalues)
 
     def extremality():
         k = get_kernel()
@@ -287,8 +254,8 @@ def _sn_checks(n: int, r_max: int):
             direct = sum(
                 c.class_size * c.sign for c in t.classes if c.fixed_points == i
             )
-            if direct != signed_fixed_point_sum(n, i):
-                raise ConsistencyError(f"signed fixed point sum mismatch at i={i}")
+            sums = {"classes": direct, "closed_form": signed_fixed_point_sum(n, i)}
+            common_value(sums, f"the signed fixed point sum, n={n} i={i}")
 
     def tensor_powers():
         k = get_kernel()
@@ -445,13 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--rmax", type=_nonnegative_int, default=None)
+    # The report is always text; --format is accepted and ignored because
+    # existing scripts (perfbench/workloads.py) pass it.
     add_common(p)
     p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("spectrum", help="distinct eigenvalues of a walk")
+    p = sub.add_parser("spectrum", help="distinct eigenvalues of a walk (CSV)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
-    add_common(p)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_spectrum)
 
     return parser

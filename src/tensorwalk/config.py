@@ -3,6 +3,8 @@
 import os
 import warnings
 
+from .errors import SizeLimitError
+
 PRACTICAL_MAX_N = 10
 MAX_N_ENV_VAR = "TENSORWALK_MAX_N"
 
@@ -25,3 +27,13 @@ def effective_max_n() -> int:
             stacklevel=2,
         )
     return value
+
+
+def check_n(n: int) -> None:
+    """Raise SizeLimitError unless 1 <= n <= effective_max_n()."""
+    limit = effective_max_n()
+    if not 1 <= n <= limit:
+        raise SizeLimitError(
+            f"n={n} outside the supported range 1..{limit} "
+            "(raise TENSORWALK_MAX_N to override)"
+        )

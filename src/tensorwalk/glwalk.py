@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .chains import Spectrum
 from .combinat import Partition, q_binomial
-from .errors import ConsistencyError, ExcludedCaseError
+from .errors import ConsistencyError, ExcludedCaseError, common_value
 from .interpolation import separation_from_spectrum
 from .occupancy import qspan_exact
 
@@ -70,31 +70,30 @@ def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
     return total
 
 
-def gl_separation_exact(n: int, q: int, r: int) -> Fraction:
-    """Exact separation distance, triple-checked.
+def gl_separation_routes(n: int, q: int, r: int) -> dict[str, Fraction]:
+    """Separation after r steps by three independent routes, checked equal.
 
-    The closed form must agree with one minus the probability that r
-    uniform vectors span the whole space, and with the eigenvalue-only
-    route on the q-ladder spectrum. The one-dimensional group over the
-    two-element field is excluded (its walk is trivial and the extremal
-    representation argument needs a second degree-one character).
+    Keyed by route name, in the order the CLI prints them: the closed form,
+    one minus the probability that r uniform vectors span the whole space,
+    and the eigenvalue-only route on the q-ladder spectrum. The
+    one-dimensional group over the two-element field is excluded (its walk
+    is trivial and the extremal representation argument needs a second
+    degree-one character).
     """
     if (n, q) == (1, 2):
         raise ExcludedCaseError("the walk on GL(1,2) is excluded")
-    value = gl_separation_closed_form(n, q, r)
-    by_span = 1 - qspan_exact(n, r, n, q)
-    if value != by_span:
-        raise ConsistencyError(
-            f"separation closed form disagrees with span route at "
-            f"n={n} q={q} r={r}: {value} vs {by_span}"
-        )
-    by_spectrum = separation_from_spectrum(gl_spectrum(n, q).eigenvalues, r)
-    if value != by_spectrum:
-        raise ConsistencyError(
-            f"separation closed form disagrees with spectral route at "
-            f"n={n} q={q} r={r}: {value} vs {by_spectrum}"
-        )
-    return value
+    routes = {
+        "closed_form": gl_separation_closed_form(n, q, r),
+        "span_probability": 1 - qspan_exact(n, r, n, q),
+        "spectral": separation_from_spectrum(gl_spectrum(n, q).eigenvalues, r),
+    }
+    common_value(routes, f"the GL separation, n={n} q={q} r={r}")
+    return routes
+
+
+def gl_separation_exact(n: int, q: int, r: int) -> Fraction:
+    """Exact separation distance, triple-checked by `gl_separation_routes`."""
+    return gl_separation_routes(n, q, r)["closed_form"]
 
 
 def gl_separation_bounds(q: int, c: int) -> tuple[Fraction, Fraction]:
@@ -249,13 +248,6 @@ def count_gl_families(n: int, q: int, avoid_e: bool = False) -> int:
                 new[t] = acc
             coeffs = new
     return coeffs[n]
-
-
-def gl_profile_distance(n: int, q: int, c: int) -> float:
-    """Gap between the finite-n separation distance and its large-n limit."""
-    exact = gl_separation_exact(n, q, n + c)
-    limit = gl_separation_limit(q, c).value
-    return abs(float(exact) - limit)
 
 
 def check_alternating_terms_decreasing(n: int, q: int, r: int) -> bool:

@@ -14,10 +14,11 @@ for an eigensolver.
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .chains import TransitionKernel
-from .errors import ConsistencyError
+from .errors import ConsistencyError, common_value
 from .linalg import is_singular, mat_sub, scalar_identity
 
 
@@ -101,18 +102,30 @@ def separation_from_spectrum(eigenvalues, r: int) -> Fraction:
     eigs = _check_distinct(eigenvalues)
     if r < 0:
         raise ValueError("need r >= 0")
-    one = Fraction(1)
-    if one not in eigs:
+    if Fraction(1) not in eigs:
         raise ValueError("eigenvalue list must contain 1")
-    others = [v for v in eigs if v != one]
     total = Fraction(0)
+    for lam, weight in _spectral_weights(eigs):
+        total += lam**r * weight
+    return total
+
+
+@cache
+def _spectral_weights(eigs: tuple[Fraction, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Pairs (lambda, product over the other non-unit mu of (1-mu)/(lambda-mu)).
+
+    The weights do not depend on r, so a curve over many r computes them
+    once per distinct, validated eigenvalue tuple.
+    """
+    others = [v for v in eigs if v != 1]
+    pairs = []
     for i, lam in enumerate(others):
         prod = Fraction(1)
         for j, mu in enumerate(others):
             if j != i:
                 prod *= (1 - mu) / (lam - mu)
-        total += lam**r * prod
-    return total
+        pairs.append((lam, prod))
+    return tuple(pairs)
 
 
 def _support_neighbors(kernel: TransitionKernel) -> list[list[int]]:
@@ -243,12 +256,9 @@ def birth_death_separation(chain: BirthDeathChain, eigenvalues, r: int) -> Fract
         shifted = mat_sub(kernel.matrix, scalar_identity(kernel.size, lam))
         if not is_singular(shifted):
             raise ValueError(f"{lam} is not an eigenvalue of the chain")
-    value = separation_from_spectrum(eigs, r)
     pi = chain.stationary()
-    direct = 1 - kernel.power(r)[0][chain.d] / pi[chain.d]
-    if value != direct:
-        raise ConsistencyError(
-            f"eigenvalue-only separation disagrees with the direct route at "
-            f"r={r}: {value} vs {direct}"
-        )
-    return value
+    separations = {
+        "spectral": separation_from_spectrum(eigs, r),
+        "direct": 1 - kernel.power(r)[0][chain.d] / pi[chain.d],
+    }
+    return common_value(separations, f"the birth-death separation, r={r}")

@@ -23,8 +23,9 @@ from .combinat import (
     count_syt,
     enumerate_partitions,
 )
-from .config import effective_max_n
-from .errors import ConsistencyError, SizeLimitError
+from .config import check_n
+from .errors import ConsistencyError, common_value
+from .interpolation import separation_from_spectrum
 from .occupancy import occupancy_exact, poisson_not01
 
 
@@ -36,15 +37,6 @@ def sign_shape(n: int) -> Partition:
     return Partition([1] * n)
 
 
-def _check_n(n: int) -> None:
-    limit = effective_max_n()
-    if not 1 <= n <= limit:
-        raise SizeLimitError(
-            f"n={n} outside the supported range 1..{limit} "
-            "(raise TENSORWALK_MAX_N to override)"
-        )
-
-
 def _plancherel(states) -> list[Fraction]:
     n = states[0].size if states else 0
     return [Fraction(count_syt(lam) ** 2, factorial(n)) for lam in states]
@@ -52,7 +44,7 @@ def _plancherel(states) -> list[Fraction]:
 
 def build_kernel_characters(n: int) -> TransitionKernel:
     """Transition kernel from exact tensor-product multiplicities."""
-    _check_n(n)
+    check_n(n)
     states = enumerate_partitions(n)
     table = character_table(n)
     eta = defining_character_values(table.classes)
@@ -75,7 +67,7 @@ def build_kernel_boxes(n: int, check_against_characters: bool = True) -> Transit
     from the target. By default the result is checked entry by entry against
     the character route.
     """
-    _check_n(n)
+    check_n(n)
     states = enumerate_partitions(n)
     dims = {lam: count_syt(lam) for lam in states}
     removals = {lam: set(lam.corner_removals()) for lam in states}
@@ -173,15 +165,12 @@ def ratio_at(
         kernel = build_kernel_characters(n)
     if table is None:
         table = character_table(n)
-    by_kernel = ratio_via_kernel(kernel, r, lam)
-    by_spectrum = ratio_via_spectrum(n, r, lam, table)
-    by_occupancy = ratio_via_occupancy(n, r, lam)
-    if not by_kernel == by_spectrum == by_occupancy:
-        raise ConsistencyError(
-            f"ratio routes disagree at n={n} r={r} lam={lam}: "
-            f"kernel={by_kernel} spectrum={by_spectrum} occupancy={by_occupancy}"
-        )
-    return by_kernel
+    ratios = {
+        "kernel": ratio_via_kernel(kernel, r, lam),
+        "spectrum": ratio_via_spectrum(n, r, lam, table),
+        "occupancy": ratio_via_occupancy(n, r, lam),
+    }
+    return common_value(ratios, f"the mass ratio at {lam}, n={n} r={r}")
 
 
 def tensor_power_check(
@@ -217,11 +206,8 @@ def tensor_power_check(
             f"tensor power multiplicity not a nonnegative integer at "
             f"n={n} r={r} lam={lam}: {multiplicity}"
         )
-    if from_walk != multiplicity:
-        raise ConsistencyError(
-            f"tensor power identity fails at n={n} r={r} lam={lam}: "
-            f"walk={from_walk} characters={multiplicity}"
-        )
+    multiplicities = {"walk": from_walk, "characters": multiplicity}
+    common_value(multiplicities, f"the tensor power identity, n={n} r={r} lam={lam}")
     return True
 
 
@@ -243,6 +229,28 @@ def separation_closed_form(n: int, r: int) -> Fraction:
     return Fraction(numerator, pow(n, r))
 
 
+def separation_routes(
+    n: int, r: int, kernel: TransitionKernel, eigenvalues
+) -> dict[str, Fraction]:
+    """Separation after r steps from the trivial start, by four independent routes.
+
+    Keyed by route name, in the order the CLI prints them: the r-step row
+    of `kernel` at the single-column shape, the occupancy sum against skew
+    tableau counts, the alternating closed form, and the eigenvalue-only
+    formula on `eigenvalues` (the distinct eigenvalues i/n of the walk).
+    Raises ConsistencyError unless all four are the same fraction.
+    """
+    sign = sign_shape(n)
+    routes = {
+        "kernel_power": 1 - ratio_via_kernel(kernel, r, sign),
+        "occupancy_tableaux": 1 - ratio_via_occupancy(n, r, sign),
+        "closed_form": separation_closed_form(n, r),
+        "spectral": separation_from_spectrum(eigenvalues, r),
+    }
+    common_value(routes, f"the S_n separation, n={n} r={r}")
+    return routes
+
+
 def separation_exact(
     n: int,
     r: int,
@@ -258,24 +266,17 @@ def separation_exact(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    value = separation_closed_form(n, r)
-    by_occupancy = 1 - occupancy_exact(n, r, n) - occupancy_exact(n - 1, r, n)
-    if value != by_occupancy:
-        raise ConsistencyError(
-            f"separation closed form disagrees with occupancy route at "
-            f"n={n} r={r}: {value} vs {by_occupancy}"
-        )
     if kernel is None:
         kernel = build_kernel_characters(n)
     if table is None:
         table = character_table(n)
     sign = sign_shape(n)
-    by_ratio = 1 - ratio_at(n, r, sign, kernel, table)
-    if value != by_ratio:
-        raise ConsistencyError(
-            f"separation closed form disagrees with ratio route at "
-            f"n={n} r={r}: {value} vs {by_ratio}"
-        )
+    separations = {
+        "closed_form": separation_closed_form(n, r),
+        "top_occupancy": 1 - occupancy_exact(n, r, n) - occupancy_exact(n - 1, r, n),
+        "single_column_ratio": 1 - ratio_at(n, r, sign, kernel, table),
+    }
+    value = common_value(separations, f"the S_n separation, n={n} r={r}")
     row = kernel.step_distribution(trivial_shape(n), r)
     sign_ratio = row[kernel.index(sign)] / kernel.stationary[kernel.index(sign)]
     for j, lam in enumerate(kernel.states):
@@ -299,7 +300,6 @@ def separation_profile(c: float) -> float:
 def tv_exact(n: int, r: int, kernel: TransitionKernel | None = None) -> Fraction:
     """Exact total-variation distance to stationarity after r steps."""
     if kernel is None:
-        _check_n(n)
         kernel = build_kernel_characters(n)
     row = kernel.step_distribution(trivial_shape(n), r)
     return sum(abs(p - pi) for p, pi in zip(row, kernel.stationary)) / 2

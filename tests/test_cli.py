@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from tensorwalk import glwalk, interpolation, snwalk
 from tensorwalk.cli import main
 
 
@@ -104,6 +106,20 @@ class TestGlSep:
         assert out == ""
         assert "--rmax" in err
 
+    def test_spectral_route_once_per_step(self, capsys, monkeypatch):
+        calls = []
+        original = interpolation.separation_from_spectrum
+
+        def counting(eigenvalues, r):
+            calls.append(r)
+            return original(eigenvalues, r)
+
+        for module in (interpolation, glwalk, snwalk):
+            monkeypatch.setattr(module, "separation_from_spectrum", counting, raising=False)
+        code, _, _ = run_cli(capsys, "gl-sep", "--n", "3", "--q", "2", "--rmax", "4")
+        assert code == 0
+        assert calls == [0, 1, 2, 3, 4]
+
 
 class TestProfile:
     def test_scaled_difference_small(self, capsys):
@@ -189,6 +205,12 @@ class TestSpectrumCommand:
         for line in out.strip().split("\n")[1:]:
             assert line.endswith(",")
 
+    def test_format_flag_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "4", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
+
 
 class TestCrosscheck:
     def test_symmetric_group_all_pass(self, capsys):
@@ -224,3 +246,41 @@ class TestUsage:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("r,s_exact")
+
+
+class TestRouteDisagreement:
+    """A broken route must fail every command that checks it, naming the route."""
+
+    @pytest.fixture
+    def broken_sn_route(self, monkeypatch):
+        monkeypatch.setattr(snwalk, "ratio_via_occupancy", lambda n, r, lam: Fraction(7, 3))
+
+    @pytest.fixture
+    def broken_gl_route(self, monkeypatch):
+        monkeypatch.setattr(glwalk, "qspan_exact", lambda a, r, n, q: Fraction(1, 7))
+
+    def test_sn_sep(self, capsys, broken_sn_route):
+        code, out, err = run_cli(capsys, "sn-sep", "--n", "4", "--rmax", "3")
+        assert code == 1
+        assert out == ""
+        assert "route occupancy_tableaux" in err
+        assert "n=4 r=0: -4/3 vs 1" in err
+
+    def test_gl_sep(self, capsys, broken_gl_route):
+        code, out, err = run_cli(capsys, "gl-sep", "--n", "3", "--q", "2", "--rmax", "3")
+        assert code == 1
+        assert out == ""
+        assert "route span_probability" in err
+        assert "n=3 q=2 r=0: 6/7 vs 1" in err
+
+    def test_sn_crosscheck(self, capsys, broken_sn_route):
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "4")
+        assert code == 1
+        assert "FAIL  four-route separation equality" in out
+        assert "occupancy_tableaux" in out
+
+    def test_gl_crosscheck(self, capsys, broken_gl_route):
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "3", "--q", "2")
+        assert code == 1
+        assert "FAIL  three-route separation equality" in out
+        assert "span_probability" in out
