@@ -115,7 +115,7 @@ class TestGlSep:
             return original(eigenvalues, r)
 
         for module in (interpolation, glwalk, snwalk):
-            monkeypatch.setattr(module, "separation_from_spectrum", counting, raising=False)
+            monkeypatch.setattr(module, "separation_from_spectrum", counting)
         code, _, _ = run_cli(capsys, "gl-sep", "--n", "3", "--q", "2", "--rmax", "4")
         assert code == 0
         assert calls == [0, 1, 2, 3, 4]
