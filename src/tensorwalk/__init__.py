@@ -24,6 +24,7 @@ from .combinat import (
     count_skew_syt,
     count_syt,
     enumerate_partitions,
+    is_prime,
     q_binomial,
 )
 from .errors import (
@@ -67,6 +68,7 @@ from .snwalk import (
     build_kernel_characters,
     ratio_at,
     separation_closed_form,
+    separation_closed_forms,
     separation_exact,
     separation_profile,
     separation_routes,

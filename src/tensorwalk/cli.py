@@ -53,8 +53,9 @@ def cmd_sn_sep(args) -> int:
             if args.with_tv:
                 curve.add(r, snwalk.tv_exact(n, r, kernel), "total_variation")
     else:
-        for r in range(r_max + 1):
-            curve.add(r, snwalk.separation_closed_form(n, r), "closed_form")
+        values = snwalk.separation_closed_forms(n, range(r_max + 1))
+        for r, value in enumerate(values):
+            curve.add(r, value, "closed_form")
     _emit_curve(curve, args.format, args.out)
     return 0
 
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("occupancy", help="Monte Carlo check of an occupancy law")
+    p = sub.add_parser("occupancy", help="Monte Carlo check of an occupancy law (JSON)")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--streams", type=int, default=1)
-    add_common(p)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_occupancy)
 
     p = sub.add_parser("crosscheck", help="run the route-equality matrix")

@@ -252,3 +252,17 @@ def count_partitions(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _partitions_min_part(n, n, 1)
+
+
+def is_prime(q: int) -> bool:
+    """Primality by trial division by 2 and the odd numbers up to sqrt(q)."""
+    if q < 2:
+        return False
+    if q % 2 == 0:
+        return q == 2
+    f = 3
+    while f * f <= q:
+        if q % f == 0:
+            return False
+        f += 2
+    return True

@@ -57,17 +57,21 @@ def gl_spectrum(n: int, q: int) -> Spectrum:
 
 
 def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
-    """Alternating q-series for the separation distance after r steps."""
+    """Alternating q-series for the separation distance after r steps.
+
+    The terms q^C(b,2) [n choose b]_q q^(-rb) are summed as integers over the
+    common denominator q^(rn) and reduced once.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     _check_q(q)
     if r < 0:
         raise ValueError("need r >= 0")
-    total = Fraction(0)
+    numerator = 0
     for b in range(1, n + 1):
-        term = q ** comb(b, 2) * q_binomial(n, b, q) * Fraction(1, q ** (r * b))
-        total += term if b % 2 == 1 else -term
-    return total
+        term = q ** (comb(b, 2) + r * (n - b)) * q_binomial(n, b, q)
+        numerator += term if b % 2 == 1 else -term
+    return Fraction(numerator, q ** (r * n))
 
 
 def gl_separation_routes(n: int, q: int, r: int) -> dict[str, Fraction]:

@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .combinat import q_binomial
+from .combinat import is_prime, q_binomial
 from .errors import UnsupportedFieldError
 
 _CHUNK = 1 << 14
@@ -168,19 +168,6 @@ def occupancy_mc(a: int, r: int, n: int, samples: int, src: RandomSource) -> McE
     return McEstimate(successes=successes, samples=samples)
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _rank_mod(rows: list[list[int]], q: int) -> int:
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -217,7 +204,7 @@ def qspan_mc(
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
-    if not _is_prime(q):
+    if not is_prime(q):
         raise UnsupportedFieldError(f"q={q} is not prime; Monte Carlo needs a prime field")
     if a > n or a < 0:
         return McEstimate(successes=0, samples=samples)

@@ -6,6 +6,7 @@ over n!. Separation and total-variation distances are computed by several
 independent exact routes which are cross-asserted wherever cheap.
 """
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, factorial
 
@@ -211,22 +212,37 @@ def tensor_power_check(
     return True
 
 
-def separation_closed_form(n: int, r: int) -> Fraction:
-    """Separation distance after r steps, as one alternating integer sum.
+def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
+    """Separation distance after each r of the ascending `rs`, in one pass.
 
-    Evaluated over the common denominator n^r in big-integer arithmetic and
-    reduced once at the end; fixed-precision evaluation of this sum cancels
-    catastrophically, the exact route does not.
+    The distance is one alternating integer sum over the common denominator
+    n^r, reduced once per r; fixed-precision evaluation of this sum cancels
+    catastrophically, the exact route does not. The signed terms
+    comb(n, i)(n - i - 1) i^r and the denominator n^r are carried from one r
+    to the next, so a step of one costs a single big-by-small multiply per
+    term instead of a fresh power.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if r < 0:
-        raise ValueError("need r >= 0")
-    numerator = 0
-    for i in range(n - 1):
-        term = comb(n, i) * (n - i - 1) * pow(i, r)
-        numerator += term if (n - i) % 2 == 0 else -term
-    return Fraction(numerator, pow(n, r))
+    terms = [comb(n, i) * (n - i - 1) * (-1) ** (n - i) for i in range(n - 1)]
+    denominator = 1
+    previous = 0
+    for r in rs:
+        if r < 0:
+            raise ValueError("need r >= 0")
+        if r < previous:
+            raise ValueError(f"r must not decrease, got {r} after {previous}")
+        step = r - previous
+        if step:
+            terms = [term * pow(i, step) for i, term in enumerate(terms)]
+            denominator *= pow(n, step)
+            previous = r
+        yield Fraction(sum(terms), denominator)
+
+
+def separation_closed_form(n: int, r: int) -> Fraction:
+    """Separation distance after r steps; see `separation_closed_forms`."""
+    return next(separation_closed_forms(n, [r]))
 
 
 def separation_routes(

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from tensorwalk import glwalk, interpolation, snwalk
+from tensorwalk.chains import format_exact
 from tensorwalk.cli import main
+from tensorwalk.occupancy import occupancy_exact
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +47,38 @@ class TestSnSep:
         assert code == 0
         rows = parse_csv(out)
         assert {r["route"] for r in rows} == {"closed_form"}
+
+    def test_closed_form_curve_in_one_pass(self, capsys, monkeypatch):
+        passes = []
+        singles = []
+        stepped = snwalk.separation_closed_forms
+        single = snwalk.separation_closed_form
+
+        def counting_stepped(n, rs):
+            passes.append(n)
+            return stepped(n, rs)
+
+        def counting_single(n, r):
+            singles.append((n, r))
+            return single(n, r)
+
+        monkeypatch.setattr(snwalk, "separation_closed_forms", counting_stepped)
+        monkeypatch.setattr(snwalk, "separation_closed_form", counting_single)
+        code, out, _ = run_cli(capsys, "sn-sep", "--n", "40", "--rmax", "30")
+        assert code == 0
+        assert len(parse_csv(out)) == 31
+        assert passes == [40]
+        assert singles == []
+
+    def test_closed_form_at_largest_n(self, capsys):
+        n = 512
+        code, out, _ = run_cli(capsys, "sn-sep", "--n", str(n), "--rmax", "300")
+        assert code == 0
+        rows = parse_csv(out)
+        assert [int(row["r"]) for row in rows] == list(range(301))
+        for r in (0, 300):
+            top = 1 - occupancy_exact(n, r, n) - occupancy_exact(n - 1, r, n)
+            assert rows[r]["s_exact"] == format_exact(top)
 
     def test_guard_override(self, capsys, monkeypatch):
         monkeypatch.setenv("TENSORWALK_MAX_N", "11")
@@ -178,6 +212,12 @@ class TestOccupancyCommand:
         assert record["q"] == 2
         assert record["exact"] == "3/8"
         assert abs(record["estimate"] - 0.375) <= 4 * record["stderr"]
+
+    def test_format_flag_rejected(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGS, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
 
     def test_nonprime_q_is_usage_error(self, capsys):
         code, _, err = run_cli(

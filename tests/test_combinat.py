@@ -13,6 +13,7 @@ from tensorwalk.combinat import (
     count_skew_syt_row,
     count_syt,
     enumerate_partitions,
+    is_prime,
     q_binomial,
 )
 
@@ -205,3 +206,10 @@ class TestCountPartitionsNoOnes:
                 for i in list(range(n - 1)) + [n]
             )
             assert total == euler_partition_count(n)
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        for q in range(-2, 500):
+            expected = q >= 2 and all(q % d for d in range(2, q))
+            assert is_prime(q) == expected, q

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition, count_skew_syt_row, count_syt, enumerate_partitions
@@ -16,6 +17,7 @@ from tensorwalk.snwalk import (
     ratio_via_occupancy,
     ratio_via_spectrum,
     separation_closed_form,
+    separation_closed_forms,
     separation_exact,
     separation_profile,
     sign_shape,
@@ -167,6 +169,37 @@ class TestSeparation:
         for n in range(2, 9):
             values = [separation_closed_form(n, r) for r in range(4 * n + 1)]
             assert all(x >= y for x, y in zip(values, values[1:]))
+
+
+class TestSteppedClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_top_occupancy(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=40))
+        rs = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=4 * n), max_size=8)))
+        if data.draw(st.booleans()):
+            rs = [0] + rs
+        expected = [
+            1 - occupancy_exact(n, r, n) - occupancy_exact(n - 1, r, n) for r in rs
+        ]
+        assert list(separation_closed_forms(n, rs)) == expected
+
+    def test_rejects_small_n(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            list(separation_closed_forms(1, [0]))
+
+    def test_rejects_negative_r(self):
+        with pytest.raises(ValueError, match="r >= 0"):
+            list(separation_closed_forms(5, [-1]))
+        with pytest.raises(ValueError, match="r >= 0"):
+            separation_closed_form(5, -1)
+
+    def test_rejects_descending_r(self):
+        values = separation_closed_forms(5, [0, 4, 3])
+        assert next(values) == 1
+        assert next(values) == separation_closed_form(5, 4)
+        with pytest.raises(ValueError, match="decrease"):
+            next(values)
 
 
 class TestProfile:
