@@ -220,24 +220,18 @@ class SeparationCurve:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if self.q is None:
-            writer.writerow(["r", "s_exact", "s_float", "route"])
-            for rec in sorted(self.records, key=lambda x: (x.r, x.route)):
-                writer.writerow(
-                    [rec.r, format_exact(rec.value), format_float(rec.float_value), rec.route]
-                )
-        else:
-            writer.writerow(["r", "q", "s_exact", "s_float", "route"])
-            for rec in sorted(self.records, key=lambda x: (x.r, x.route)):
-                writer.writerow(
-                    [
-                        rec.r,
-                        self.q,
-                        format_exact(rec.value),
-                        format_float(rec.float_value),
-                        rec.route,
-                    ]
-                )
+        q_header, q_cell = ([], []) if self.q is None else (["q"], [self.q])
+        writer.writerow(["r", *q_header, "s_exact", "s_float", "route"])
+        for rec in sorted(self.records, key=lambda x: (x.r, x.route)):
+            writer.writerow(
+                [
+                    rec.r,
+                    *q_cell,
+                    format_exact(rec.value),
+                    format_float(rec.float_value),
+                    rec.route,
+                ]
+            )
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -248,7 +242,7 @@ class SeparationCurve:
             {
                 "r": rec.r,
                 "s_exact": format_exact(rec.value),
-                "s_float": float(format_float(rec.float_value)),
+                "s_float": rec.float_value,
                 "route": rec.route,
             }
             for rec in sorted(self.records, key=lambda x: (x.r, x.route))

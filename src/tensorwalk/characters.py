@@ -198,7 +198,7 @@ def tensor_multiplicity(
     lam: Partition,
     eta_values,
     rho: Partition,
-    table: CharacterTable | None = None,
+    table: CharacterTable,
 ) -> int:
     """Multiplicity of `rho` in the tensor product of `lam` with a character.
 
@@ -207,8 +207,6 @@ def tensor_multiplicity(
     summed in integers and must be a nonnegative multiple of n!; anything
     else raises.
     """
-    if table is None:
-        table = character_table(n)
     total = sum(
         c.class_size * eta * chi_lam * chi_rho
         for c, eta, chi_lam, chi_rho in zip(

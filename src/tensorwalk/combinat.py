@@ -114,10 +114,6 @@ class SkewShape:
     inner: Partition
 
     @property
-    def is_contained(self) -> bool:
-        return self.outer.contains(self.inner)
-
-    @property
     def size(self) -> int:
         return self.outer.size - self.inner.size
 
@@ -254,15 +250,22 @@ def count_partitions(n: int) -> int:
     return _partitions_min_part(n, n, 1)
 
 
+def prime_factors(q: int) -> dict[int, int]:
+    """Prime factorization of q >= 1 by trial division, as prime -> exponent."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    factors = {}
+    p = 2
+    while p * p <= q:
+        while q % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            q //= p
+        p += 1
+    if q > 1:
+        factors[q] = 1
+    return factors
+
+
 def is_prime(q: int) -> bool:
-    """Primality by trial division by 2 and the odd numbers up to sqrt(q)."""
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
+    """Primality by trial division (see `prime_factors`); below 2 nothing is prime."""
+    return q >= 2 and prime_factors(q) == {q: 1}

@@ -19,23 +19,14 @@ from math import comb
 from typing import NamedTuple
 
 from .chains import Spectrum
-from .combinat import Partition, q_binomial
+from .combinat import Partition, prime_factors, q_binomial
 from .errors import ConsistencyError, ExcludedCaseError, common_value
 from .interpolation import separation_from_spectrum
 from .occupancy import qspan_exact
 
 
 def is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return True  # q itself is prime
+    return q >= 2 and len(prime_factors(q)) == 1
 
 
 def _check_q(q: int) -> None:
@@ -152,18 +143,10 @@ def gl_separation_limit(q: int, c: int) -> EulerProductLimit:
 
 
 def _mobius(d: int) -> int:
-    mu = 1
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if d > 1:
-        mu = -mu
-    return mu
+    exponents = prime_factors(d).values()
+    if any(e > 1 for e in exponents):
+        return 0
+    return (-1) ** len(exponents)
 
 
 def cuspidal_count(m: int, q: int) -> int:

@@ -128,12 +128,6 @@ def _spectral_weights(eigs: tuple[Fraction, ...]) -> tuple[tuple[Fraction, Fract
     return tuple(pairs)
 
 
-def _support_neighbors(kernel: TransitionKernel) -> list[list[int]]:
-    return [
-        [j for j, x in enumerate(row) if x > 0] for row in kernel.matrix
-    ]
-
-
 def _bfs_distances_to(kernel: TransitionKernel, target: int) -> list[int | None]:
     """Directed distances from every state to `target` on the support graph."""
     reverse: list[list[int]] = [[] for _ in kernel.states]

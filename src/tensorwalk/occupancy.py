@@ -83,12 +83,10 @@ def occupancy_exact(a: int, r: int, n: int) -> Fraction:
     return comb(n, a) * total
 
 
-def occupancy_chain_power(n: int, r: int) -> list[Fraction]:
-    """Distribution of the occupied-box count as a pure-birth chain power.
+def _pure_birth_power(n: int, r: int, hold_at) -> list[Fraction]:
+    """Law after r steps from 0 of a pure-birth chain on 0..n.
 
-    The count of occupied boxes holds with probability a/n and steps up
-    otherwise; starting from 0, the r-step law must match `occupancy_exact`
-    entry for entry.
+    At a the chain holds with probability hold_at(a) and steps up otherwise.
     """
     if r < 0:
         raise ValueError("need r >= 0")
@@ -99,12 +97,22 @@ def occupancy_chain_power(n: int, r: int) -> list[Fraction]:
         for a, mass in enumerate(dist):
             if mass == 0:
                 continue
-            hold = Fraction(a, n)
+            hold = hold_at(a)
             nxt[a] += mass * hold
             if a < n:
                 nxt[a + 1] += mass * (1 - hold)
         dist = nxt
     return dist
+
+
+def occupancy_chain_power(n: int, r: int) -> list[Fraction]:
+    """Distribution of the occupied-box count as a pure-birth chain power.
+
+    The count of occupied boxes holds with probability a/n and steps up
+    otherwise; starting from 0, the r-step law must match `occupancy_exact`
+    entry for entry.
+    """
+    return _pure_birth_power(n, r, lambda a: Fraction(a, n))
 
 
 def qspan_exact(a: int, r: int, n: int, q: int) -> Fraction:
@@ -130,21 +138,7 @@ def qspan_exact(a: int, r: int, n: int, q: int) -> Fraction:
 
 def qspan_chain_power(n: int, r: int, q: int) -> list[Fraction]:
     """Span-dimension law as a pure-birth chain with hold probability q^(a-n)."""
-    if r < 0:
-        raise ValueError("need r >= 0")
-    dist = [Fraction(0)] * (n + 1)
-    dist[0] = Fraction(1)
-    for _ in range(r):
-        nxt = [Fraction(0)] * (n + 1)
-        for a, mass in enumerate(dist):
-            if mass == 0:
-                continue
-            hold = Fraction(1, q ** (n - a))
-            nxt[a] += mass * hold
-            if a < n:
-                nxt[a + 1] += mass * (1 - hold)
-        dist = nxt
-    return dist
+    return _pure_birth_power(n, r, lambda a: Fraction(1, q ** (n - a)))
 
 
 def occupancy_mc(a: int, r: int, n: int, samples: int, src: RandomSource) -> McEstimate:

@@ -60,13 +60,13 @@ def build_kernel_characters(n: int) -> TransitionKernel:
     return TransitionKernel(states, matrix, _plancherel(states))
 
 
-def build_kernel_boxes(n: int, check_against_characters: bool = True) -> TransitionKernel:
+def build_kernel_boxes(n: int) -> TransitionKernel:
     """Transition kernel from the remove-a-box / add-a-box description.
 
     The multiplicity of a target shape equals the number of intermediate
     shapes reachable by removing one corner from the source and one corner
-    from the target. By default the result is checked entry by entry against
-    the character route.
+    from the target. This construction shares nothing with
+    `build_kernel_characters`, so comparing the two checks both.
     """
     check_n(n)
     states = enumerate_partitions(n)
@@ -79,14 +79,7 @@ def build_kernel_boxes(n: int, check_against_characters: bool = True) -> Transit
             m = len(removals[lam] & removals[rho])
             row.append(Fraction(dims[rho] * m, dims[lam] * n))
         matrix.append(row)
-    kernel = TransitionKernel(states, matrix, _plancherel(states))
-    if check_against_characters:
-        other = build_kernel_characters(n)
-        if kernel.matrix != other.matrix:
-            raise ConsistencyError(
-                f"box-move kernel disagrees with character kernel at n={n}"
-            )
-    return kernel
+    return TransitionKernel(states, matrix, _plancherel(states))
 
 
 def spectrum_sn(n: int) -> Spectrum:
@@ -116,15 +109,13 @@ def ratio_via_kernel(kernel: TransitionKernel, r: int, lam: Partition) -> Fracti
 
 
 def ratio_via_spectrum(
-    n: int, r: int, lam: Partition, table: CharacterTable | None = None
+    n: int, r: int, lam: Partition, table: CharacterTable
 ) -> Fraction:
     """Spectral form of the same ratio: sum over classes of eigenvalue powers.
 
     Uses the rational eigenfunction scaling (character over dimension), so
     the whole sum stays in exact arithmetic.
     """
-    if table is None:
-        table = character_table(n)
     d = table.dimension(lam)
     total = Fraction(0)
     for c in table.classes:
@@ -150,8 +141,8 @@ def ratio_at(
     n: int,
     r: int,
     lam: Partition,
-    kernel: TransitionKernel | None = None,
-    table: CharacterTable | None = None,
+    kernel: TransitionKernel,
+    table: CharacterTable,
 ) -> Fraction:
     """Ratio of walked mass to stationary mass at `lam`, triple-checked.
 
@@ -162,10 +153,6 @@ def ratio_at(
         raise ValueError("shape size must equal n")
     if r < 0:
         raise ValueError("need r >= 0")
-    if kernel is None:
-        kernel = build_kernel_characters(n)
-    if table is None:
-        table = character_table(n)
     ratios = {
         "kernel": ratio_via_kernel(kernel, r, lam),
         "spectrum": ratio_via_spectrum(n, r, lam, table),
@@ -178,8 +165,8 @@ def tensor_power_check(
     n: int,
     r: int,
     lam: Partition,
-    kernel: TransitionKernel | None = None,
-    table: CharacterTable | None = None,
+    kernel: TransitionKernel,
+    table: CharacterTable,
 ) -> bool:
     """Verify the walked mass encodes an exact tensor-power multiplicity.
 
@@ -189,10 +176,6 @@ def tensor_power_check(
     and that multiplicity must be a nonnegative integer. Intended for small
     n and r (the character sum grows quickly).
     """
-    if kernel is None:
-        kernel = build_kernel_characters(n)
-    if table is None:
-        table = character_table(n)
     row = kernel.step_distribution(trivial_shape(n), r)
     mass = row[kernel.index(lam)]
     d = table.dimension(lam)
@@ -267,11 +250,28 @@ def separation_routes(
     return routes
 
 
+def check_single_column_extremal(kernel: TransitionKernel, r: int) -> None:
+    """Raise unless the single-column shape attains the minimum mass ratio.
+
+    The ratio is the r-step mass from the trivial start over the stationary
+    mass; ties with other shapes are allowed.
+    """
+    n = kernel.states[0].size
+    row = kernel.step_distribution(trivial_shape(n), r)
+    ratios = [p / pi for p, pi in zip(row, kernel.stationary)]
+    sign_ratio = ratios[kernel.index(sign_shape(n))]
+    for lam, ratio in zip(kernel.states, ratios):
+        if ratio < sign_ratio:
+            raise ConsistencyError(
+                f"ratio at {lam} undercuts the single-column shape at n={n} r={r}"
+            )
+
+
 def separation_exact(
     n: int,
     r: int,
-    kernel: TransitionKernel | None = None,
-    table: CharacterTable | None = None,
+    kernel: TransitionKernel,
+    table: CharacterTable,
 ) -> Fraction:
     """Exact separation distance from the trivial start after r steps.
 
@@ -282,10 +282,6 @@ def separation_exact(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if kernel is None:
-        kernel = build_kernel_characters(n)
-    if table is None:
-        table = character_table(n)
     sign = sign_shape(n)
     separations = {
         "closed_form": separation_closed_form(n, r),
@@ -293,13 +289,7 @@ def separation_exact(
         "single_column_ratio": 1 - ratio_at(n, r, sign, kernel, table),
     }
     value = common_value(separations, f"the S_n separation, n={n} r={r}")
-    row = kernel.step_distribution(trivial_shape(n), r)
-    sign_ratio = row[kernel.index(sign)] / kernel.stationary[kernel.index(sign)]
-    for j, lam in enumerate(kernel.states):
-        if row[j] / kernel.stationary[j] < sign_ratio:
-            raise ConsistencyError(
-                f"ratio at {lam} undercuts the single-column shape at n={n} r={r}"
-            )
+    check_single_column_extremal(kernel, r)
     return value
 
 
@@ -313,9 +303,7 @@ def separation_profile(c: float) -> float:
     return poisson_not01(c)
 
 
-def tv_exact(n: int, r: int, kernel: TransitionKernel | None = None) -> Fraction:
+def tv_exact(n: int, r: int, kernel: TransitionKernel) -> Fraction:
     """Exact total-variation distance to stationarity after r steps."""
-    if kernel is None:
-        kernel = build_kernel_characters(n)
     row = kernel.step_distribution(trivial_shape(n), r)
     return sum(abs(p - pi) for p, pi in zip(row, kernel.stationary)) / 2

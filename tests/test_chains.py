@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import logging
+import struct
 import sys
 from fractions import Fraction
 from functools import cache
@@ -141,6 +142,12 @@ class TestFormatting:
 
     def test_float_17_digits(self):
         assert format_float(1 / 3) == "0.33333333333333331"
+
+    @given(st.floats(allow_nan=False))
+    def test_float_round_trips_bit_for_bit(self, x):
+        # JSON records carry the float itself; its 17-digit text must not
+        # name a different double, or CSV and JSON output would disagree.
+        assert struct.pack("<d", float(format_float(x))) == struct.pack("<d", x)
 
     def test_python_without_digit_limit(self, monkeypatch):
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)

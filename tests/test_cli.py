@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from tensorwalk import glwalk, interpolation, snwalk
-from tensorwalk.chains import format_exact
+from tensorwalk.chains import TransitionKernel, format_exact, format_float
 from tensorwalk.cli import main
 from tensorwalk.occupancy import occupancy_exact
 
@@ -178,6 +179,26 @@ class TestProfile:
         rows = parse_csv(out)
         assert [float(r["c"]) for r in rows] == [-1.0, 0.0]
 
+    def test_one_stepped_pass_per_n(self, capsys, monkeypatch):
+        passes = []
+        stepped = snwalk.separation_closed_forms
+
+        def counting_stepped(n, rs):
+            passes.append(n)
+            return stepped(n, rs)
+
+        monkeypatch.setattr(snwalk, "separation_closed_forms", counting_stepped)
+        code, out, _ = run_cli(capsys, "profile", "--n", "64,128", "--c=2,-1,0,2")
+        assert code == 0
+        assert passes == [64, 128]
+        rows = parse_csv(out)
+        expected = [(n, c) for n in (64, 128) for c in (2.0, -1.0, 0.0, 2.0)]
+        assert [(int(row["n"]), float(row["c"])) for row in rows] == expected
+        for row, (n, c) in zip(rows, expected):
+            r = math.ceil(n * math.log(n) + c * n)
+            assert int(row["r"]) == r
+            assert row["s_float"] == format_float(float(snwalk.separation_closed_form(n, r)))
+
 
 class TestOccupancyCommand:
     ARGS = (
@@ -270,6 +291,20 @@ class TestCrosscheck:
         assert "ALL PASS" not in out
         assert "--rmax" in err
 
+    def test_character_kernel_built_once(self, capsys, monkeypatch):
+        builds = []
+        build = snwalk.build_kernel_characters
+
+        def counting_build(n):
+            builds.append(n)
+            return build(n)
+
+        monkeypatch.setattr(snwalk, "build_kernel_characters", counting_build)
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "6")
+        assert code == 0
+        assert "ALL PASS" in out
+        assert builds == [6]
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):
@@ -318,6 +353,20 @@ class TestRouteDisagreement:
         assert code == 1
         assert "FAIL  four-route separation equality" in out
         assert "occupancy_tableaux" in out
+
+    def test_box_kernel_crosscheck(self, capsys, monkeypatch):
+        build = snwalk.build_kernel_boxes
+
+        def lazy_boxes(n):
+            kernel = build(n)
+            identity = [[int(i == j) for j in range(kernel.size)] for i in range(kernel.size)]
+            return TransitionKernel(kernel.states, identity, kernel.stationary)
+
+        monkeypatch.setattr(snwalk, "build_kernel_boxes", lazy_boxes)
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "4")
+        assert code == 1
+        assert "FAIL  kernel route equality" in out
+        assert "box-move kernel disagrees with character kernel at n=4" in out
 
     def test_gl_crosscheck(self, capsys, broken_gl_route):
         code, out, _ = run_cli(capsys, "crosscheck", "--n", "3", "--q", "2")

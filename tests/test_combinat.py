@@ -14,6 +14,7 @@ from tensorwalk.combinat import (
     count_syt,
     enumerate_partitions,
     is_prime,
+    prime_factors,
     q_binomial,
 )
 
@@ -213,3 +214,18 @@ class TestIsPrime:
         for q in range(-2, 500):
             expected = q >= 2 and all(q % d for d in range(2, q))
             assert is_prime(q) == expected, q
+
+
+class TestPrimeFactors:
+    def test_rebuilds_q_with_prime_keys(self):
+        for q in range(1, 2001):
+            factors = prime_factors(q)
+            product = 1
+            for p, e in factors.items():
+                assert e >= 1 and all(p % d for d in range(2, p)), (q, p)
+                product *= p**e
+            assert product == q, q
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            prime_factors(0)

@@ -48,7 +48,7 @@ class TestKernelConstruction:
 
     def test_box_route_matches_characters(self):
         for n in range(1, 7):
-            build_kernel_boxes(n, check_against_characters=True)
+            assert build_kernel_boxes(n).matrix == build_kernel_characters(n).matrix, n
 
     def test_reaching_trivial_needs_near_trivial_shape(self, kernels):
         for n in range(3, 7):
