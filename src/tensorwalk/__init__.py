@@ -69,7 +69,6 @@ from .snwalk import (
     ratio_at,
     separation_closed_form,
     separation_closed_forms,
-    separation_exact,
     separation_profile,
     separation_routes,
     spectrum_sn,

@@ -2,8 +2,8 @@
 
 Character values come from the Murnaghan-Nakayama rule, implemented on
 first-column hook length sets (beta sets), so the whole table is integer
-arithmetic. The practical bound on n keeps tables small; it can be raised
-via configuration, see `tensorwalk.config`.
+arithmetic. The practical bound on n (`tensorwalk.config`) keeps tables
+small, so each table is built once per n and cached.
 """
 
 import csv
@@ -140,8 +140,9 @@ class CharacterTable:
         return buf.getvalue()
 
 
+@cache
 def character_table(n: int) -> CharacterTable:
-    """Integer character table of the symmetric group on n letters."""
+    """Integer character table of the symmetric group on n letters (cached)."""
     check_n(n)
     partitions = enumerate_partitions(n)
     classes = conjugacy_classes(n)

@@ -21,7 +21,7 @@ from .characters import (
     signed_fixed_point_sum,
 )
 from .combinat import enumerate_partitions
-from .config import effective_max_n
+from .config import PRACTICAL_MAX_N
 from .errors import ConsistencyError, common_value
 from .occupancy import RandomSource, merge_estimates
 
@@ -46,7 +46,7 @@ def cmd_sn_sep(args) -> int:
     if n < 2 or n > CLOSED_FORM_MAX_N:
         print(f"error: need 2 <= n <= {CLOSED_FORM_MAX_N}", file=sys.stderr)
         return 2
-    multi = n <= effective_max_n()
+    multi = n <= PRACTICAL_MAX_N
     curve = SeparationCurve(n=n)
     if multi:
         kernel = snwalk.build_kernel_characters(n)
@@ -155,6 +155,9 @@ def cmd_occupancy(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.q is None:
+        if not 2 <= args.n <= CLOSED_FORM_MAX_N:
+            print(f"error: need 2 <= n <= {CLOSED_FORM_MAX_N}", file=sys.stderr)
+            return 2
         spectrum = snwalk.spectrum_sn(args.n)
     else:
         spectrum = glwalk.gl_spectrum(args.n, args.q)
@@ -186,10 +189,6 @@ def _sn_checks(n: int, r_max: int):
     def get_kernel():
         return snwalk.build_kernel_characters(n)
 
-    @cache
-    def get_table():
-        return character_table(n)
-
     def kernel_routes():
         if snwalk.build_kernel_boxes(n).matrix != get_kernel().matrix:
             raise ConsistencyError(
@@ -198,7 +197,7 @@ def _sn_checks(n: int, r_max: int):
 
     def eigenfunctions():
         k = get_kernel()
-        t = get_table()
+        t = character_table(n)
         for c in t.classes:
             vec = [
                 Fraction(t.value(rho, c.cycle_type), t.dimension(rho))
@@ -241,13 +240,13 @@ def _sn_checks(n: int, r_max: int):
             raise ConsistencyError(f"support distance is {d}, expected {n - 1}")
 
     def fixed_point_sums():
-        t = get_table()
+        t = character_table(n)
         for lam in enumerate_partitions(n):
             for i in range(n + 1):
                 fixed_point_character_sum(n, lam, i, t)
 
     def signed_sums():
-        t = get_table()
+        t = character_table(n)
         for i in range(n):
             direct = sum(
                 c.class_size * c.sign for c in t.classes if c.fixed_points == i
@@ -257,7 +256,7 @@ def _sn_checks(n: int, r_max: int):
 
     def tensor_powers():
         k = get_kernel()
-        t = get_table()
+        t = character_table(n)
         for lam in enumerate_partitions(n):
             for r in range(min(r_max, 12) + 1):
                 snwalk.tensor_power_check(n, r, lam, k, t)
@@ -318,9 +317,9 @@ def _gl_checks(n: int, q: int, r_max: int):
 def cmd_crosscheck(args) -> int:
     n = args.n
     if args.q is None:
-        if not 2 <= n <= effective_max_n():
+        if not 2 <= n <= PRACTICAL_MAX_N:
             print(
-                f"error: need 2 <= n <= {effective_max_n()} for the full matrix",
+                f"error: need 2 <= n <= {PRACTICAL_MAX_N} for the full matrix",
                 file=sys.stderr,
             )
             return 2

@@ -68,12 +68,12 @@ def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
 def gl_separation_routes(n: int, q: int, r: int) -> dict[str, Fraction]:
     """Separation after r steps by three independent routes, checked equal.
 
-    Keyed by route name, in the order the CLI prints them: the closed form,
-    one minus the probability that r uniform vectors span the whole space,
-    and the eigenvalue-only route on the q-ladder spectrum. The
-    one-dimensional group over the two-element field is excluded (its walk
-    is trivial and the extremal representation argument needs a second
-    degree-one character).
+    Keyed by route name: the closed form, one minus the probability that r
+    uniform vectors span the whole space, and the eigenvalue-only route on
+    the q-ladder spectrum. The CLI prints each r's rows sorted by route
+    name, so `closed_form` comes first. The one-dimensional group over the
+    two-element field is excluded (its walk is trivial and the extremal
+    representation argument needs a second degree-one character).
     """
     if (n, q) == (1, 2):
         raise ExcludedCaseError("the walk on GL(1,2) is excluded")

@@ -253,6 +253,6 @@ def birth_death_separation(chain: BirthDeathChain, eigenvalues, r: int) -> Fract
     pi = chain.stationary()
     separations = {
         "spectral": separation_from_spectrum(eigs, r),
-        "direct": 1 - kernel.power(r)[0][chain.d] / pi[chain.d],
+        "direct": 1 - kernel.step_distribution(0, r)[chain.d] / pi[chain.d],
     }
     return common_value(separations, f"the birth-death separation, r={r}")

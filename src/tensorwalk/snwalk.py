@@ -19,6 +19,7 @@ from .characters import (
 )
 from .combinat import (
     Partition,
+    count_partitions,
     count_partitions_no_ones,
     count_skew_syt_row,
     count_syt,
@@ -95,7 +96,7 @@ def spectrum_sn(n: int) -> Spectrum:
         mult = count_partitions_no_ones(n - i)
         entries.append((Fraction(i, n), mult))
     spectrum = Spectrum(tuple(entries))
-    if spectrum.total_multiplicity() != len(enumerate_partitions(n)):
+    if spectrum.total_multiplicity() != count_partitions(n):
         raise ConsistencyError("spectrum multiplicities do not sum to the class count")
     return spectrum
 
@@ -233,11 +234,12 @@ def separation_routes(
 ) -> dict[str, Fraction]:
     """Separation after r steps from the trivial start, by four independent routes.
 
-    Keyed by route name, in the order the CLI prints them: the r-step row
-    of `kernel` at the single-column shape, the occupancy sum against skew
-    tableau counts, the alternating closed form, and the eigenvalue-only
-    formula on `eigenvalues` (the distinct eigenvalues i/n of the walk).
-    Raises ConsistencyError unless all four are the same fraction.
+    Keyed by route name: the r-step row of `kernel` at the single-column
+    shape, the occupancy sum against skew tableau counts, the alternating
+    closed form, and the eigenvalue-only formula on `eigenvalues` (the
+    distinct eigenvalues i/n of the walk). Raises ConsistencyError unless
+    all four are the same fraction. The CLI prints each r's rows sorted by
+    route name, so `closed_form` comes first.
     """
     sign = sign_shape(n)
     routes = {
@@ -265,32 +267,6 @@ def check_single_column_extremal(kernel: TransitionKernel, r: int) -> None:
             raise ConsistencyError(
                 f"ratio at {lam} undercuts the single-column shape at n={n} r={r}"
             )
-
-
-def separation_exact(
-    n: int,
-    r: int,
-    kernel: TransitionKernel,
-    table: CharacterTable,
-) -> Fraction:
-    """Exact separation distance from the trivial start after r steps.
-
-    Returns the closed form and asserts agreement with the occupancy route
-    (one minus the two top occupancy probabilities) and with one minus the
-    triple-checked ratio at the single-column shape, which is also verified
-    to attain the minimum ratio over all shapes (ties allowed).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    sign = sign_shape(n)
-    separations = {
-        "closed_form": separation_closed_form(n, r),
-        "top_occupancy": 1 - occupancy_exact(n, r, n) - occupancy_exact(n - 1, r, n),
-        "single_column_ratio": 1 - ratio_at(n, r, sign, kernel, table),
-    }
-    value = common_value(separations, f"the S_n separation, n={n} r={r}")
-    check_single_column_extremal(kernel, r)
-    return value
 
 
 def separation_profile(c: float) -> float:

@@ -72,11 +72,10 @@ class TestConjugacyClasses:
         with pytest.raises(SizeLimitError):
             character_table(0)
 
-    def test_size_limit_override(self, monkeypatch):
+    def test_size_limit_ignores_environment(self, monkeypatch):
         monkeypatch.setenv("TENSORWALK_MAX_N", "11")
-        with pytest.warns(UserWarning):
-            classes = conjugacy_classes(11)
-        assert sum(c.class_size for c in classes) == factorial(11)
+        with pytest.raises(SizeLimitError):
+            character_table(11)
 
 
 # classical tables, frozen with classes in lexicographic descending cycle

@@ -2,14 +2,18 @@ import csv
 import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from tensorwalk import glwalk, interpolation, snwalk
 from tensorwalk.chains import TransitionKernel, format_exact, format_float
+from tensorwalk.characters import character_table
 from tensorwalk.cli import main
 from tensorwalk.occupancy import occupancy_exact
+
+from oracles import euler_partition_count
 
 
 def run_cli(capsys, *argv):
@@ -81,10 +85,8 @@ class TestSnSep:
             top = 1 - occupancy_exact(n, r, n) - occupancy_exact(n - 1, r, n)
             assert rows[r]["s_exact"] == format_exact(top)
 
-    def test_guard_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("TENSORWALK_MAX_N", "11")
-        with pytest.warns(UserWarning):
-            code, out, _ = run_cli(capsys, "sn-sep", "--n", "11", "--rmax", "1")
+    def test_all_routes_at_size_guard(self, capsys):
+        code, out, _ = run_cli(capsys, "sn-sep", "--n", "10", "--rmax", "1")
         assert code == 0
         assert {r["route"] for r in parse_csv(out)} == {
             "kernel_power",
@@ -92,6 +94,14 @@ class TestSnSep:
             "closed_form",
             "spectral",
         }
+
+    def test_size_guard_ignores_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TENSORWALK_MAX_N", "11")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "sn-sep", "--n", "11", "--rmax", "1")
+        assert code == 0
+        assert {r["route"] for r in parse_csv(out)} == {"closed_form"}
 
     def test_tv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sn-sep", "--n", "4", "--rmax", "2", "--with-tv")
@@ -266,6 +276,23 @@ class TestSpectrumCommand:
         for line in out.strip().split("\n")[1:]:
             assert line.endswith(",")
 
+    def test_multiplicities_sum_to_partition_count(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "100")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 100
+        # warm the recursive oracle upwards so its recursion stays shallow
+        for m in range(101):
+            euler_partition_count(m)
+        total = sum(int(row["multiplicity"]) for row in rows)
+        assert total == euler_partition_count(100)
+
+    def test_rejects_n_above_closed_form_range(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "513")
+        assert code == 2
+        assert out == ""
+        assert "2 <= n <= 512" in err
+
     def test_format_flag_rejected(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n", "4", "--format", "json")
         assert code == 2
@@ -304,6 +331,22 @@ class TestCrosscheck:
         assert code == 0
         assert "ALL PASS" in out
         assert builds == [6]
+
+    def test_character_table_built_once(self, capsys):
+        character_table.cache_clear()
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "8")
+        assert code == 0
+        assert "ALL PASS" in out
+        info = character_table.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 1
+
+    def test_size_guard_ignores_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TENSORWALK_MAX_N", "11")
+        code, out, err = run_cli(capsys, "crosscheck", "--n", "11")
+        assert code == 2
+        assert out == ""
+        assert "2 <= n <= 10" in err
 
 
 class TestUsage:

@@ -5,21 +5,23 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensorwalk.chains import TransitionKernel
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition, count_skew_syt_row, count_syt, enumerate_partitions
-from tensorwalk.errors import SizeLimitError
+from tensorwalk.errors import ConsistencyError, SizeLimitError
 from tensorwalk.occupancy import occupancy_exact
 from tensorwalk.snwalk import (
     build_kernel_boxes,
     build_kernel_characters,
+    check_single_column_extremal,
     ratio_at,
     ratio_via_kernel,
     ratio_via_occupancy,
     ratio_via_spectrum,
     separation_closed_form,
     separation_closed_forms,
-    separation_exact,
     separation_profile,
+    separation_routes,
     sign_shape,
     spectrum_sn,
     tensor_power_check,
@@ -137,10 +139,24 @@ class TestTensorPowerCheck:
 
 
 class TestSeparation:
-    def test_known_examples(self, kernels, tables):
-        assert separation_exact(3, 2, kernels[3], tables[3]) == Fraction(1, 3)
-        assert separation_exact(4, 3, kernels[4], tables[4]) == Fraction(5, 8)
-        assert separation_exact(4, 2, kernels[4], tables[4]) == 1
+    def test_known_examples(self, kernels):
+        for n, r, expected in ((3, 2, Fraction(1, 3)), (4, 3, Fraction(5, 8)), (4, 2, 1)):
+            eigenvalues = spectrum_sn(n).eigenvalues
+            routes = separation_routes(n, r, kernels[n], eigenvalues)
+            assert len(routes) == 4
+            assert all(value == expected for value in routes.values()), routes
+
+    def test_extremality_check_catches_an_undercut(self):
+        # reversible S_3 kernel that swaps trivial and sign and holds [2,1]:
+        # after one step the trivial shape has ratio 0 < the sign's ratio 6
+        states = enumerate_partitions(3)
+        swap = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        plancherel = [Fraction(count_syt(lam) ** 2, 6) for lam in states]
+        kernel = TransitionKernel(states, swap, plancherel)
+        kernel.validate()
+        check_single_column_extremal(kernel, 0)
+        with pytest.raises(ConsistencyError, match="undercuts"):
+            check_single_column_extremal(kernel, 1)
 
     def test_closed_form_small_n(self):
         # one surviving eigenvalue for three letters: 3^(1-r) for r >= 1
