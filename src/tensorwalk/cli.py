@@ -36,6 +36,14 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+def _closed_form_n_ok(n: int) -> bool:
+    """Whether n is in the closed-form range; reports the usage error if not."""
+    if 2 <= n <= CLOSED_FORM_MAX_N:
+        return True
+    print(f"error: need 2 <= n <= {CLOSED_FORM_MAX_N}", file=sys.stderr)
+    return False
+
+
 def _emit_curve(curve: SeparationCurve, fmt: str, out: str | None) -> None:
     curve.warn_if_not_monotone()
     _write_output(curve.to_csv() if fmt == "csv" else curve.to_json(), out)
@@ -43,8 +51,7 @@ def _emit_curve(curve: SeparationCurve, fmt: str, out: str | None) -> None:
 
 def cmd_sn_sep(args) -> int:
     n, r_max = args.n, args.rmax
-    if n < 2 or n > CLOSED_FORM_MAX_N:
-        print(f"error: need 2 <= n <= {CLOSED_FORM_MAX_N}", file=sys.stderr)
+    if not _closed_form_n_ok(n):
         return 2
     multi = n <= PRACTICAL_MAX_N
     curve = SeparationCurve(n=n)
@@ -80,8 +87,7 @@ def cmd_profile(args) -> int:
     c_list = args.c_list
     rows = []
     for n in n_list:
-        if n < 2 or n > CLOSED_FORM_MAX_N:
-            print(f"error: need 2 <= n <= {CLOSED_FORM_MAX_N}", file=sys.stderr)
+        if not _closed_form_n_ok(n):
             return 2
         r_list = [math.ceil(n * math.log(n) + c * n) for c in c_list]
         # One stepped pass over the distinct r in ascending order serves every c.
@@ -155,8 +161,7 @@ def cmd_occupancy(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.q is None:
-        if not 2 <= args.n <= CLOSED_FORM_MAX_N:
-            print(f"error: need 2 <= n <= {CLOSED_FORM_MAX_N}", file=sys.stderr)
+        if not _closed_form_n_ok(args.n):
             return 2
         spectrum = snwalk.spectrum_sn(args.n)
     else:
@@ -227,8 +232,9 @@ def _sn_checks(n: int, r_max: int):
 
     def tv_dominated():
         k = get_kernel()
-        for r in range(r_max + 1):
-            if snwalk.tv_exact(n, r, k) > snwalk.separation_closed_form(n, r):
+        separations = snwalk.separation_closed_forms(n, range(r_max + 1))
+        for r, separation in enumerate(separations):
+            if snwalk.tv_exact(n, r, k) > separation:
                 raise ConsistencyError(f"total variation exceeds separation at r={r}")
 
     def support_distance():

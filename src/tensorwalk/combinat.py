@@ -226,28 +226,31 @@ def q_binomial(n: int, k: int, q: int) -> int:
     return acc
 
 
-@cache
-def _partitions_min_part(m: int, max_part: int, min_part: int) -> int:
-    if m == 0:
-        return 1
-    total = 0
-    for p in range(min(m, max_part), min_part - 1, -1):
-        total += _partitions_min_part(m - p, p, min_part)
-    return total
+def partition_counts(n: int, min_part: int = 1) -> list[int]:
+    """Numbers of partitions of 0..n with every part at least `min_part`.
+
+    One coin-change table: each allowed part size is admitted in turn by
+    counts[m] += counts[m - part], so the whole table costs O(n^2) additions.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if min_part < 1:
+        raise ValueError("min_part must be positive")
+    counts = [1] + [0] * n
+    for part in range(min_part, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts
 
 
 def count_partitions_no_ones(m: int) -> int:
     """Number of partitions of m with every part at least 2 (m=0 gives 1)."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return _partitions_min_part(m, m, 2)
+    return partition_counts(m, min_part=2)[m]
 
 
 def count_partitions(n: int) -> int:
     """Total number of partitions of n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _partitions_min_part(n, n, 1)
+    return partition_counts(n)[n]
 
 
 def prime_factors(q: int) -> dict[int, int]:

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm
 
 from .chains import TransitionKernel
 from .errors import ConsistencyError, common_value
-from .linalg import is_singular, mat_sub, scalar_identity
+from .linalg import det_bareiss
 
 
 def _check_distinct(values) -> tuple[Fraction, ...]:
@@ -236,9 +237,9 @@ def birth_death_separation(chain: BirthDeathChain, eigenvalues, r: int) -> Fract
     """Separation distance of a monotone birth-death chain started at 0.
 
     The supplied eigenvalues (all d+1 of them, including 1) are validated by
-    exact singularity of the shifted kernel. The eigenvalue-only value is
-    asserted against the direct route through the r-step mass at the far
-    endpoint.
+    a vanishing fraction-free determinant of the shifted kernel. The
+    eigenvalue-only value is asserted against the direct route through the
+    r-step mass at the far endpoint.
     """
     if not chain.is_monotone():
         raise ValueError("chain is not monotone")
@@ -246,9 +247,16 @@ def birth_death_separation(chain: BirthDeathChain, eigenvalues, r: int) -> Fract
     if len(eigs) != chain.d + 1:
         raise ValueError("need every distinct eigenvalue of the chain")
     kernel = chain.kernel()
+    scale = lcm(*(x.denominator for row in kernel.matrix for x in row))
     for lam in eigs:
-        shifted = mat_sub(kernel.matrix, scalar_identity(kernel.size, lam))
-        if not is_singular(shifted):
+        # K - lam I scaled by a common denominator to integers; it is singular
+        # exactly when its determinant vanishes.
+        s = scale * lam.denominator
+        shifted = [
+            [s * (x - lam if i == j else x) for j, x in enumerate(row)]
+            for i, row in enumerate(kernel.matrix)
+        ]
+        if det_bareiss(shifted) != 0:
             raise ValueError(f"{lam} is not an eigenvalue of the chain")
     pi = chain.stationary()
     separations = {

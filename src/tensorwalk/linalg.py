@@ -1,4 +1,4 @@
-"""Exact linear algebra over rationals: products, determinants, rank.
+"""Exact linear algebra over rationals: products and determinants.
 
 Matrices are lists (or tuples) of rows; entries are Fractions unless a
 function says otherwise. Everything here is pure and exact.
@@ -22,17 +22,6 @@ def mat_mul(a, b) -> Matrix:
     bt = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_sub(a, b) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scalar_identity(size: int, value: Fraction) -> Matrix:
-    zero = Fraction(0)
-    return tuple(
-        tuple(value if i == j else zero for j in range(size)) for i in range(size)
     )
 
 
@@ -61,30 +50,3 @@ def det_bareiss(rows) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[m - 1][m - 1]
-
-
-def rank(matrix) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def is_singular(matrix) -> bool:
-    return rank(matrix) < len(matrix)

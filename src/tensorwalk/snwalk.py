@@ -20,10 +20,10 @@ from .characters import (
 from .combinat import (
     Partition,
     count_partitions,
-    count_partitions_no_ones,
     count_skew_syt_row,
     count_syt,
     enumerate_partitions,
+    partition_counts,
 )
 from .config import check_n
 from .errors import ConsistencyError, common_value
@@ -91,10 +91,8 @@ def spectrum_sn(n: int) -> Spectrum:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    entries = []
-    for i in [n] + list(range(n - 2, -1, -1)):
-        mult = count_partitions_no_ones(n - i)
-        entries.append((Fraction(i, n), mult))
+    no_ones = partition_counts(n, min_part=2)
+    entries = [(Fraction(i, n), no_ones[n - i]) for i in [n, *range(n - 2, -1, -1)]]
     spectrum = Spectrum(tuple(entries))
     if spectrum.total_multiplicity() != count_partitions(n):
         raise ConsistencyError("spectrum multiplicities do not sum to the class count")

@@ -277,15 +277,16 @@ class TestSpectrumCommand:
             assert line.endswith(",")
 
     def test_multiplicities_sum_to_partition_count(self, capsys):
-        code, out, _ = run_cli(capsys, "spectrum", "--n", "100")
-        assert code == 0
-        rows = parse_csv(out)
-        assert len(rows) == 100
         # warm the recursive oracle upwards so its recursion stays shallow
-        for m in range(101):
+        for m in range(513):
             euler_partition_count(m)
-        total = sum(int(row["multiplicity"]) for row in rows)
-        assert total == euler_partition_count(100)
+        for n in (100, 512):
+            code, out, _ = run_cli(capsys, "spectrum", "--n", str(n))
+            assert code == 0
+            rows = parse_csv(out)
+            assert len(rows) == n
+            total = sum(int(row["multiplicity"]) for row in rows)
+            assert total == euler_partition_count(n)
 
     def test_rejects_n_above_closed_form_range(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n", "513")

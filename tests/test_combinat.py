@@ -14,6 +14,7 @@ from tensorwalk.combinat import (
     count_syt,
     enumerate_partitions,
     is_prime,
+    partition_counts,
     prime_factors,
     q_binomial,
 )
@@ -184,6 +185,31 @@ class TestQBinomial:
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
             q_binomial(3, 1, 1)
+
+
+@pytest.fixture(scope="module")
+def partition_census():
+    return [count_partitions(m) for m in range(513)]
+
+
+class TestPartitionCounts:
+    def test_matches_pentagonal_recurrence(self, partition_census):
+        # ascending m keeps the recursive oracle's recursion shallow
+        for m in range(513):
+            assert partition_census[m] == euler_partition_count(m)
+
+    def test_no_ones_is_first_difference(self, partition_census):
+        for m in range(1, 513):
+            assert (
+                count_partitions_no_ones(m)
+                == partition_census[m] - partition_census[m - 1]
+            )
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            partition_counts(-1)
+        with pytest.raises(ValueError):
+            partition_counts(4, min_part=0)
 
 
 class TestCountPartitionsNoOnes:

@@ -199,6 +199,20 @@ class TestBirthDeath:
                 chain, [Fraction(1), Fraction(1, 3), Fraction(0)], 2
             )
 
+    def test_eigenvalue_off_by_tiny_amount_rejected(self):
+        chain = lazy_ehrenfest()
+        near = Fraction(1, 2) + Fraction(1, 10**30)
+        with pytest.raises(ValueError):
+            birth_death_separation(chain, [Fraction(1), near, Fraction(0)], 2)
+
+    def test_zero_leading_pivot_accepted(self):
+        # K - I/2 has a zero top-left entry, so the singularity check must
+        # swap rows before it can eliminate
+        chain = lazy_ehrenfest()
+        assert chain.kernel().matrix[0][0] == Fraction(1, 2)
+        eigs = [Fraction(1), Fraction(1, 2), Fraction(0)]
+        assert birth_death_separation(chain, eigs, 3) == Fraction(1, 4)
+
     def test_non_monotone_rejected(self):
         third, two_thirds = Fraction(1, 3), Fraction(2, 3)
         chain = BirthDeathChain(

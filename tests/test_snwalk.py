@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensorwalk import snwalk
 from tensorwalk.chains import TransitionKernel
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition, count_skew_syt_row, count_syt, enumerate_partitions
@@ -88,6 +89,21 @@ class TestSpectrum:
     def test_distinct_count(self):
         for n in range(2, 9):
             assert len(spectrum_sn(n).eigenvalues) == n
+
+    def test_bad_multiplicity_table_raises(self, monkeypatch):
+        # the total is checked against a separately built partition count,
+        # so a single wrong no-ones entry must not pass
+        original = snwalk.partition_counts
+
+        def off_by_one(n, min_part=1):
+            counts = original(n, min_part)
+            if min_part == 2:
+                counts[3] += 1
+            return counts
+
+        monkeypatch.setattr(snwalk, "partition_counts", off_by_one)
+        with pytest.raises(ConsistencyError):
+            spectrum_sn(12)
 
 
 class TestRatios:
