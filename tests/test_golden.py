@@ -1,6 +1,8 @@
 """Golden CLI output: SHA-256 of stdout for a fixed grid of commands.
 
-The digests were recorded at commit 11c6be56c397c7989515c25da3f36baf000d3150.
+The digests were recorded at commit 11c6be56c397c7989515c25da3f36baf000d3150,
+except `sn-sep --n 10 --rmax 40 --with-tv` and `crosscheck --n 8 --rmax 24`,
+recorded at commit 990198aeb912e196cf12a36a653094b9b9e7038a.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -30,6 +32,8 @@ GOLDEN = [
      "ac81e8dc9a3c86b46bed36c9003776f4fe0c4b9438937fe2c49484b55bac3fa8"),
     ("sn-sep --n 8 --rmax 24 --with-tv --format json",
      "f44028af204d0f2129bcd9b127649eca815ff52788d82699a95e465eb9347edf"),
+    ("sn-sep --n 10 --rmax 40 --with-tv",
+     "66d48c58369f5406146fdc94234a535eb58d876be9608dd73181815f973d5dfc"),
     ("sn-sep --n 40 --rmax 200",
      "de9c323b6bf81aae78d24501ad798e35ce3f03ee7eb166bf6c703b76b23668b0"),
     ("gl-sep --n 6 --q 3 --rmax 20",
@@ -40,6 +44,8 @@ GOLDEN = [
      "35248d42c33d4ec8edca8c8faea807cad698dcd6d31d643f44022cf9180eb958"),
     ("crosscheck --n 7",
      "32371d59a60f43656148cc5fd370074f6535a9bd4560809d7cb72fae27267510"),
+    ("crosscheck --n 8 --rmax 24",
+     "ed815d8ec3756dcec9c187688b4de543c87729ea787671cbbe6ddfe684276c49"),
     ("crosscheck --n 4 --q 3",
      "d2ec9b899db8c4da01c00eb0e86ecaf6a5232e362b82ae9c05b325cef18a9fd4"),
     ("spectrum --n 6",
