@@ -157,9 +157,7 @@ def defining_character_values(classes) -> list[int]:
     return [c.fixed_points for c in classes]
 
 
-def fixed_point_character_sum(
-    n: int, lam: Partition, i: int, table: CharacterTable | None = None
-) -> int:
+def fixed_point_character_sum(n: int, lam: Partition, i: int) -> int:
     """Character sum over all permutations with exactly i fixed points.
 
     Evaluated two independent ways, by classes and by an inclusion-exclusion
@@ -169,8 +167,7 @@ def fixed_point_character_sum(
         raise ValueError("shape size must equal n")
     if not 0 <= i <= n:
         raise ValueError("fixed point count out of range")
-    if table is None:
-        table = character_table(n)
+    table = character_table(n)
     by_classes = sum(
         c.class_size * table.value(lam, c.cycle_type)
         for c in table.classes
@@ -194,13 +191,7 @@ def signed_fixed_point_sum(n: int, i: int) -> int:
     return (-1) ** (n - i + 1) * comb(n, i) * (n - i - 1)
 
 
-def tensor_multiplicity(
-    n: int,
-    lam: Partition,
-    eta_values,
-    rho: Partition,
-    table: CharacterTable,
-) -> int:
+def tensor_multiplicity(n: int, lam: Partition, eta_values, rho: Partition) -> int:
     """Multiplicity of `rho` in the tensor product of `lam` with a character.
 
     `eta_values` lists the integer character values of the tensoring factor,
@@ -208,6 +199,7 @@ def tensor_multiplicity(
     summed in integers and must be a nonnegative multiple of n!; anything
     else raises.
     """
+    table = character_table(n)
     total = sum(
         c.class_size * eta * chi_lam * chi_rho
         for c, eta, chi_lam, chi_rho in zip(

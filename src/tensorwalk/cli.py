@@ -11,7 +11,6 @@ import logging
 import math
 import sys
 from fractions import Fraction
-from functools import cache
 
 from . import glwalk, interpolation, occupancy, snwalk
 from .chains import SeparationCurve, format_exact, format_float
@@ -56,14 +55,11 @@ def cmd_sn_sep(args) -> int:
     multi = n <= PRACTICAL_MAX_N
     curve = SeparationCurve(n=n)
     if multi:
-        kernel = snwalk.build_kernel_characters(n)
-        eigenvalues = snwalk.spectrum_sn(n).eigenvalues
         for r in range(r_max + 1):
-            routes = snwalk.separation_routes(n, r, kernel, eigenvalues)
-            for route, value in routes.items():
+            for route, value in snwalk.separation_routes(n, r).items():
                 curve.add(r, value, route)
             if args.with_tv:
-                curve.add(r, snwalk.tv_exact(n, r, kernel), "total_variation")
+                curve.add(r, snwalk.tv_exact(n, r), "total_variation")
     else:
         values = snwalk.separation_closed_forms(n, range(r_max + 1))
         for r, value in enumerate(values):
@@ -190,18 +186,14 @@ def _run_checks(checks) -> tuple[list[tuple[str, bool, str]], bool]:
 
 
 def _sn_checks(n: int, r_max: int):
-    @cache
-    def get_kernel():
-        return snwalk.build_kernel_characters(n)
-
     def kernel_routes():
-        if snwalk.build_kernel_boxes(n).matrix != get_kernel().matrix:
+        if snwalk.build_kernel_boxes(n).matrix != snwalk.build_kernel_characters(n).matrix:
             raise ConsistencyError(
                 f"box-move kernel disagrees with character kernel at n={n}"
             )
 
     def eigenfunctions():
-        k = get_kernel()
+        k = snwalk.build_kernel_characters(n)
         t = character_table(n)
         for c in t.classes:
             vec = [
@@ -220,25 +212,22 @@ def _sn_checks(n: int, r_max: int):
         snwalk.spectrum_sn(n)
 
     def four_routes():
-        k = get_kernel()
-        eigenvalues = snwalk.spectrum_sn(n).eigenvalues
         for r in range(r_max + 1):
-            snwalk.separation_routes(n, r, k, eigenvalues)
+            snwalk.separation_routes(n, r)
 
     def extremality():
-        k = get_kernel()
+        k = snwalk.build_kernel_characters(n)
         for r in range(r_max + 1):
             snwalk.check_single_column_extremal(k, r)
 
     def tv_dominated():
-        k = get_kernel()
         separations = snwalk.separation_closed_forms(n, range(r_max + 1))
         for r, separation in enumerate(separations):
-            if snwalk.tv_exact(n, r, k) > separation:
+            if snwalk.tv_exact(n, r) > separation:
                 raise ConsistencyError(f"total variation exceeds separation at r={r}")
 
     def support_distance():
-        k = get_kernel()
+        k = snwalk.build_kernel_characters(n)
         d = interpolation.verify_distance(
             k, snwalk.trivial_shape(n), snwalk.sign_shape(n), eigenvalue_count=n
         )
@@ -246,10 +235,9 @@ def _sn_checks(n: int, r_max: int):
             raise ConsistencyError(f"support distance is {d}, expected {n - 1}")
 
     def fixed_point_sums():
-        t = character_table(n)
         for lam in enumerate_partitions(n):
             for i in range(n + 1):
-                fixed_point_character_sum(n, lam, i, t)
+                fixed_point_character_sum(n, lam, i)
 
     def signed_sums():
         t = character_table(n)
@@ -261,15 +249,16 @@ def _sn_checks(n: int, r_max: int):
             common_value(sums, f"the signed fixed point sum, n={n} i={i}")
 
     def tensor_powers():
-        k = get_kernel()
-        t = character_table(n)
         for lam in enumerate_partitions(n):
             for r in range(min(r_max, 12) + 1):
-                snwalk.tensor_power_check(n, r, lam, k, t)
+                snwalk.tensor_power_check(n, r, lam)
 
     checks = [
         (f"kernel route equality (n={n})", kernel_routes),
-        (f"kernel validation: rows, stationarity, reversibility (n={n})", lambda: get_kernel().validate()),
+        (
+            f"kernel validation: rows, stationarity, reversibility (n={n})",
+            lambda: snwalk.build_kernel_characters(n).validate(),
+        ),
         (f"rational eigenfunction identity (n={n})", eigenfunctions),
         (f"spectrum multiplicity total (n={n})", spectrum_mass),
         (f"four-route separation equality (n={n}, r<={r_max})", four_routes),
@@ -303,7 +292,7 @@ def _gl_checks(n: int, q: int, r_max: int):
             glwalk.check_alternating_terms_decreasing(n, q, n + c)
 
     def families_exist():
-        if (n, q) != (1, 2) and glwalk.count_gl_families(n, q, avoid_e=True) <= 0:
+        if glwalk.count_gl_families(n, q, avoid_e=True) <= 0:
             raise ConsistencyError("no family avoids the unit cuspidal")
 
     def cuspidal_integrality():
@@ -320,6 +309,17 @@ def _gl_checks(n: int, q: int, r_max: int):
     ]
 
 
+def _gl_usage_error(n: int, q: int) -> str | None:
+    """Why the GL checks cannot run at (n, q), or None when they can."""
+    if n < 1:
+        return "need n >= 1"
+    if q < 2:
+        return "need q >= 2"
+    if (n, q) == (1, 2):
+        return "the walk on GL(1, 2) is excluded"
+    return None
+
+
 def cmd_crosscheck(args) -> int:
     n = args.n
     if args.q is None:
@@ -332,6 +332,10 @@ def cmd_crosscheck(args) -> int:
         r_max = args.rmax if args.rmax is not None else 4 * n
         checks = _sn_checks(n, r_max)
     else:
+        problem = _gl_usage_error(n, args.q)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
         r_max = args.rmax if args.rmax is not None else 3 * n
         checks = _gl_checks(n, args.q, r_max)
     results, all_ok = _run_checks(checks)
@@ -360,7 +364,10 @@ def _int_list(text: str) -> list[int]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    values = [float(part) for part in text.split(",") if part.strip()]
+    if not all(math.isfinite(value) for value in values):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("occupancy", help="Monte Carlo check of an occupancy law (JSON)")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_nonnegative_int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None,
                    help="prime field size; omit for balls-in-boxes")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--streams", type=int, default=1)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_occupancy)

@@ -29,9 +29,14 @@ def det_bareiss(rows) -> int:
     """Determinant of an integer matrix by fraction-free elimination.
 
     All intermediate values stay integral (Bareiss pivoting), so no rational
-    arithmetic is needed.
+    arithmetic is needed. Entries may be any exact integral numbers, such as
+    Fractions with denominator 1; a non-integral entry raises ValueError.
     """
     a = [list(map(int, row)) for row in rows]
+    for row, original in zip(a, rows):
+        for value, entry in zip(row, original):
+            if value != entry:
+                raise ValueError(f"det_bareiss needs integral entries, got {entry}")
     m = len(a)
     if m == 0:
         return 1

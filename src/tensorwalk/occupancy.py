@@ -72,6 +72,8 @@ def occupancy_exact(a: int, r: int, n: int) -> Fraction:
     Inclusion-exclusion over the occupied set; 0^0 = 1 so that r = 0 gives
     a point mass at a = 0.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not 0 <= a <= n:
         raise ValueError("need 0 <= a <= n")
     if r < 0:
@@ -145,6 +147,8 @@ def occupancy_mc(a: int, r: int, n: int, samples: int, src: RandomSource) -> McE
     """Empirical frequency of exactly a occupied boxes after r drops."""
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not 0 <= a <= n:
         raise ValueError("need 0 <= a <= n")
     if r == 0:

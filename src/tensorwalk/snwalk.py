@@ -8,11 +8,11 @@ independent exact routes which are cross-asserted wherever cheap.
 
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import cache, lru_cache
 from math import comb, factorial
 
 from .chains import Spectrum, TransitionKernel
 from .characters import (
-    CharacterTable,
     character_table,
     defining_character_values,
     tensor_multiplicity,
@@ -39,26 +39,34 @@ def sign_shape(n: int) -> Partition:
     return Partition([1] * n)
 
 
-def _plancherel(states) -> list[Fraction]:
-    n = states[0].size if states else 0
-    return [Fraction(count_syt(lam) ** 2, factorial(n)) for lam in states]
+def _kernel_from_multiplicities(n: int, multiplicity) -> TransitionKernel:
+    """Kernel d_rho m(lam, rho) / (d_lam n) under the Plancherel law d_lam^2 / n!.
 
-
-def build_kernel_characters(n: int) -> TransitionKernel:
-    """Transition kernel from exact tensor-product multiplicities."""
-    check_n(n)
+    `multiplicity(lam, rho)` is the multiplicity of `rho` in `lam` tensored
+    with the permutation representation; each builder computes its own.
+    """
     states = enumerate_partitions(n)
-    table = character_table(n)
-    eta = defining_character_values(table.classes)
     dims = {lam: count_syt(lam) for lam in states}
-    matrix = []
-    for lam in states:
-        row = []
-        for rho in states:
-            m = tensor_multiplicity(n, lam, eta, rho, table)
-            row.append(Fraction(dims[rho] * m, dims[lam] * n))
-        matrix.append(row)
-    return TransitionKernel(states, matrix, _plancherel(states))
+    matrix = [
+        [Fraction(dims[rho] * multiplicity(lam, rho), dims[lam] * n) for rho in states]
+        for lam in states
+    ]
+    stationary = [Fraction(dims[lam] ** 2, factorial(n)) for lam in states]
+    return TransitionKernel(states, matrix, stationary)
+
+
+@lru_cache(maxsize=1)
+def build_kernel_characters(n: int) -> TransitionKernel:
+    """Transition kernel from exact tensor-product multiplicities.
+
+    The most recent kernel is kept, with the walks it has cached, so every
+    route at one n shares a single build.
+    """
+    check_n(n)
+    eta = defining_character_values(character_table(n).classes)
+    return _kernel_from_multiplicities(
+        n, lambda lam, rho: tensor_multiplicity(n, lam, eta, rho)
+    )
 
 
 def build_kernel_boxes(n: int) -> TransitionKernel:
@@ -70,24 +78,19 @@ def build_kernel_boxes(n: int) -> TransitionKernel:
     `build_kernel_characters`, so comparing the two checks both.
     """
     check_n(n)
-    states = enumerate_partitions(n)
-    dims = {lam: count_syt(lam) for lam in states}
-    removals = {lam: set(lam.corner_removals()) for lam in states}
-    matrix = []
-    for lam in states:
-        row = []
-        for rho in states:
-            m = len(removals[lam] & removals[rho])
-            row.append(Fraction(dims[rho] * m, dims[lam] * n))
-        matrix.append(row)
-    return TransitionKernel(states, matrix, _plancherel(states))
+    removals = {lam: set(lam.corner_removals()) for lam in enumerate_partitions(n)}
+    return _kernel_from_multiplicities(
+        n, lambda lam, rho: len(removals[lam] & removals[rho])
+    )
 
 
+@cache
 def spectrum_sn(n: int) -> Spectrum:
     """Distinct eigenvalues i/n with i in {0..n-2, n} and their multiplicities.
 
     The multiplicity of i/n is the number of conjugacy classes with exactly
     i fixed points, i.e. the number of partitions of n-i with no part 1.
+    Cached per n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -99,22 +102,21 @@ def spectrum_sn(n: int) -> Spectrum:
     return spectrum
 
 
-def ratio_via_kernel(kernel: TransitionKernel, r: int, lam: Partition) -> Fraction:
+def ratio_via_kernel(n: int, r: int, lam: Partition) -> Fraction:
     """r-step mass at `lam` from the trivial start, over its stationary mass."""
-    n = kernel.states[0].size
+    kernel = build_kernel_characters(n)
     row = kernel.step_distribution(trivial_shape(n), r)
     j = kernel.index(lam)
     return row[j] / kernel.stationary[j]
 
 
-def ratio_via_spectrum(
-    n: int, r: int, lam: Partition, table: CharacterTable
-) -> Fraction:
+def ratio_via_spectrum(n: int, r: int, lam: Partition) -> Fraction:
     """Spectral form of the same ratio: sum over classes of eigenvalue powers.
 
     Uses the rational eigenfunction scaling (character over dimension), so
     the whole sum stays in exact arithmetic.
     """
+    table = character_table(n)
     d = table.dimension(lam)
     total = Fraction(0)
     for c in table.classes:
@@ -136,13 +138,7 @@ def ratio_via_occupancy(n: int, r: int, lam: Partition) -> Fraction:
     return total
 
 
-def ratio_at(
-    n: int,
-    r: int,
-    lam: Partition,
-    kernel: TransitionKernel,
-    table: CharacterTable,
-) -> Fraction:
+def ratio_at(n: int, r: int, lam: Partition) -> Fraction:
     """Ratio of walked mass to stationary mass at `lam`, triple-checked.
 
     Computes the kernel power route, the spectral route and the occupancy
@@ -153,20 +149,14 @@ def ratio_at(
     if r < 0:
         raise ValueError("need r >= 0")
     ratios = {
-        "kernel": ratio_via_kernel(kernel, r, lam),
-        "spectrum": ratio_via_spectrum(n, r, lam, table),
+        "kernel": ratio_via_kernel(n, r, lam),
+        "spectrum": ratio_via_spectrum(n, r, lam),
         "occupancy": ratio_via_occupancy(n, r, lam),
     }
     return common_value(ratios, f"the mass ratio at {lam}, n={n} r={r}")
 
 
-def tensor_power_check(
-    n: int,
-    r: int,
-    lam: Partition,
-    kernel: TransitionKernel,
-    table: CharacterTable,
-) -> bool:
+def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
     """Verify the walked mass encodes an exact tensor-power multiplicity.
 
     The r-step mass at `lam`, times n^r over the dimension of `lam`, must
@@ -175,6 +165,8 @@ def tensor_power_check(
     and that multiplicity must be a nonnegative integer. Intended for small
     n and r (the character sum grows quickly).
     """
+    kernel = build_kernel_characters(n)
+    table = character_table(n)
     row = kernel.step_distribution(trivial_shape(n), r)
     mass = row[kernel.index(lam)]
     d = table.dimension(lam)
@@ -227,24 +219,22 @@ def separation_closed_form(n: int, r: int) -> Fraction:
     return next(separation_closed_forms(n, [r]))
 
 
-def separation_routes(
-    n: int, r: int, kernel: TransitionKernel, eigenvalues
-) -> dict[str, Fraction]:
+def separation_routes(n: int, r: int) -> dict[str, Fraction]:
     """Separation after r steps from the trivial start, by four independent routes.
 
-    Keyed by route name: the r-step row of `kernel` at the single-column
-    shape, the occupancy sum against skew tableau counts, the alternating
-    closed form, and the eigenvalue-only formula on `eigenvalues` (the
-    distinct eigenvalues i/n of the walk). Raises ConsistencyError unless
-    all four are the same fraction. The CLI prints each r's rows sorted by
-    route name, so `closed_form` comes first.
+    Keyed by route name: the r-step row of the character kernel at the
+    single-column shape, the occupancy sum against skew tableau counts, the
+    alternating closed form, and the eigenvalue-only formula on the distinct
+    eigenvalues i/n of the walk. Raises ConsistencyError unless all four are
+    the same fraction. The CLI prints each r's rows sorted by route name, so
+    `closed_form` comes first.
     """
     sign = sign_shape(n)
     routes = {
-        "kernel_power": 1 - ratio_via_kernel(kernel, r, sign),
+        "kernel_power": 1 - ratio_via_kernel(n, r, sign),
         "occupancy_tableaux": 1 - ratio_via_occupancy(n, r, sign),
         "closed_form": separation_closed_form(n, r),
-        "spectral": separation_from_spectrum(eigenvalues, r),
+        "spectral": separation_from_spectrum(spectrum_sn(n).eigenvalues, r),
     }
     common_value(routes, f"the S_n separation, n={n} r={r}")
     return routes
@@ -277,7 +267,8 @@ def separation_profile(c: float) -> float:
     return poisson_not01(c)
 
 
-def tv_exact(n: int, r: int, kernel: TransitionKernel) -> Fraction:
+def tv_exact(n: int, r: int) -> Fraction:
     """Exact total-variation distance to stationarity after r steps."""
+    kernel = build_kernel_characters(n)
     row = kernel.step_distribution(trivial_shape(n), r)
     return sum(abs(p - pi) for p, pi in zip(row, kernel.stationary)) / 2

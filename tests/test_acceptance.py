@@ -202,7 +202,7 @@ def test_criterion_06_cutoff_profile_scaling():
         _report(label, ok)
 
 
-def test_criterion_07_identity_suites(sn_bundle):
+def test_criterion_07_identity_suites():
     label = (
         "criterion 7: fixed-point sums (n<=7), signed sums (n<=8), "
         "term nonnegativity (n<=7), tensor powers (n<=7, r<=12)"
@@ -210,10 +210,9 @@ def test_criterion_07_identity_suites(sn_bundle):
     ok = False
     try:
         for n in range(1, 8):
-            table = character_table(n)
             for lam in enumerate_partitions(n):
                 for i in range(n + 1):
-                    fixed_point_character_sum(n, lam, i, table)
+                    fixed_point_character_sum(n, lam, i)
         for n in range(1, 9):
             classes = conjugacy_classes(n)
             for i in range(n):
@@ -231,10 +230,9 @@ def test_criterion_07_identity_suites(sn_bundle):
                         )
                         assert term >= 0, (n, lam, r, a)
         for n in range(3, 8):
-            kernel, table = sn_bundle[n]
             for lam in enumerate_partitions(n):
                 for r in range(13):
-                    assert tensor_power_check(n, r, lam, kernel, table)
+                    assert tensor_power_check(n, r, lam)
         ok = True
     finally:
         _report(label, ok)
@@ -281,7 +279,7 @@ def test_criterion_08_structural_chain_properties(sn_bundle):
         _report(label, ok)
 
 
-def test_criterion_09_total_variation_relations(sn_bundle):
+def test_criterion_09_total_variation_relations():
     label = (
         "criterion 9: tv <= separation on the grid, and tv at the half-time "
         "plus one-unit mark at n=8 stays below exp(-2)/2"
@@ -289,18 +287,15 @@ def test_criterion_09_total_variation_relations(sn_bundle):
     ok = False
     try:
         for n in range(3, 9):
-            kernel, _ = sn_bundle[n]
             for r in range(4 * n + 1):
-                assert tv_exact(n, r, kernel) <= separation_closed_form(n, r), (n, r)
-        kernel, _ = sn_bundle[8]
+                assert tv_exact(n, r) <= separation_closed_form(n, r), (n, r)
         r = math.ceil(0.5 * 8 * math.log(8) + 8)
-        assert float(tv_exact(8, r, kernel)) <= math.exp(-2) / 2
+        assert float(tv_exact(8, r)) <= math.exp(-2) / 2
         # contrast: at that time the separation distance is still far from 0
         assert separation_closed_form(8, r) > Fraction(1, 10)
         for n in (6, 7):
-            kernel, _ = sn_bundle[n]
             r = math.ceil(0.5 * n * math.log(n) + n)
-            assert tv_exact(n, r, kernel) < Fraction(1, 20), n
+            assert tv_exact(n, r) < Fraction(1, 20), n
             assert separation_closed_form(n, r) > Fraction(1, 10), n
         ok = True
     finally:

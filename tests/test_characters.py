@@ -159,10 +159,9 @@ class TestFixedPointCharacterSum:
     def test_both_routes_all_shapes(self):
         # route agreement is asserted inside; run the whole small grid
         for n in range(1, 6):
-            table = character_table(n)
             for lam in enumerate_partitions(n):
                 for i in range(n + 1):
-                    fixed_point_character_sum(n, lam, i, table)
+                    fixed_point_character_sum(n, lam, i)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -195,13 +194,13 @@ class TestTensorMultiplicity:
         for lam in enumerate_partitions(n):
             for rho in enumerate_partitions(n):
                 expected = 1 if lam == rho else 0
-                assert tensor_multiplicity(n, lam, trivial, rho, table) == expected
+                assert tensor_multiplicity(n, lam, trivial, rho) == expected
 
     def test_defining_factor_examples(self):
         table = character_table(3)
         eta = defining_character_values(table.classes)
-        assert tensor_multiplicity(3, Partition([3]), eta, Partition([2, 1]), table) == 1
-        assert tensor_multiplicity(3, Partition([1, 1, 1]), eta, Partition([3]), table) == 0
+        assert tensor_multiplicity(3, Partition([3]), eta, Partition([2, 1])) == 1
+        assert tensor_multiplicity(3, Partition([1, 1, 1]), eta, Partition([3])) == 0
 
     def test_non_integer_average_raises(self):
         # A class function that is not a character: 1 on the identity class
@@ -209,7 +208,7 @@ class TestTensorMultiplicity:
         table = character_table(3)
         eta = [1 if c.fixed_points == 3 else 0 for c in table.classes]
         with pytest.raises(ConsistencyError, match="value=1/6"):
-            tensor_multiplicity(3, Partition([3]), eta, Partition([3]), table)
+            tensor_multiplicity(3, Partition([3]), eta, Partition([3]))
 
     def test_dimension_consistency(self):
         for n in range(2, 7):
@@ -217,7 +216,7 @@ class TestTensorMultiplicity:
             eta = defining_character_values(table.classes)
             for lam in enumerate_partitions(n):
                 total = sum(
-                    count_syt(rho) * tensor_multiplicity(n, lam, eta, rho, table)
+                    count_syt(rho) * tensor_multiplicity(n, lam, eta, rho)
                     for rho in enumerate_partitions(n)
                 )
                 assert total == count_syt(lam) * n

@@ -103,6 +103,14 @@ class TestSnSep:
         assert code == 0
         assert {r["route"] for r in parse_csv(out)} == {"closed_form"}
 
+    def test_only_the_latest_kernel_is_kept(self, capsys):
+        snwalk.build_kernel_characters.cache_clear()
+        for n in ("7", "8"):
+            code, _, _ = run_cli(capsys, "sn-sep", "--n", n, "--rmax", "2", "--with-tv")
+            assert code == 0
+        info = snwalk.build_kernel_characters.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)
+
     def test_tv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sn-sep", "--n", "4", "--rmax", "2", "--with-tv")
         assert code == 0
@@ -210,6 +218,14 @@ class TestProfile:
             assert row["s_float"] == format_float(float(snwalk.separation_closed_form(n, r)))
 
 
+    @pytest.mark.parametrize("offsets", ["--c=inf", "--c=nan"], ids=["inf", "nan"])
+    def test_non_finite_offset_rejected(self, capsys, offsets):
+        code, out, err = run_cli(capsys, "profile", "--n", "64", offsets)
+        assert code == 2
+        assert out == ""
+        assert "--c" in err and "finite" in err
+
+
 class TestOccupancyCommand:
     ARGS = (
         "occupancy",
@@ -249,6 +265,22 @@ class TestOccupancyCommand:
         assert code == 2
         assert out == ""
         assert "--format" in err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--a", "0", "--r", "0", "--n", "0"), "need n >= 1"),
+            (("--a", "0", "--r", "3", "--n", "0"), "need n >= 1"),
+            (("--a", "1", "--r", "-1", "--n", "3"), "--r"),
+            (("--a", "1", "--r", "1", "--n", "3", "--seed", "-1"), "--seed"),
+        ],
+        ids=["n0-r0", "n0-r3", "negative-r", "negative-seed"],
+    )
+    def test_bad_input_is_usage_error(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "occupancy", *flags, "--samples", "100")
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_nonprime_q_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -319,19 +351,23 @@ class TestCrosscheck:
         assert "ALL PASS" not in out
         assert "--rmax" in err
 
-    def test_character_kernel_built_once(self, capsys, monkeypatch):
-        builds = []
-        build = snwalk.build_kernel_characters
+    @pytest.mark.parametrize(
+        "n,q,message",
+        [("4", "1", "need q >= 2"), ("0", "3", "need n >= 1"), ("1", "2", "GL(1, 2)")],
+        ids=["q1", "n0", "gl12"],
+    )
+    def test_bad_gl_parameters(self, capsys, n, q, message):
+        code, out, err = run_cli(capsys, "crosscheck", "--n", n, "--q", q)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
-        def counting_build(n):
-            builds.append(n)
-            return build(n)
-
-        monkeypatch.setattr(snwalk, "build_kernel_characters", counting_build)
+    def test_character_kernel_built_once(self, capsys):
+        snwalk.build_kernel_characters.cache_clear()
         code, out, _ = run_cli(capsys, "crosscheck", "--n", "6")
         assert code == 0
         assert "ALL PASS" in out
-        assert builds == [6]
+        assert snwalk.build_kernel_characters.cache_info().misses == 1
 
     def test_character_table_built_once(self, capsys):
         character_table.cache_clear()

@@ -52,6 +52,13 @@ class TestOccupancyExact:
             occupancy_exact(1, -1, 5)
 
 
+    def test_no_boxes_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            occupancy_exact(0, 0, 0)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            occupancy_mc(0, 3, 0, 10, RandomSource(seed=SEED))
+
+
 class TestOccupancyChainPower:
     def test_point_mass_at_zero_steps(self):
         assert occupancy_chain_power(4, 0) == [1, 0, 0, 0, 0]

@@ -101,25 +101,26 @@ class TestSpectrum:
                 counts[3] += 1
             return counts
 
+        spectrum_sn.cache_clear()
         monkeypatch.setattr(snwalk, "partition_counts", off_by_one)
         with pytest.raises(ConsistencyError):
             spectrum_sn(12)
 
 
 class TestRatios:
-    def test_point_mass_at_start(self, kernels, tables):
+    def test_point_mass_at_start(self):
         for n in range(2, 7):
-            assert ratio_at(n, 0, trivial_shape(n), kernels[n], tables[n]) == factorial(n)
+            assert ratio_at(n, 0, trivial_shape(n)) == factorial(n)
 
-    def test_known_examples(self, kernels, tables):
-        assert ratio_at(3, 1, Partition([1, 1, 1]), kernels[3], tables[3]) == 0
-        assert ratio_at(3, 2, Partition([1, 1, 1]), kernels[3], tables[3]) == Fraction(2, 3)
+    def test_known_examples(self):
+        assert ratio_at(3, 1, Partition([1, 1, 1])) == 0
+        assert ratio_at(3, 2, Partition([1, 1, 1])) == Fraction(2, 3)
 
-    def test_three_routes_agree_exhaustively(self, kernels, tables):
+    def test_three_routes_agree_exhaustively(self):
         for n in range(2, 6):
             for lam in enumerate_partitions(n):
                 for r in range(0, 2 * n + 1):
-                    ratio_at(n, r, lam, kernels[n], tables[n])
+                    ratio_at(n, r, lam)
 
     def test_nonnegative_terms(self):
         # every summand of the occupancy route is a product of nonnegatives
@@ -133,32 +134,31 @@ class TestRatios:
                         )
                         assert term >= 0
 
-    def test_large_power_spot_check(self, kernels, tables):
+    def test_large_power_spot_check(self):
         n, r = 5, 37
         sign = sign_shape(n)
-        assert 1 - ratio_via_kernel(kernels[n], r, sign) == separation_closed_form(n, r)
+        assert 1 - ratio_via_kernel(n, r, sign) == separation_closed_form(n, r)
 
 
 class TestTensorPowerCheck:
-    def test_trivial_shape_first_power(self, kernels, tables):
+    def test_trivial_shape_first_power(self):
         for n in range(2, 6):
-            assert tensor_power_check(n, 1, trivial_shape(n), kernels[n], tables[n])
+            assert tensor_power_check(n, 1, trivial_shape(n))
 
-    def test_sign_absent_from_defining(self, kernels, tables):
-        assert tensor_power_check(3, 1, Partition([1, 1, 1]), kernels[3], tables[3])
+    def test_sign_absent_from_defining(self, kernels):
+        assert tensor_power_check(3, 1, Partition([1, 1, 1]))
         row = kernels[3].step_distribution(trivial_shape(3), 1)
         assert row[kernels[3].index(Partition([1, 1, 1]))] == 0
 
-    def test_zero_power_is_point_mass(self, kernels, tables):
+    def test_zero_power_is_point_mass(self):
         for lam in enumerate_partitions(4):
-            assert tensor_power_check(4, 0, lam, kernels[4], tables[4])
+            assert tensor_power_check(4, 0, lam)
 
 
 class TestSeparation:
-    def test_known_examples(self, kernels):
+    def test_known_examples(self):
         for n, r, expected in ((3, 2, Fraction(1, 3)), (4, 3, Fraction(5, 8)), (4, 2, 1)):
-            eigenvalues = spectrum_sn(n).eigenvalues
-            routes = separation_routes(n, r, kernels[n], eigenvalues)
+            routes = separation_routes(n, r)
             assert len(routes) == 4
             assert all(value == expected for value in routes.values()), routes
 
@@ -249,18 +249,18 @@ class TestProfile:
 
 
 class TestTotalVariation:
-    def test_zero_steps(self, kernels):
+    def test_zero_steps(self):
         for n in range(2, 7):
-            assert tv_exact(n, 0, kernels[n]) == 1 - Fraction(1, factorial(n))
+            assert tv_exact(n, 0) == 1 - Fraction(1, factorial(n))
 
-    def test_dominated_by_separation(self, kernels):
+    def test_dominated_by_separation(self):
         for n in range(2, 7):
             for r in range(0, 2 * n + 1):
-                assert tv_exact(n, r, kernels[n]) <= separation_closed_form(n, r)
+                assert tv_exact(n, r) <= separation_closed_form(n, r)
 
-    def test_nonnegative_and_decreasing(self, kernels):
+    def test_nonnegative_and_decreasing(self):
         for n in (3, 5):
-            values = [tv_exact(n, r, kernels[n]) for r in range(3 * n)]
+            values = [tv_exact(n, r) for r in range(3 * n)]
             assert all(v >= 0 for v in values)
             assert all(x >= y for x, y in zip(values, values[1:]))
 
