@@ -217,7 +217,6 @@ class TestProfile:
             assert int(row["r"]) == r
             assert row["s_float"] == format_float(float(snwalk.separation_closed_form(n, r)))
 
-
     @pytest.mark.parametrize("offsets", ["--c=inf", "--c=nan"], ids=["inf", "nan"])
     def test_non_finite_offset_rejected(self, capsys, offsets):
         code, out, err = run_cli(capsys, "profile", "--n", "64", offsets)
