@@ -2,7 +2,9 @@
 
 The digests were recorded at commit 11c6be56c397c7989515c25da3f36baf000d3150,
 except `sn-sep --n 10 --rmax 40 --with-tv` and `crosscheck --n 8 --rmax 24`,
-recorded at commit 990198aeb912e196cf12a36a653094b9b9e7038a.
+recorded at commit 990198aeb912e196cf12a36a653094b9b9e7038a, and the two
+`occupancy` records, recorded at commit
+c863b82de3ed147bec2e873344af5c536b5ec31f.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -54,6 +56,10 @@ GOLDEN = [
      "56cb308bc7da8759dbd27f680ff3cbeba7201534b22554054dd05a6a172c07e3"),
     ("profile --n 128 --c=0",
      "d1623d85ec6acb663a25d2521f307561604f850fc63145251cf5466450d0d80e"),
+    ("occupancy --a 2 --r 2 --n 2 --samples 20000 --seed 7",
+     "72ef08aa48dca5747198618b916f5af89a138c6e7f26097eff34d74028bee65c"),
+    ("occupancy --a 8 --r 10 --n 8 --q 2 --samples 2000 --seed 14",
+     "d28685ef062bf387493bf21c1b756c7782bec278bcae9203c551042a13ed6eae"),
 ]
 
 
