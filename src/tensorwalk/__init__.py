@@ -54,7 +54,6 @@ from .interpolation import (
 )
 from .occupancy import (
     McEstimate,
-    RandomSource,
     occupancy_chain_power,
     occupancy_exact,
     occupancy_mc,

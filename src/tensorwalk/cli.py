@@ -1,8 +1,8 @@
 """Command-line front end: curves, cross-check reports, Monte Carlo records.
 
 Exit codes: 0 on success, 1 when an exact consistency check fails, 2 on
-usage errors. Output is deterministic for a fixed flag set (including seed
-and stream count), so reruns are byte-identical.
+usage errors. Output is deterministic for a fixed flag set (including the
+seed), so reruns are byte-identical.
 """
 
 import argparse
@@ -22,7 +22,6 @@ from .characters import (
 from .combinat import enumerate_partitions
 from .config import PRACTICAL_MAX_N
 from .errors import ConsistencyError, common_value
-from .occupancy import RandomSource, merge_estimates
 
 CLOSED_FORM_MAX_N = 512
 
@@ -70,6 +69,8 @@ def cmd_sn_sep(args) -> int:
 
 def cmd_gl_sep(args) -> int:
     n, q, r_max = args.n, args.q, args.rmax
+    if _gl_usage_error(n, q):
+        return 2
     curve = SeparationCurve(n=n, q=q)
     for r in range(r_max + 1):
         for route, value in glwalk.gl_separation_routes(n, q, r).items():
@@ -118,36 +119,22 @@ def cmd_profile(args) -> int:
 
 
 def cmd_occupancy(args) -> int:
-    a, r, n = args.a, args.r, args.n
-    if args.samples < 1 or args.streams < 1:
-        print("error: samples and streams must be positive", file=sys.stderr)
-        return 2
-    per_stream = args.samples // args.streams
-    counts = [per_stream] * args.streams
-    counts[0] += args.samples - per_stream * args.streams
-    estimates = []
-    for stream, count in enumerate(counts):
-        if count == 0:
-            continue
-        src = RandomSource(seed=args.seed, stream_id=stream)
-        if args.q is None:
-            estimates.append(occupancy.occupancy_mc(a, r, n, count, src))
-        else:
-            estimates.append(occupancy.qspan_mc(a, r, n, args.q, count, src))
-    merged = merge_estimates(estimates)
-    if args.q is None:
+    a, r, n, q = args.a, args.r, args.n, args.q
+    if q is None:
+        estimate = occupancy.occupancy_mc(a, r, n, args.samples, args.seed)
         exact = occupancy.occupancy_exact(a, r, n)
     else:
-        exact = occupancy.qspan_exact(a, r, n, args.q)
+        estimate = occupancy.qspan_mc(a, r, n, q, args.samples, args.seed)
+        exact = occupancy.qspan_exact(a, r, n, q)
     record = {"a": a, "r": r, "n": n}
-    if args.q is not None:
-        record["q"] = args.q
+    if q is not None:
+        record["q"] = q
     record.update(
         {
             "exact": format_exact(exact),
-            "estimate": merged.estimate,
-            "stderr": merged.stderr,
-            "samples": merged.samples,
+            "estimate": estimate.estimate,
+            "stderr": estimate.stderr,
+            "samples": estimate.samples,
             "seed": args.seed,
         }
     )
@@ -161,6 +148,8 @@ def cmd_spectrum(args) -> int:
             return 2
         spectrum = snwalk.spectrum_sn(args.n)
     else:
+        if _gl_usage_error(args.n, args.q):
+            return 2
         spectrum = glwalk.gl_spectrum(args.n, args.q)
     lines = ["eigenvalue_exact,eigenvalue_float,multiplicity"]
     for value, mult in spectrum.entries:
@@ -309,15 +298,20 @@ def _gl_checks(n: int, q: int, r_max: int):
     ]
 
 
-def _gl_usage_error(n: int, q: int) -> str | None:
-    """Why the GL checks cannot run at (n, q), or None when they can."""
+def _gl_usage_error(n: int, q: int) -> bool:
+    """Whether the GL commands cannot run at (n, q); reports why if so."""
     if n < 1:
-        return "need n >= 1"
-    if q < 2:
-        return "need q >= 2"
-    if (n, q) == (1, 2):
-        return "the walk on GL(1, 2) is excluded"
-    return None
+        problem = "need n >= 1"
+    elif q < 2:
+        problem = "need q >= 2"
+    elif not glwalk.is_prime_power(q):
+        problem = f"need q to be a prime power, got {q}"
+    elif (n, q) == (1, 2):
+        problem = "the walk on GL(1, 2) is excluded"
+    else:
+        return False
+    print(f"error: {problem}", file=sys.stderr)
+    return True
 
 
 def cmd_crosscheck(args) -> int:
@@ -332,9 +326,7 @@ def cmd_crosscheck(args) -> int:
         r_max = args.rmax if args.rmax is not None else 4 * n
         checks = _sn_checks(n, r_max)
     else:
-        problem = _gl_usage_error(n, args.q)
-        if problem is not None:
-            print(f"error: {problem}", file=sys.stderr)
+        if _gl_usage_error(n, args.q):
             return 2
         r_max = args.rmax if args.rmax is not None else 3 * n
         checks = _gl_checks(n, args.q, r_max)
@@ -352,11 +344,17 @@ def cmd_crosscheck(args) -> int:
     return 0 if all_ok else 1
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """Argument type: an int no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid ..." message
+    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sn-sep", help="separation curve for the symmetric group walk")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rmax", type=_nonnegative_int, required=True)
+    p.add_argument("--rmax", type=_int_at_least(0), required=True)
     p.add_argument("--with-tv", action="store_true", help="append total variation rows")
     add_common(p)
     p.set_defaults(func=cmd_sn_sep)
@@ -394,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gl-sep", help="separation curve for the general linear walk")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--rmax", type=_nonnegative_int, required=True)
+    p.add_argument("--rmax", type=_int_at_least(0), required=True)
     add_common(p)
     p.set_defaults(func=cmd_gl_sep)
 
@@ -407,21 +405,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("occupancy", help="Monte Carlo check of an occupancy law (JSON)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--r", type=_nonnegative_int, required=True)
+    p.add_argument("--a", type=_int_at_least(0), required=True)
+    p.add_argument("--r", type=_int_at_least(0), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None,
                    help="prime field size; omit for balls-in-boxes")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--streams", type=int, default=1)
+    p.add_argument("--samples", type=_int_at_least(1), default=100_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_occupancy)
 
     p = sub.add_parser("crosscheck", help="run the route-equality matrix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--rmax", type=_nonnegative_int, default=None)
+    p.add_argument("--rmax", type=_int_at_least(0), default=None)
     # The report is always text; --format is accepted and ignored because
     # existing scripts (perfbench/workloads.py) pass it.
     add_common(p)

@@ -1,9 +1,7 @@
 """Occupancy engines: exact balls-in-boxes and random-vector span laws.
 
-The exact routes return Fractions. Monte Carlo verifiers use a counter-based
-generator so that (seed, stream_id) fully determines the draw sequence and
-distinct streams are independent; merged estimates are therefore
-reproducible bit for bit.
+The exact routes return Fractions. Each Monte Carlo run takes one seed, which
+fixes its whole draw sequence, so a run is reproducible bit for bit.
 """
 
 import math
@@ -19,16 +17,16 @@ from .errors import UnsupportedFieldError
 _CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class RandomSource:
-    """Reproducible random stream: seed picks the experiment, stream_id the lane."""
+def _draws(seed: int, samples: int, high: int, shape: tuple[int, ...]):
+    """The seeded draws of one run: uniform ints below `high`, in chunks.
 
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.PCG64(seq))
+    Yields arrays of shape (chunk, *shape) until `samples` rows are drawn.
+    The spawn key (0,) keeps every recorded run reproducible.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(0,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    for start in range(0, samples, _CHUNK):
+        yield rng.integers(0, high, size=(min(_CHUNK, samples - start), *shape))
 
 
 @dataclass(frozen=True)
@@ -56,14 +54,6 @@ class McEstimate:
         if err == 0.0:
             return self.estimate == float(exact)
         return abs(self.estimate - float(exact)) <= sigmas * err
-
-
-def merge_estimates(parts) -> McEstimate:
-    parts = list(parts)
-    return McEstimate(
-        successes=sum(p.successes for p in parts),
-        samples=sum(p.samples for p in parts),
-    )
 
 
 def occupancy_exact(a: int, r: int, n: int) -> Fraction:
@@ -143,7 +133,7 @@ def qspan_chain_power(n: int, r: int, q: int) -> list[Fraction]:
     return _pure_birth_power(n, r, lambda a: Fraction(1, q ** (n - a)))
 
 
-def occupancy_mc(a: int, r: int, n: int, samples: int, src: RandomSource) -> McEstimate:
+def occupancy_mc(a: int, r: int, n: int, samples: int, seed: int) -> McEstimate:
     """Empirical frequency of exactly a occupied boxes after r drops."""
     if samples < 1:
         raise ValueError("need samples >= 1")
@@ -153,38 +143,35 @@ def occupancy_mc(a: int, r: int, n: int, samples: int, src: RandomSource) -> McE
         raise ValueError("need 0 <= a <= n")
     if r == 0:
         return McEstimate(successes=samples if a == 0 else 0, samples=samples)
-    rng = src.generator()
     successes = 0
-    remaining = samples
-    while remaining > 0:
-        chunk = min(_CHUNK, remaining)
-        draws = rng.integers(0, n, size=(chunk, r))
+    for draws in _draws(seed, samples, n, (r,)):
         draws.sort(axis=1)
         distinct = 1 + (np.diff(draws, axis=1) != 0).sum(axis=1)
         successes += int((distinct == a).sum())
-        remaining -= chunk
     return McEstimate(successes=successes, samples=samples)
 
 
 def _rank_mod(rows: list[list[int]], q: int) -> int:
+    """Rank over the prime field F_q by forward elimination.
+
+    Rows are rebound, never changed in place, so a copy of the outer list
+    leaves the argument as it was.
+    """
+    rows = list(rows)
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    rows = [row[:] for row in rows]
-    for col in range(ncols):
-        pivot = None
+    for col in range(len(rows[0]) if rows else 0):
         for i in range(rank, len(rows)):
             if rows[i][col] % q:
-                pivot = i
+                rows[rank], rows[i] = rows[i], rows[rank]
                 break
-        if pivot is None:
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % q:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
+        top = rows[rank]
+        inv = pow(top[col], -1, q)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % q
+            if f:
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], top)]
         rank += 1
         if rank == len(rows):
             break
@@ -192,7 +179,7 @@ def _rank_mod(rows: list[list[int]], q: int) -> int:
 
 
 def qspan_mc(
-    a: int, r: int, n: int, q: int, samples: int, src: RandomSource
+    a: int, r: int, n: int, q: int, samples: int, seed: int
 ) -> McEstimate:
     """Empirical frequency that r uniform vectors over F_q span dimension a.
 
@@ -208,16 +195,11 @@ def qspan_mc(
         return McEstimate(successes=0, samples=samples)
     if r == 0:
         return McEstimate(successes=samples if a == 0 else 0, samples=samples)
-    rng = src.generator()
-    successes = 0
-    remaining = samples
-    while remaining > 0:
-        chunk = min(_CHUNK, remaining)
-        draws = rng.integers(0, q, size=(chunk, r, n)).tolist()
-        for mat in draws:
-            if _rank_mod(mat, q) == a:
-                successes += 1
-        remaining -= chunk
+    successes = sum(
+        _rank_mod(mat, q) == a
+        for draws in _draws(seed, samples, q, (r, n))
+        for mat in draws.tolist()
+    )
     return McEstimate(successes=successes, samples=samples)
 
 

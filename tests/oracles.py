@@ -84,6 +84,23 @@ def span_of(vectors, q: int) -> frozenset:
     return frozenset(span)
 
 
+def rank_by_span(rows, q: int) -> int:
+    """Rank over the prime field F_q as log_q of the span size.
+
+    The span is listed from all q^r coefficient choices for the r rows.
+    """
+    n = len(rows[0]) if rows else 0
+    span = {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % q for j in range(n))
+        for coeffs in product(range(q), repeat=len(rows))
+    }
+    rank = 0
+    while q**rank < len(span):
+        rank += 1
+    assert q**rank == len(span)
+    return rank
+
+
 def count_subspaces(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n by exhaustive span listing."""
     if k == 0:

@@ -34,7 +34,6 @@ from tensorwalk.glwalk import (
 )
 from tensorwalk.interpolation import separation_from_spectrum, verify_distance
 from tensorwalk.occupancy import (
-    RandomSource,
     occupancy_exact,
     occupancy_mc,
     qspan_exact,
@@ -309,12 +308,12 @@ def test_criterion_10_monte_carlo_agreement(capsys):
     )
     ok = False
     try:
-        occ = occupancy_mc(2, 2, 2, 100_000, RandomSource(seed=SEED))
+        occ = occupancy_mc(2, 2, 2, 100_000, SEED)
         assert occ.within(occupancy_exact(2, 2, 2), sigmas=4)
-        span = qspan_mc(2, 2, 2, 2, 100_000, RandomSource(seed=SEED))
+        span = qspan_mc(2, 2, 2, 2, 100_000, SEED)
         assert span.within(qspan_exact(2, 2, 2, 2), sigmas=4)
-        assert occupancy_mc(2, 2, 2, 100_000, RandomSource(seed=SEED)) == occ
-        assert qspan_mc(2, 2, 2, 2, 100_000, RandomSource(seed=SEED)) == span
+        assert occupancy_mc(2, 2, 2, 100_000, SEED) == occ
+        assert qspan_mc(2, 2, 2, 2, 100_000, SEED) == span
 
         argv = [
             "occupancy",

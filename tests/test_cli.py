@@ -159,6 +159,12 @@ class TestGlSep:
         assert out == ""
         assert "--rmax" in err
 
+    def test_q_not_prime_power(self, capsys):
+        code, out, err = run_cli(capsys, "gl-sep", "--n", "3", "--q", "6", "--rmax", "4")
+        assert code == 2
+        assert out == ""
+        assert "prime power" in err
+
     def test_spectral_route_once_per_step(self, capsys, monkeypatch):
         calls = []
         original = interpolation.separation_from_spectrum
@@ -229,7 +235,7 @@ class TestOccupancyCommand:
     ARGS = (
         "occupancy",
         "--a", "2", "--r", "2", "--n", "2",
-        "--samples", "20000", "--seed", "7", "--streams", "2",
+        "--samples", "20000", "--seed", "7",
     )
 
     def test_record_fields_and_accuracy(self, capsys):
@@ -272,11 +278,18 @@ class TestOccupancyCommand:
             (("--a", "0", "--r", "3", "--n", "0"), "need n >= 1"),
             (("--a", "1", "--r", "-1", "--n", "3"), "--r"),
             (("--a", "1", "--r", "1", "--n", "3", "--seed", "-1"), "--seed"),
+            (("--a", "-1", "--r", "1", "--n", "3"), "--a"),
+            (("--a", "1", "--r", "1", "--n", "3", "--samples", "0"), "--samples"),
+            (("--a", "1", "--r", "1", "--n", "3", "--samples", "-5"), "--samples"),
+            (("--a", "1", "--r", "1", "--n", "3", "--streams", "2"), "--streams"),
         ],
-        ids=["n0-r0", "n0-r3", "negative-r", "negative-seed"],
+        ids=[
+            "n0-r0", "n0-r3", "negative-r", "negative-seed", "negative-a",
+            "zero-samples", "negative-samples", "streams-removed",
+        ],
     )
     def test_bad_input_is_usage_error(self, capsys, flags, message):
-        code, out, err = run_cli(capsys, "occupancy", *flags, "--samples", "100")
+        code, out, err = run_cli(capsys, "occupancy", "--samples", "100", *flags)
         assert code == 2
         assert out == ""
         assert message in err
@@ -331,6 +344,17 @@ class TestSpectrumCommand:
         assert out == ""
         assert "--format" in err
 
+    @pytest.mark.parametrize(
+        "n,q,message",
+        [("3", "6", "prime power"), ("1", "2", "GL(1, 2)"), ("0", "3", "need n >= 1")],
+        ids=["q6", "gl12", "n0"],
+    )
+    def test_bad_gl_parameters(self, capsys, n, q, message):
+        code, out, err = run_cli(capsys, "spectrum", "--n", n, "--q", q)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestCrosscheck:
     def test_symmetric_group_all_pass(self, capsys):
@@ -352,8 +376,13 @@ class TestCrosscheck:
 
     @pytest.mark.parametrize(
         "n,q,message",
-        [("4", "1", "need q >= 2"), ("0", "3", "need n >= 1"), ("1", "2", "GL(1, 2)")],
-        ids=["q1", "n0", "gl12"],
+        [
+            ("4", "1", "need q >= 2"),
+            ("0", "3", "need n >= 1"),
+            ("1", "2", "GL(1, 2)"),
+            ("3", "6", "prime power"),
+        ],
+        ids=["q1", "n0", "gl12", "q6"],
     )
     def test_bad_gl_parameters(self, capsys, n, q, message):
         code, out, err = run_cli(capsys, "crosscheck", "--n", n, "--q", q)
