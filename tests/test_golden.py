@@ -2,9 +2,10 @@
 
 The digests were recorded at commit 11c6be56c397c7989515c25da3f36baf000d3150,
 except `sn-sep --n 10 --rmax 40 --with-tv` and `crosscheck --n 8 --rmax 24`,
-recorded at commit 990198aeb912e196cf12a36a653094b9b9e7038a, and the two
-`occupancy` records, recorded at commit
-c863b82de3ed147bec2e873344af5c536b5ec31f.
+recorded at commit 990198aeb912e196cf12a36a653094b9b9e7038a, the two
+`occupancy` records at q = 2 and without q, recorded at commit
+c863b82de3ed147bec2e873344af5c536b5ec31f, and the `occupancy` record at
+q = 3, recorded at commit 9f9749092cf3aeccbede88d06ca0063158d44356.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -60,6 +61,8 @@ GOLDEN = [
      "72ef08aa48dca5747198618b916f5af89a138c6e7f26097eff34d74028bee65c"),
     ("occupancy --a 8 --r 10 --n 8 --q 2 --samples 2000 --seed 14",
      "d28685ef062bf387493bf21c1b756c7782bec278bcae9203c551042a13ed6eae"),
+    ("occupancy --a 6 --r 8 --n 6 --q 3 --samples 20000 --seed 3",
+     "f809dfd21e8ca5bc3ee985aa5c4561cff155434ef1d7180e9cfc1785cc708cfa"),
 ]
 
 
