@@ -19,7 +19,7 @@ from .characters import (
     fixed_point_character_sum,
     signed_fixed_point_sum,
 )
-from .combinat import enumerate_partitions
+from .combinat import enumerate_partitions, is_prime
 from .config import PRACTICAL_MAX_N
 from .errors import ConsistencyError, common_value
 
@@ -118,8 +118,24 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _occupancy_usage_error(a: int, n: int, q: int | None) -> bool:
+    """Whether `occupancy` cannot run at (a, n, q); reports why if so."""
+    if q is None and n < 1:
+        problem = "need n >= 1"
+    elif a > n:
+        problem = f"need a <= n, got a = {a} > n = {n}"
+    elif q is not None and not is_prime(q):
+        problem = f"need q to be prime, got {q}"
+    else:
+        return False
+    print(f"error: {problem}", file=sys.stderr)
+    return True
+
+
 def cmd_occupancy(args) -> int:
     a, r, n, q = args.a, args.r, args.n, args.q
+    if _occupancy_usage_error(a, n, q):
+        return 2
     if q is None:
         estimate = occupancy.occupancy_mc(a, r, n, args.samples, args.seed)
         exact = occupancy.occupancy_exact(a, r, n)

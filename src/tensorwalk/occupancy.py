@@ -14,19 +14,23 @@ import numpy as np
 from .combinat import is_prime, q_binomial
 from .errors import UnsupportedFieldError
 
-_CHUNK = 1 << 14
+_CHUNK_ELEMENTS = 1 << 20
 
 
 def _draws(seed: int, samples: int, high: int, shape: tuple[int, ...]):
     """The seeded draws of one run: uniform ints below `high`, in chunks.
 
-    Yields arrays of shape (chunk, *shape) until `samples` rows are drawn.
-    The spawn key (0,) keeps every recorded run reproducible.
+    Yields arrays of shape (chunk, *shape) until `samples` rows are drawn,
+    each with at most `_CHUNK_ELEMENTS` values unless one row is larger.
+    Chunking does not change the values: the chunks, concatenated, equal one
+    draw of shape (samples, *shape). The spawn key (0,) keeps every recorded
+    run reproducible.
     """
     seq = np.random.SeedSequence(seed, spawn_key=(0,))
     rng = np.random.Generator(np.random.PCG64(seq))
-    for start in range(0, samples, _CHUNK):
-        yield rng.integers(0, high, size=(min(_CHUNK, samples - start), *shape))
+    rows = max(1, _CHUNK_ELEMENTS // max(1, math.prod(shape)))
+    for start in range(0, samples, rows):
+        yield rng.integers(0, high, size=(min(rows, samples - start), *shape))
 
 
 @dataclass(frozen=True)
@@ -145,37 +149,76 @@ def occupancy_mc(a: int, r: int, n: int, samples: int, seed: int) -> McEstimate:
         return McEstimate(successes=samples if a == 0 else 0, samples=samples)
     successes = 0
     for draws in _draws(seed, samples, n, (r,)):
-        draws.sort(axis=1)
-        distinct = 1 + (np.diff(draws, axis=1) != 0).sum(axis=1)
-        successes += int((distinct == a).sum())
+        successes += int((_distinct_per_row(draws, n) == a).sum())
     return McEstimate(successes=successes, samples=samples)
 
 
-def _rank_mod(rows: list[list[int]], q: int) -> int:
-    """Rank over the prime field F_q by forward elimination.
+def _distinct_per_row(draws: np.ndarray, n: int) -> np.ndarray:
+    """Number of distinct values in each row of a (k, r) array of ints below n.
 
-    Rows are rebound, never changed in place, so a copy of the outer list
-    leaves the argument as it was.
+    Marks the values of each row in a table of n flags per row and counts
+    them. The table costs n per row, so rows with more than four boxes per
+    ball are sorted instead, at r log r per row. Works in place: `draws`
+    is left offset or sorted.
     """
-    rows = list(rows)
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        for i in range(rank, len(rows)):
-            if rows[i][col] % q:
-                rows[rank], rows[i] = rows[i], rows[rank]
-                break
-        else:
-            continue
-        top = rows[rank]
-        inv = pow(top[col], -1, q)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * inv % q
-            if f:
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], top)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    k, r = draws.shape
+    if n > 4 * r:
+        draws.sort(axis=1)
+        return 1 + np.count_nonzero(np.diff(draws, axis=1), axis=1)
+    draws += n * np.arange(k)[:, None]
+    occupied = np.zeros(k * n, dtype=bool)
+    occupied[draws] = True
+    return np.count_nonzero(occupied.reshape(k, n), axis=1)
+
+
+def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x^(q-2) mod q elementwise: the inverse of each x that q does not divide."""
+    out = np.ones_like(x)
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * x % q
+        x = x * x % q
+        e >>= 1
+    return out
+
+
+def _batch_rank_mod(mats: np.ndarray, q: int) -> np.ndarray:
+    """Rank over the prime field F_q of each matrix in a (k, r, n) stack.
+
+    Forward elimination on the whole stack at once, pivoting per matrix: in
+    each column, the first row not yet used as a pivot with an entry nonzero
+    mod q becomes the pivot, and every row sheds its multiple of it (a row
+    once used is never read again, so clearing it too costs nothing). Entries
+    are reduced mod q where they are read (the pivot column and the pivot
+    row). An update lowers an entry by at most (q - 1)^2, so
+    the rest is reduced only once another update could leave int64; where
+    (q - 1)^2 itself does not fit, the same steps run on Python ints.
+    `mats` is left unchanged.
+    """
+    k, r, n = mats.shape
+    if r == 0:
+        return np.zeros(k, dtype=np.int64)
+    # Updates an int64 entry in [0, q) takes before it could overflow.
+    headroom = np.iinfo(np.int64).max // (q - 1) ** 2
+    # Column-major per matrix, with the stack last: m[col, row] is a vector.
+    m = np.array(
+        mats.transpose(2, 1, 0), dtype=np.int64 if headroom else object, order="C"
+    )
+    unused = np.ones((r, k), dtype=bool)
+    stack = np.arange(k)
+    for col in range(n):
+        if headroom and col and col % headroom == 0:
+            m[col:] %= q
+        column = m[col] % q
+        candidate = unused & (column != 0)
+        found = candidate.any(axis=0)
+        pivot_row = candidate.argmax(axis=0)
+        unused[pivot_row, stack] &= ~found
+        factor = column * _inverse_mod(column[pivot_row, stack], q) % q
+        for j in range(col + 1, n):
+            m[j] -= factor * (m[j, pivot_row, stack] % q)
+    return r - np.count_nonzero(unused, axis=0)
 
 
 def qspan_mc(
@@ -196,9 +239,8 @@ def qspan_mc(
     if r == 0:
         return McEstimate(successes=samples if a == 0 else 0, samples=samples)
     successes = sum(
-        _rank_mod(mat, q) == a
+        int((_batch_rank_mod(draws, q) == a).sum())
         for draws in _draws(seed, samples, q, (r, n))
-        for mat in draws.tolist()
     )
     return McEstimate(successes=successes, samples=samples)
 

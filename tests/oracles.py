@@ -101,6 +101,33 @@ def rank_by_span(rows, q: int) -> int:
     return rank
 
 
+def rank_mod(rows: list[list[int]], q: int) -> int:
+    """Rank over the prime field F_q by forward elimination, one matrix at a time.
+
+    Rows are rebound, never changed in place, so a copy of the outer list
+    leaves the argument as it was.
+    """
+    rows = list(rows)
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        for i in range(rank, len(rows)):
+            if rows[i][col] % q:
+                rows[rank], rows[i] = rows[i], rows[rank]
+                break
+        else:
+            continue
+        top = rows[rank]
+        inv = pow(top[col], -1, q)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % q
+            if f:
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], top)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def count_subspaces(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n by exhaustive span listing."""
     if k == 0:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorwalk import glwalk, interpolation, snwalk
+from tensorwalk import glwalk, interpolation, occupancy, snwalk
 from tensorwalk.chains import TransitionKernel, format_exact, format_float
 from tensorwalk.characters import character_table
 from tensorwalk.cli import main
@@ -289,6 +289,27 @@ class TestOccupancyCommand:
         ],
     )
     def test_bad_input_is_usage_error(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "occupancy", "--samples", "100", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--a", "5", "--r", "3", "--n", "3"), "need a <= n"),
+            (("--a", "5", "--r", "3", "--n", "3", "--q", "2"), "need a <= n"),
+            (("--a", "1", "--r", "1", "--n", "2", "--q", "4"), "need q to be prime"),
+            (("--a", "1", "--r", "1", "--n", "2", "--q", "1"), "need q to be prime"),
+        ],
+        ids=["a-above-n", "a-above-n-field", "q4", "q1"],
+    )
+    def test_rejected_before_any_draw(self, capsys, monkeypatch, flags, message):
+        def no_draws(*args):
+            raise AssertionError("the Monte Carlo run started")
+
+        monkeypatch.setattr(occupancy, "occupancy_mc", no_draws)
+        monkeypatch.setattr(occupancy, "qspan_mc", no_draws)
         code, out, err = run_cli(capsys, "occupancy", "--samples", "100", *flags)
         assert code == 2
         assert out == ""

@@ -2,13 +2,17 @@ import copy
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from tensorwalk.errors import UnsupportedFieldError
 from tensorwalk.occupancy import (
+    _CHUNK_ELEMENTS,
     McEstimate,
-    _rank_mod,
+    _batch_rank_mod,
+    _distinct_per_row,
+    _draws,
     occupancy_chain_power,
     occupancy_exact,
     occupancy_mc,
@@ -18,7 +22,12 @@ from tensorwalk.occupancy import (
     qspan_mc,
 )
 
-from oracles import occupancy_by_enumeration, rank_by_span, span_dim_by_enumeration
+from oracles import (
+    occupancy_by_enumeration,
+    rank_by_span,
+    rank_mod,
+    span_dim_by_enumeration,
+)
 
 SEED = 20260801
 
@@ -163,8 +172,106 @@ class TestRankMod:
     def test_matches_span_size(self, case):
         rows, q = case
         before = copy.deepcopy(rows)
-        assert _rank_mod(rows, q) == rank_by_span(rows, q)
+        assert rank_mod(rows, q) == rank_by_span(rows, q)
         assert rows == before
+
+
+@st.composite
+def stacks_mod_q(draw):
+    q = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    k = draw(st.integers(1, 4))
+    r = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5))
+    size = k * r * n
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    return np.array(entries, dtype=np.int64).reshape(k, r, n), q
+
+
+def _rank_by_smaller_span(mat, q):
+    """rank_by_span on the rows or the columns, whichever spans fewer vectors.
+
+    None when both spans list more than 2000 combinations.
+    """
+    rows = mat.tolist()
+    cols = mat.T.tolist()
+    smaller = min(rows, cols, key=len)
+    return rank_by_span(smaller, q) if q ** len(smaller) <= 2000 else None
+
+
+class TestBatchRankMod:
+    @given(stacks_mod_q())
+    @example((np.zeros((2, 3, 0), dtype=np.int64), 2))
+    @example((np.zeros((2, 0, 3), dtype=np.int64), 3))
+    @example((np.array([[[0, 0], [0, 0], [0, 0]], [[0, 1], [0, 2], [0, 0]]]), 3))
+    @example((np.array([[[1, 2], [0, 0], [2, 4], [3, 1]]]), 5))
+    @example((np.array([[[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]]]), 11))
+    @example((np.array([[[0, 1, 1, 0, 1], [0, 1, 0, 1, 1]]] * 3), 2))
+    def test_matches_per_matrix_oracles(self, case):
+        mats, q = case
+        before = mats.copy()
+        ranks = _batch_rank_mod(mats, q)
+        assert ranks.shape == (len(mats),)
+        for mat, rank in zip(mats, ranks):
+            assert rank == rank_mod(mat.tolist(), q)
+            assert _rank_by_smaller_span(mat, q) in (rank, None)
+        assert np.array_equal(mats, before)
+
+    @pytest.mark.parametrize(
+        "q,r,n",
+        [(2147483647, 5, 2), (2147483647, 6, 5), (4294967311, 5, 4), (4294967311, 3, 6)],
+        ids=["2^31-1-narrow", "2^31-1-wide", "above-2^32-narrow", "above-2^32-wide"],
+    )
+    def test_large_primes_are_exact(self, q, r, n):
+        """Entries near q overflow int64 unless the elimination reduces them in
+        time or runs on Python ints. The last row of each matrix is a
+        combination of the first two."""
+        rng = np.random.default_rng(SEED)
+        mats = rng.integers(q - 4, q, size=(40, r, n))
+        mats[::2] = rng.integers(0, q, size=mats[::2].shape)
+        mats[:, -1] = (
+            3 * mats[:, 0].astype(object) + (q - 1) * mats[:, 1].astype(object)
+        ) % q
+        before = mats.copy()
+        ranks = _batch_rank_mod(mats, q)
+        assert ranks.tolist() == [rank_mod(mat, q) for mat in mats.tolist()]
+        assert max(ranks) == min(r - 1, n)
+        assert np.array_equal(mats, before)
+
+    @pytest.mark.parametrize("q", [1518500213, 2147483647, 4294967311])
+    def test_each_update_at_its_largest(self, q):
+        """Each step subtracts (q - 1)^2 from the last entry, so unreduced it
+        reaches -3 (q - 1)^2, which int64 holds only up to q = 1518500213,
+        the largest prime with 4 (q - 1)^2 below 2^63. The rank is 3 for
+        every q."""
+        mat = [[1, q - 1, q - 1, q - 1], [q - 1, 2, 0, 0], [q - 1, 0, 3, 1], [q - 1, 0, 1, 3]]
+        assert rank_mod(mat, q) == 3
+        assert _batch_rank_mod(np.array([mat], dtype=np.int64), q).tolist() == [3]
+
+
+class TestDistinctPerRow:
+    @pytest.mark.parametrize("r,n", [(6, 1), (6, 3), (6, 24), (6, 25), (6, 400), (1, 4), (1, 5)])
+    def test_matches_set_sizes(self, r, n):
+        draws = np.random.default_rng(SEED).integers(0, n, size=(500, r))
+        expected = [len(set(row)) for row in draws.tolist()]
+        assert _distinct_per_row(draws, n).tolist() == expected
+
+
+class TestDraws:
+    @pytest.mark.parametrize(
+        "shape,high",
+        [((267,), 64), ((1420,), 256), ((10, 8), 2), ((8, 6), 3), ((3, 0), 5)],
+    )
+    def test_chunks_concatenate_to_one_draw(self, shape, high):
+        samples = 5 * _CHUNK_ELEMENTS // (2 * max(1, math.prod(shape))) + 1
+        chunks = list(_draws(SEED, samples, high, shape))
+        seq = np.random.SeedSequence(SEED, spawn_key=(0,))
+        whole = np.random.Generator(np.random.PCG64(seq)).integers(
+            0, high, size=(samples, *shape)
+        )
+        assert len(chunks) == 3
+        assert all(chunk.size <= _CHUNK_ELEMENTS for chunk in chunks)
+        assert all(len(chunk) <= _CHUNK_ELEMENTS for chunk in chunks)
+        assert np.array_equal(np.concatenate(chunks), whole)
 
 
 class TestPoissonNot01:
