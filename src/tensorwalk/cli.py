@@ -120,9 +120,7 @@ def cmd_profile(args) -> int:
 
 def _occupancy_usage_error(a: int, n: int, q: int | None) -> bool:
     """Whether `occupancy` cannot run at (a, n, q); reports why if so."""
-    if q is None and n < 1:
-        problem = "need n >= 1"
-    elif a > n:
+    if a > n:
         problem = f"need a <= n, got a = {a} > n = {n}"
     elif q is not None and not is_prime(q):
         problem = f"need q to be prime, got {q}"

@@ -149,26 +149,10 @@ def occupancy_mc(a: int, r: int, n: int, samples: int, seed: int) -> McEstimate:
         return McEstimate(successes=samples if a == 0 else 0, samples=samples)
     successes = 0
     for draws in _draws(seed, samples, n, (r,)):
-        successes += int((_distinct_per_row(draws, n) == a).sum())
-    return McEstimate(successes=successes, samples=samples)
-
-
-def _distinct_per_row(draws: np.ndarray, n: int) -> np.ndarray:
-    """Number of distinct values in each row of a (k, r) array of ints below n.
-
-    Marks the values of each row in a table of n flags per row and counts
-    them. The table costs n per row, so rows with more than four boxes per
-    ball are sorted instead, at r log r per row. Works in place: `draws`
-    is left offset or sorted.
-    """
-    k, r = draws.shape
-    if n > 4 * r:
         draws.sort(axis=1)
-        return 1 + np.count_nonzero(np.diff(draws, axis=1), axis=1)
-    draws += n * np.arange(k)[:, None]
-    occupied = np.zeros(k * n, dtype=bool)
-    occupied[draws] = True
-    return np.count_nonzero(occupied.reshape(k, n), axis=1)
+        distinct = 1 + np.count_nonzero(np.diff(draws, axis=1), axis=1)
+        successes += int((distinct == a).sum())
+    return McEstimate(successes=successes, samples=samples)
 
 
 def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
@@ -187,37 +171,32 @@ def _batch_rank_mod(mats: np.ndarray, q: int) -> np.ndarray:
     """Rank over the prime field F_q of each matrix in a (k, r, n) stack.
 
     Forward elimination on the whole stack at once, pivoting per matrix: in
-    each column, the first row not yet used as a pivot with an entry nonzero
-    mod q becomes the pivot, and every row sheds its multiple of it (a row
-    once used is never read again, so clearing it too costs nothing). Entries
-    are reduced mod q where they are read (the pivot column and the pivot
-    row). An update lowers an entry by at most (q - 1)^2, so
-    the rest is reduced only once another update could leave int64; where
-    (q - 1)^2 itself does not fit, the same steps run on Python ints.
+    each column, the first row not yet used as a pivot with a nonzero entry
+    becomes the pivot, and every row sheds its multiple of it (a row once
+    used is never read again, so clearing it too costs nothing). Entries must
+    lie in [0, q), as the draws do, and every update reduces mod q, so it
+    needs room for (q - 1)^2: int64 while that fits, Python ints beyond.
     `mats` is left unchanged.
     """
     k, r, n = mats.shape
     if r == 0:
         return np.zeros(k, dtype=np.int64)
-    # Updates an int64 entry in [0, q) takes before it could overflow.
-    headroom = np.iinfo(np.int64).max // (q - 1) ** 2
+    fits = (q - 1) ** 2 <= np.iinfo(np.int64).max
     # Column-major per matrix, with the stack last: m[col, row] is a vector.
     m = np.array(
-        mats.transpose(2, 1, 0), dtype=np.int64 if headroom else object, order="C"
+        mats.transpose(2, 1, 0), dtype=np.int64 if fits else object, order="C"
     )
     unused = np.ones((r, k), dtype=bool)
     stack = np.arange(k)
     for col in range(n):
-        if headroom and col and col % headroom == 0:
-            m[col:] %= q
-        column = m[col] % q
+        column = m[col]
         candidate = unused & (column != 0)
         found = candidate.any(axis=0)
         pivot_row = candidate.argmax(axis=0)
         unused[pivot_row, stack] &= ~found
         factor = column * _inverse_mod(column[pivot_row, stack], q) % q
         for j in range(col + 1, n):
-            m[j] -= factor * (m[j, pivot_row, stack] % q)
+            m[j] = (m[j] - factor * m[j, pivot_row, stack]) % q
     return r - np.count_nonzero(unused, axis=0)
 
 

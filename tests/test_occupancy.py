@@ -11,7 +11,6 @@ from tensorwalk.occupancy import (
     _CHUNK_ELEMENTS,
     McEstimate,
     _batch_rank_mod,
-    _distinct_per_row,
     _draws,
     occupancy_chain_power,
     occupancy_exact,
@@ -237,23 +236,15 @@ class TestBatchRankMod:
         assert max(ranks) == min(r - 1, n)
         assert np.array_equal(mats, before)
 
-    @pytest.mark.parametrize("q", [1518500213, 2147483647, 4294967311])
-    def test_each_update_at_its_largest(self, q):
-        """Each step subtracts (q - 1)^2 from the last entry, so unreduced it
-        reaches -3 (q - 1)^2, which int64 holds only up to q = 1518500213,
-        the largest prime with 4 (q - 1)^2 below 2^63. The rank is 3 for
-        every q."""
-        mat = [[1, q - 1, q - 1, q - 1], [q - 1, 2, 0, 0], [q - 1, 0, 3, 1], [q - 1, 0, 1, 3]]
-        assert rank_mod(mat, q) == 3
-        assert _batch_rank_mod(np.array([mat], dtype=np.int64), q).tolist() == [3]
 
-
-class TestDistinctPerRow:
-    @pytest.mark.parametrize("r,n", [(6, 1), (6, 3), (6, 24), (6, 25), (6, 400), (1, 4), (1, 5)])
+class TestOccupancyCount:
+    @pytest.mark.parametrize("r,n", [(6, 1), (6, 3), (6, 24), (6, 400), (1, 5)])
     def test_matches_set_sizes(self, r, n):
-        draws = np.random.default_rng(SEED).integers(0, n, size=(500, r))
-        expected = [len(set(row)) for row in draws.tolist()]
-        assert _distinct_per_row(draws, n).tolist() == expected
+        """occupancy_mc counts exactly the rows of its draws with a distinct values."""
+        rows = np.concatenate(list(_draws(SEED, 500, n, (r,)))).tolist()
+        for a in range(min(r, n) + 1):
+            expected = sum(len(set(row)) == a for row in rows)
+            assert occupancy_mc(a, r, n, 500, SEED).successes == expected
 
 
 class TestDraws:
