@@ -1,8 +1,10 @@
 """Command-line front end: curves, cross-check reports, Monte Carlo records.
 
 Exit codes: 0 on success, 1 when an exact consistency check fails, 2 on
-usage errors. Output is deterministic for a fixed flag set (including the
-seed), so reruns are byte-identical.
+usage errors. The parser checks every argument rule, so argparse reports
+each usage error with its usage line; any other exception is an internal
+error and propagates. Output is deterministic for a fixed flag set
+(including the seed), so reruns are byte-identical.
 """
 
 import argparse
@@ -34,14 +36,6 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _closed_form_n_ok(n: int) -> bool:
-    """Whether n is in the closed-form range; reports the usage error if not."""
-    if 2 <= n <= CLOSED_FORM_MAX_N:
-        return True
-    print(f"error: need 2 <= n <= {CLOSED_FORM_MAX_N}", file=sys.stderr)
-    return False
-
-
 def _emit_curve(curve: SeparationCurve, fmt: str, out: str | None) -> None:
     curve.warn_if_not_monotone()
     _write_output(curve.to_csv() if fmt == "csv" else curve.to_json(), out)
@@ -49,11 +43,8 @@ def _emit_curve(curve: SeparationCurve, fmt: str, out: str | None) -> None:
 
 def cmd_sn_sep(args) -> int:
     n, r_max = args.n, args.rmax
-    if not _closed_form_n_ok(n):
-        return 2
-    multi = n <= PRACTICAL_MAX_N
     curve = SeparationCurve(n=n)
-    if multi:
+    if n <= PRACTICAL_MAX_N:
         for r in range(r_max + 1):
             for route, value in snwalk.separation_routes(n, r).items():
                 curve.add(r, value, route)
@@ -69,8 +60,6 @@ def cmd_sn_sep(args) -> int:
 
 def cmd_gl_sep(args) -> int:
     n, q, r_max = args.n, args.q, args.rmax
-    if _gl_usage_error(n, q):
-        return 2
     curve = SeparationCurve(n=n, q=q)
     for r in range(r_max + 1):
         for route, value in glwalk.gl_separation_routes(n, q, r).items():
@@ -79,14 +68,16 @@ def cmd_gl_sep(args) -> int:
     return 0
 
 
+def _profile_step(n: int, c: float) -> int:
+    """The step count r = ceil(n ln n + c n) at which `profile` reads offset c."""
+    return math.ceil(n * math.log(n) + c * n)
+
+
 def cmd_profile(args) -> int:
-    n_list = args.n_list
-    c_list = args.c_list
+    n_list, c_list = args.n_list, args.c_list
     rows = []
     for n in n_list:
-        if not _closed_form_n_ok(n):
-            return 2
-        r_list = [math.ceil(n * math.log(n) + c * n) for c in c_list]
+        r_list = [_profile_step(n, c) for c in c_list]
         # One stepped pass over the distinct r in ascending order serves every c.
         ascending = sorted(set(r_list))
         exact_at = dict(zip(ascending, snwalk.separation_closed_forms(n, ascending)))
@@ -118,22 +109,8 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _occupancy_usage_error(a: int, n: int, q: int | None) -> bool:
-    """Whether `occupancy` cannot run at (a, n, q); reports why if so."""
-    if a > n:
-        problem = f"need a <= n, got a = {a} > n = {n}"
-    elif q is not None and not is_prime(q):
-        problem = f"need q to be prime, got {q}"
-    else:
-        return False
-    print(f"error: {problem}", file=sys.stderr)
-    return True
-
-
 def cmd_occupancy(args) -> int:
     a, r, n, q = args.a, args.r, args.n, args.q
-    if _occupancy_usage_error(a, n, q):
-        return 2
     if q is None:
         estimate = occupancy.occupancy_mc(a, r, n, args.samples, args.seed)
         exact = occupancy.occupancy_exact(a, r, n)
@@ -158,12 +135,8 @@ def cmd_occupancy(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.q is None:
-        if not _closed_form_n_ok(args.n):
-            return 2
         spectrum = snwalk.spectrum_sn(args.n)
     else:
-        if _gl_usage_error(args.n, args.q):
-            return 2
         spectrum = glwalk.gl_spectrum(args.n, args.q)
     lines = ["eigenvalue_exact,eigenvalue_float,multiplicity"]
     for value, mult in spectrum.entries:
@@ -312,36 +285,12 @@ def _gl_checks(n: int, q: int, r_max: int):
     ]
 
 
-def _gl_usage_error(n: int, q: int) -> bool:
-    """Whether the GL commands cannot run at (n, q); reports why if so."""
-    if n < 1:
-        problem = "need n >= 1"
-    elif q < 2:
-        problem = "need q >= 2"
-    elif not glwalk.is_prime_power(q):
-        problem = f"need q to be a prime power, got {q}"
-    elif (n, q) == (1, 2):
-        problem = "the walk on GL(1, 2) is excluded"
-    else:
-        return False
-    print(f"error: {problem}", file=sys.stderr)
-    return True
-
-
 def cmd_crosscheck(args) -> int:
     n = args.n
     if args.q is None:
-        if not 2 <= n <= PRACTICAL_MAX_N:
-            print(
-                f"error: need 2 <= n <= {PRACTICAL_MAX_N} for the full matrix",
-                file=sys.stderr,
-            )
-            return 2
         r_max = args.rmax if args.rmax is not None else 4 * n
         checks = _sn_checks(n, r_max)
     else:
-        if _gl_usage_error(n, args.q):
-            return 2
         r_max = args.rmax if args.rmax is not None else 3 * n
         checks = _gl_checks(n, args.q, r_max)
     results, all_ok = _run_checks(checks)
@@ -358,28 +307,72 @@ def cmd_crosscheck(args) -> int:
     return 0 if all_ok else 1
 
 
-def _int_at_least(minimum: int):
-    """Argument type: an int no smaller than `minimum`."""
+def _checked(parse, ok, rule: str):
+    """Argument type: `parse` the text, then reject a value failing `ok` with `rule`."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    def convert(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in its "invalid ..." message
-    return parse
+    convert.__name__ = parse.__name__  # argparse names the type in "invalid ..."
+    return convert
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _list_of(item):
+    """Argument type: comma-separated values of type `item`."""
+
+    def convert(text: str) -> list:
+        return [item(part) for part in text.split(",") if part.strip()]
+
+    convert.__name__ = f"{item.__name__} list"
+    return convert
 
 
-def _float_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
-    if not all(math.isfinite(value) for value in values):
-        raise argparse.ArgumentTypeError(f"values must be finite, got {text}")
-    return values
+class _Command(argparse.ArgumentParser):
+    """A subcommand parser that also checks its `rule` default, if it has one.
+
+    `rule(args)` says what is wrong with the parsed arguments, or returns None.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        problem = getattr(namespace, "rule", None) and namespace.rule(namespace)
+        if problem:
+            self.error(problem)
+        return namespace, extras
+
+
+def _gl_rule(args):
+    if (args.n, args.q) == (1, 2):
+        return "the walk on GL(1, 2) is excluded"
+
+
+def _sn_or_gl_rule(max_n: int, scope: str = ""):
+    """Rule for a command on Irr(S_n), or on Irr(GL(n, q)) when --q is given."""
+
+    def rule(args):
+        if args.q is not None:
+            return _gl_rule(args)
+        if not 2 <= args.n <= max_n:
+            return f"need 2 <= n <= {max_n}{scope}, got {args.n}"
+
+    return rule
+
+
+def _profile_rule(args):
+    for n in args.n_list:
+        for c in args.c_list:
+            if (r := _profile_step(n, c)) < 0:
+                return f"need r >= 0, got r = ceil(n ln n + c n) = {r} at n = {n}, c = {c}"
+
+
+def _occupancy_rule(args):
+    if args.a > args.n:
+        return f"need a <= n, got a = {args.a} > n = {args.n}"
+    if args.q is None and args.n < 1:
+        return f"need n >= 1 without --q, got {args.n}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,59 +383,68 @@ def build_parser() -> argparse.ArgumentParser:
             "random walks on irreducible representations"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    count = _checked(int, lambda v: v >= 0, "must be >= 0")
+    sn_n = _checked(int, lambda n: 2 <= n <= CLOSED_FORM_MAX_N,
+                    f"need 2 <= n <= {CLOSED_FORM_MAX_N}")
+    gl_n = _checked(int, lambda n: n >= 1, "need n >= 1")
+    gl_q = _checked(_checked(int, lambda q: q >= 2, "need q >= 2"),
+                    glwalk.is_prime_power, "need q to be a prime power")
 
     def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("sn-sep", help="separation curve for the symmetric group walk")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rmax", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=sn_n, required=True)
+    p.add_argument("--rmax", type=count, required=True)
     p.add_argument("--with-tv", action="store_true", help="append total variation rows")
     add_common(p)
     p.set_defaults(func=cmd_sn_sep)
 
     p = sub.add_parser("gl-sep", help="separation curve for the general linear walk")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--rmax", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=gl_n, required=True)
+    p.add_argument("--q", type=gl_q, required=True)
+    p.add_argument("--rmax", type=count, required=True)
     add_common(p)
-    p.set_defaults(func=cmd_gl_sep)
+    p.set_defaults(func=cmd_gl_sep, rule=_gl_rule)
 
     p = sub.add_parser("profile", help="finite-size distance vs limiting profile")
-    p.add_argument("--n", dest="n_list", type=_int_list, required=True,
+    p.add_argument("--n", dest="n_list", type=_list_of(sn_n), required=True,
                    help="comma-separated sizes")
-    p.add_argument("--c", dest="c_list", type=_float_list, required=True,
-                   help="comma-separated time offsets")
+    p.add_argument("--c", dest="c_list", required=True, help="comma-separated time offsets",
+                   type=_list_of(_checked(float, math.isfinite, "need finite values")))
     add_common(p)
-    p.set_defaults(func=cmd_profile)
+    p.set_defaults(func=cmd_profile, rule=_profile_rule)
 
     p = sub.add_parser("occupancy", help="Monte Carlo check of an occupancy law (JSON)")
-    p.add_argument("--a", type=_int_at_least(0), required=True)
-    p.add_argument("--r", type=_int_at_least(0), required=True)
+    p.add_argument("--a", type=count, required=True)
+    p.add_argument("--r", type=count, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=None,
+    p.add_argument("--q", type=_checked(int, is_prime, "need q to be prime"), default=None,
                    help="prime field size; omit for balls-in-boxes")
-    p.add_argument("--samples", type=_int_at_least(1), default=100_000)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--samples", type=_checked(int, lambda v: v >= 1, "must be >= 1"),
+                   default=100_000)
+    p.add_argument("--seed", type=count, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=cmd_occupancy)
+    p.set_defaults(func=cmd_occupancy, rule=_occupancy_rule)
 
     p = sub.add_parser("crosscheck", help="run the route-equality matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--rmax", type=_int_at_least(0), default=None)
+    p.add_argument("--n", type=gl_n, required=True)
+    p.add_argument("--q", type=gl_q, default=None)
+    p.add_argument("--rmax", type=count, default=None)
     # The report is always text; --format is accepted and ignored because
     # existing scripts (perfbench/workloads.py) pass it.
     add_common(p)
-    p.set_defaults(func=cmd_crosscheck)
+    p.set_defaults(
+        func=cmd_crosscheck, rule=_sn_or_gl_rule(PRACTICAL_MAX_N, " for the full matrix")
+    )
 
     p = sub.add_parser("spectrum", help="distinct eigenvalues of a walk (CSV)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--n", type=gl_n, required=True)
+    p.add_argument("--q", type=gl_q, default=None)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, rule=_sn_or_gl_rule(CLOSED_FORM_MAX_N))
 
     return parser
 
@@ -459,9 +461,6 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,17 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorwalk import glwalk, interpolation, occupancy, snwalk
 from tensorwalk.chains import TransitionKernel, format_exact, format_float
@@ -502,3 +508,122 @@ class TestRouteDisagreement:
         assert code == 1
         assert "FAIL  three-route separation equality" in out
         assert "span_probability" in out
+
+
+class TestArgumentsCheckedBeforeWork:
+    """Inputs the library would reject are usage errors found by the parser."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("occupancy", "--a", "0", "--r", "2", "--n", "0"), "need n >= 1"),
+            (("profile", "--n", "2", "--c=-5"), "need r >= 0"),
+            (("profile", "--n", "128", "--c=-100"), "need r >= 0"),
+        ],
+        ids=["occupancy-n0", "profile-n2", "profile-n128"],
+    )
+    def test_rejected_before_any_computation(self, capsys, monkeypatch, argv, message):
+        def no_work(*args):
+            raise AssertionError("the computation started")
+
+        monkeypatch.setattr(occupancy, "occupancy_mc", no_work)
+        monkeypatch.setattr(snwalk, "separation_closed_forms", no_work)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert err.startswith("usage: tensorwalk " + argv[0])
+
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(n, r):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(snwalk, "separation_routes", broken)
+        with pytest.raises(ValueError, match="boom"):
+            main(["sn-sep", "--n", "4", "--rmax", "2"])
+
+
+def _command(name, **flags):
+    """Strategy for the argv of command `name`, one `--flag=value` per drawn value."""
+
+    def argv(values):
+        return [name] + [f"--{flag}={value}" for flag, value in values.items()
+                         if value is not None]
+
+    return st.fixed_dictionaries(flags).map(argv)
+
+
+def _joined(values):
+    return st.lists(values, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
+
+
+SMALL = st.integers(-2, 6)
+GL_N = st.integers(-1, 5)
+FIELD = st.integers(-1, 9)
+ARGUMENTS = {
+    "sn-sep": _command(
+        "sn-sep", n=st.integers(-1, 12) | st.sampled_from([511, 512, 513]),
+        rmax=st.integers(-1, 6),
+    ),
+    "gl-sep": _command("gl-sep", n=GL_N, q=FIELD, rmax=SMALL),
+    "profile": _command(
+        "profile", n=_joined(st.integers(-1, 12) | st.just(513)),
+        c=_joined(st.floats(-6, 3) | st.sampled_from([math.inf, math.nan])),
+    ),
+    "occupancy": _command(
+        "occupancy", a=SMALL, r=SMALL, n=SMALL, q=st.none() | FIELD,
+        samples=st.integers(-1, 20), seed=SMALL,
+    ),
+    "crosscheck": _command("crosscheck", n=st.integers(-1, 6) | st.just(11),
+                           rmax=st.integers(-1, 3))
+    | _command("crosscheck", n=GL_N, q=FIELD, rmax=st.integers(-1, 3)),
+    "spectrum": _command("spectrum", n=st.integers(-1, 12) | st.just(513))
+    | _command("spectrum", n=GL_N, q=FIELD),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGUMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_argument_gets_an_exit_code(command, data):
+    """Any small argument set gives exit 0, 1 or 2, and exit 2 prints nothing."""
+    argv = data.draw(ARGUMENTS[command])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "usage: tensorwalk" in err.getvalue()
+
+
+class TestProcessExitStatus:
+    """The status the operating system sees from `python -m tensorwalk.cli`."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "tensorwalk.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_success(self):
+        proc = self.run("sn-sep", "--n", "3", "--rmax", "2")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("r,s_exact")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sn-sep", "--n", "1000", "--rmax", "2"),
+            ("occupancy", "--a", "0", "--r", "2", "--n", "0"),
+        ],
+        ids=["sn-sep-n1000", "occupancy-n0"],
+    )
+    def test_usage_error(self, argv):
+        proc = self.run(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage: tensorwalk" in proc.stderr
