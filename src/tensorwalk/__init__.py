@@ -19,8 +19,6 @@ from .characters import (
 )
 from .combinat import (
     Partition,
-    SkewShape,
-    count_partitions_no_ones,
     count_skew_syt,
     count_syt,
     enumerate_partitions,
@@ -34,7 +32,6 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .glwalk import (
-    GlIrrepFamily,
     count_gl_families,
     cuspidal_count,
     gl_separation_bounds,

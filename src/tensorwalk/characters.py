@@ -6,8 +6,6 @@ arithmetic. The practical bound on n (`tensorwalk.config`) keeps tables
 small, so each table is built once per n and cached.
 """
 
-import csv
-import io
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +24,6 @@ class ClassDescriptor:
     cycle_type: Partition
     class_size: int
     fixed_points: int
-    cycle_counts: dict[int, int]
-    num_cycles: int
     sign: int
 
 
@@ -36,7 +32,7 @@ def conjugacy_classes(n: int) -> list[ClassDescriptor]:
     check_n(n)
     out = []
     for ct in enumerate_partitions(n):
-        counts = Counter(ct.parts)
+        counts = Counter(ct)
         centralizer = 1
         for j, m in counts.items():
             centralizer *= j**m * factorial(m)
@@ -46,8 +42,6 @@ def conjugacy_classes(n: int) -> list[ClassDescriptor]:
                 cycle_type=ct,
                 class_size=factorial(n) // centralizer,
                 fixed_points=counts.get(1, 0),
-                cycle_counts=dict(counts),
-                num_cycles=len(ct),
                 sign=(-1) ** (n - len(ct)),
             )
         )
@@ -82,7 +76,7 @@ def character_value(lam: Partition, cycle_type: Partition) -> int:
     """Irreducible character of shape `lam` on the given cycle type."""
     if lam.size != cycle_type.size:
         raise ValueError("shape and cycle type must have equal size")
-    return _mn_value(_beta_set(lam), tuple(sorted(cycle_type.parts, reverse=True)))
+    return _mn_value(_beta_set(lam), tuple(sorted(cycle_type, reverse=True)))
 
 
 class CharacterTable:
@@ -130,14 +124,6 @@ class CharacterTable:
                         "column orthogonality fails for "
                         f"({cj.cycle_type}, {ck.cycle_type}): {total}"
                     )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["partition"] + [str(c.cycle_type) for c in self.classes])
-        for lam, row in zip(self.partitions, self.values):
-            writer.writerow([str(lam)] + list(row))
-        return buf.getvalue()
 
 
 @cache

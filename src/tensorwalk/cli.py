@@ -155,7 +155,7 @@ def _run_checks(checks) -> tuple[list[tuple[str, bool, str]], bool]:
         try:
             thunk()
             results.append((name, True, ""))
-        except Exception as exc:  # report and keep going
+        except ConsistencyError as exc:  # report and keep going
             results.append((name, False, str(exc)))
             all_ok = False
     return results, all_ok
@@ -204,9 +204,12 @@ def _sn_checks(n: int, r_max: int):
 
     def support_distance():
         k = snwalk.build_kernel_characters(n)
-        d = interpolation.verify_distance(
-            k, snwalk.trivial_shape(n), snwalk.sign_shape(n), eigenvalue_count=n
-        )
+        try:
+            d = interpolation.verify_distance(
+                k, snwalk.trivial_shape(n), snwalk.sign_shape(n), eigenvalue_count=n
+            )
+        except ValueError as exc:  # the kernel failed its ergodicity check
+            raise ConsistencyError(str(exc)) from exc
         if d != n - 1:
             raise ConsistencyError(f"support distance is {d}, expected {n - 1}")
 
@@ -364,6 +367,8 @@ def _sn_or_gl_rule(max_n: int, scope: str = ""):
 def _profile_rule(args):
     for n in args.n_list:
         for c in args.c_list:
+            if not math.isfinite(n * math.log(n) + c * n):
+                return f"need n ln n + c n finite, got n = {n}, c = {c}"
             if (r := _profile_step(n, c)) < 0:
                 return f"need r >= 0, got r = ceil(n ln n + c n) = {r} at n = {n}, c = {c}"
 

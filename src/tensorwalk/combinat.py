@@ -4,7 +4,6 @@ All counting here is integer-exact. Rational intermediates use Fraction and
 are asserted to collapse to integers before returning.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -12,73 +11,45 @@ from math import factorial
 from .linalg import det_bareiss
 
 
-class Partition:
-    """Weakly decreasing sequence of positive integer parts; may be empty."""
+class Partition(tuple):
+    """Weakly decreasing tuple of positive integer parts; may be empty.
 
-    __slots__ = ("_parts",)
+    A partition equals and hashes like the plain tuple of its parts.
+    """
 
-    def __init__(self, parts=()):
+    __slots__ = ()
+
+    def __new__(cls, parts=()):
         parts = tuple(int(p) for p in parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts not weakly decreasing: {parts}")
         if parts and parts[-1] <= 0:
             raise ValueError(f"parts must be positive: {parts}")
-        self._parts = parts
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return super().__new__(cls, parts)
 
     @property
     def size(self) -> int:
-        return sum(self._parts)
-
-    def __len__(self):
-        return len(self._parts)
-
-    def __getitem__(self, i):
-        return self._parts[i]
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._parts == other._parts
-
-    def __hash__(self):
-        return hash(self._parts)
+        return sum(self)
 
     def __repr__(self):
-        return f"Partition({list(self._parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self):
         """Bracketed comma-separated parts, e.g. "[2,1]"; empty is "[]"."""
-        return "[" + ",".join(str(p) for p in self._parts) + "]"
-
-    @classmethod
-    def from_string(cls, text: str) -> "Partition":
-        text = text.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ValueError(f"expected bracketed part list, got {text!r}")
-        body = text[1:-1].strip()
-        if not body:
-            return cls()
-        return cls(int(p) for p in body.split(","))
+        return "[" + ",".join(str(p) for p in self) + "]"
 
     def contains(self, other: "Partition") -> bool:
         """Row-wise containment: other fits inside self."""
         if len(other) > len(self):
             return False
-        return all(o <= s for s, o in zip(self._parts, other._parts))
+        return all(o <= s for s, o in zip(self, other))
 
     def conjugate(self) -> "Partition":
-        if not self._parts:
+        if not self:
             return Partition()
-        cols = [0] * self._parts[0]
-        for p in self._parts:
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
@@ -86,36 +57,12 @@ class Partition:
     def corner_removals(self) -> list["Partition"]:
         """Partitions obtained by removing one outer corner box."""
         out = []
-        parts = self._parts
-        for i, p in enumerate(parts):
-            below = parts[i + 1] if i + 1 < len(parts) else 0
+        for i, p in enumerate(self):
+            below = self[i + 1] if i + 1 < len(self) else 0
             if p > below:
-                new = parts[:i] + ((p - 1,) if p > 1 else ()) + parts[i + 1 :]
+                new = self[:i] + ((p - 1,) if p > 1 else ()) + self[i + 1 :]
                 out.append(Partition(new))
         return out
-
-    def corner_additions(self) -> list["Partition"]:
-        """Partitions obtained by adding one box at an addable corner."""
-        out = []
-        parts = self._parts
-        for i, p in enumerate(parts):
-            above = parts[i - 1] if i > 0 else None
-            if above is None or p < above:
-                out.append(Partition(parts[:i] + (p + 1,) + parts[i + 1 :]))
-        out.append(Partition(parts + (1,)))
-        return out
-
-
-@dataclass(frozen=True)
-class SkewShape:
-    """Pair of partitions outer/inner; containment may fail (count is then 0)."""
-
-    outer: Partition
-    inner: Partition
-
-    @property
-    def size(self) -> int:
-        return self.outer.size - self.inner.size
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -140,13 +87,17 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
 @cache
 def count_syt(lam: Partition) -> int:
-    """Number of standard fillings of a straight shape (hook length formula)."""
+    """Number of standard fillings of a straight shape (hook length formula).
+
+    The shape may be given as a plain tuple of parts.
+    """
+    lam = Partition(lam)
     n = lam.size
     if n == 0:
         return 1
-    conj = lam.conjugate().parts
+    conj = lam.conjugate()
     hook_product = 1
-    for i, row in enumerate(lam.parts):
+    for i, row in enumerate(lam):
         for j in range(row):
             hook_product *= (row - j) + (conj[j] - i) - 1
     num = factorial(n)
@@ -155,22 +106,23 @@ def count_syt(lam: Partition) -> int:
 
 
 @cache
-def count_skew_syt(shape: SkewShape) -> int:
-    """Number of standard fillings of a skew shape.
+def count_skew_syt(outer: Partition, inner: Partition) -> int:
+    """Number of standard fillings of the skew shape outer/inner.
 
-    Returns 0 when the inner shape is not contained in the outer one (so
-    sums indexed by arbitrary inner rows are well defined). Computed by the
-    factorial determinant formula; rows are rescaled to integers so the
-    determinant itself runs fraction-free.
+    Either shape may be given as a plain tuple of parts. Returns 0 when the
+    inner shape is not contained in the outer one (so sums indexed by
+    arbitrary inner rows are well defined). Computed by the factorial
+    determinant formula; rows are rescaled to integers so the determinant
+    itself runs fraction-free.
     """
-    outer, inner = shape.outer, shape.inner
+    outer, inner = Partition(outer), Partition(inner)
     if not outer.contains(inner):
         return 0
     cells = outer.size - inner.size
     if cells == 0:
         return 1
     ell = len(outer)
-    inner_padded = inner.parts + (0,) * (ell - len(inner))
+    inner_padded = inner + (0,) * (ell - len(inner))
     # entry (i, j) of the determinant is 1 / f!, f = outer_i - inner_j - i + j;
     # scaling row i by s_i! = (row maximum)! makes every entry integral.
     scales = []
@@ -201,7 +153,7 @@ def count_skew_syt(shape: SkewShape) -> int:
 def count_skew_syt_row(lam: Partition, row: int) -> int:
     """Skew count for inner shape a single row of the given length."""
     inner = Partition([row]) if row > 0 else Partition()
-    return count_skew_syt(SkewShape(lam, inner))
+    return count_skew_syt(lam, inner)
 
 
 def q_binomial(n: int, k: int, q: int) -> int:
@@ -241,11 +193,6 @@ def partition_counts(n: int, min_part: int = 1) -> list[int]:
         for m in range(part, n + 1):
             counts[m] += counts[m - part]
     return counts
-
-
-def count_partitions_no_ones(m: int) -> int:
-    """Number of partitions of m with every part at least 2 (m=0 gives 1)."""
-    return partition_counts(m, min_part=2)[m]
 
 
 def count_partitions(n: int) -> int:

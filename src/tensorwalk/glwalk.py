@@ -13,16 +13,14 @@ that index the irreducibles.
 """
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
 from .chains import Spectrum
-from .combinat import Partition, prime_factors, q_binomial
+from .combinat import prime_factors, q_binomial
 from .errors import ConsistencyError, ExcludedCaseError, common_value
 from .interpolation import separation_from_spectrum
-from .occupancy import qspan_exact
 
 
 def is_prime_power(q: int) -> bool:
@@ -65,6 +63,18 @@ def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
     return Fraction(numerator, q ** (r * n))
 
 
+def span_probability(n: int, q: int, r: int) -> Fraction:
+    """Probability that r uniform vectors span the n-space over F_q.
+
+    The classical full-rank count: the r vectors span with probability
+    prod_{i<n} (q^r - q^i) / q^(rn), one integer product reduced once.
+    """
+    numerator = 1
+    for i in range(n):
+        numerator *= q**r - q**i
+    return Fraction(numerator, q ** (r * n))
+
+
 def gl_separation_routes(n: int, q: int, r: int) -> dict[str, Fraction]:
     """Separation after r steps by three independent routes, checked equal.
 
@@ -79,7 +89,7 @@ def gl_separation_routes(n: int, q: int, r: int) -> dict[str, Fraction]:
         raise ExcludedCaseError("the walk on GL(1,2) is excluded")
     routes = {
         "closed_form": gl_separation_closed_form(n, q, r),
-        "span_probability": 1 - qspan_exact(n, r, n, q),
+        "span_probability": 1 - span_probability(n, q, r),
         "spectral": separation_from_spectrum(gl_spectrum(n, q).eigenvalues, r),
     }
     common_value(routes, f"the GL separation, n={n} q={q} r={r}")
@@ -161,46 +171,6 @@ def cuspidal_count(m: int, q: int) -> int:
     if total % m != 0:
         raise ConsistencyError(f"cuspidal count not divisible: m={m} q={q} sum={total}")
     return total // m
-
-
-@dataclass(frozen=True)
-class GlIrrepFamily:
-    """Assignment of partitions to cuspidals, indexing one GL irreducible.
-
-    Each entry is (cuspidal degree m, index of the cuspidal among the
-    degree-m ones, partition); the weighted sizes sum to the degree. The
-    unit character of the one-dimensional group sits at (1, 0).
-    """
-
-    q: int
-    assignments: tuple[tuple[int, int, Partition], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for m, idx, lam in self.assignments:
-            if m < 1:
-                raise ValueError("cuspidal degree must be positive")
-            if not 0 <= idx < cuspidal_count(m, self.q):
-                raise ValueError(f"cuspidal index {idx} invalid for degree {m}")
-            if lam.size == 0:
-                raise ValueError("assigned partitions must be nonempty")
-            if (m, idx) in seen:
-                raise ValueError("duplicate cuspidal in family")
-            seen.add((m, idx))
-
-    @property
-    def degree(self) -> int:
-        return sum(m * lam.size for m, _, lam in self.assignments)
-
-    @property
-    def unit_partition(self) -> Partition:
-        for m, idx, lam in self.assignments:
-            if (m, idx) == (1, 0):
-                return lam
-        return Partition()
-
-    def avoids_unit(self) -> bool:
-        return self.unit_partition.size == 0
 
 
 def count_gl_families(n: int, q: int, avoid_e: bool = False) -> int:

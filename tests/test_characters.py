@@ -36,12 +36,12 @@ def cycle_type_of(perm):
 
 class TestConjugacyClasses:
     def test_sizes_s3(self):
-        sizes = {c.cycle_type.parts: c.class_size for c in conjugacy_classes(3)}
+        sizes = {c.cycle_type: c.class_size for c in conjugacy_classes(3)}
         assert sizes == {(3,): 2, (2, 1): 3, (1, 1, 1): 1}
 
     def test_identity_class(self):
         for n in range(1, 7):
-            classes = {c.cycle_type.parts: c for c in conjugacy_classes(n)}
+            classes = {c.cycle_type: c for c in conjugacy_classes(n)}
             identity = classes[(1,) * n]
             assert identity.class_size == 1
             assert identity.fixed_points == n
@@ -57,14 +57,12 @@ class TestConjugacyClasses:
         for n in range(1, 6):
             census = Counter(cycle_type_of(p) for p in permutations(range(n)))
             for c in conjugacy_classes(n):
-                assert census[c.cycle_type.parts] == c.class_size
+                assert census[c.cycle_type] == c.class_size
 
     def test_descriptor_fields(self):
         for c in conjugacy_classes(5):
-            assert c.fixed_points == c.cycle_counts.get(1, 0)
-            assert c.num_cycles == len(c.cycle_type)
-            assert c.sign == (-1) ** (5 - c.num_cycles)
-            assert sum(j * m for j, m in c.cycle_counts.items()) == 5
+            assert c.fixed_points == c.cycle_type.count(1)
+            assert c.sign == (-1) ** (5 - len(c.cycle_type))
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
@@ -131,12 +129,6 @@ class TestCharacterTable:
             row = table.row(lam)
             for v, w, c in zip(row, conj_row, table.classes):
                 assert w == c.sign * v
-
-    def test_csv_shape(self):
-        text = character_table(3).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("partition,")
-        assert len(lines) == 4
 
     def test_character_value_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -236,6 +236,13 @@ class TestProfile:
         assert out == ""
         assert "--c" in err and "finite" in err
 
+    @pytest.mark.parametrize("offset", ["1e308", "-1e308"])
+    def test_non_finite_step_rejected(self, capsys, offset):
+        code, out, err = run_cli(capsys, "profile", "--n", "64", f"--c={offset}")
+        assert code == 2
+        assert out == ""
+        assert f"n ln n + c n finite, got n = 64, c = {float(offset)}" in err
+
 
 class TestOccupancyCommand:
     ARGS = (
@@ -440,6 +447,24 @@ class TestCrosscheck:
         assert out == ""
         assert "2 <= n <= 10" in err
 
+    def test_internal_error_propagates(self, monkeypatch):
+        def broken(n):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(snwalk, "spectrum_sn", broken)
+        with pytest.raises(TypeError, match="boom"):
+            main(["crosscheck", "--n", "4"])
+
+    def test_non_ergodic_kernel_is_a_failed_check(self, capsys, monkeypatch):
+        def non_ergodic(*args, **kwargs):
+            raise ValueError("kernel is not ergodic: some state never reaches the target")
+
+        monkeypatch.setattr(interpolation, "verify_distance", non_ergodic)
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "4")
+        assert code == 1
+        assert "FAIL  support distance between extremes (n=4)" in out
+        assert "kernel is not ergodic" in out
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):
@@ -467,7 +492,7 @@ class TestRouteDisagreement:
 
     @pytest.fixture
     def broken_gl_route(self, monkeypatch):
-        monkeypatch.setattr(glwalk, "qspan_exact", lambda a, r, n, q: Fraction(1, 7))
+        monkeypatch.setattr(glwalk, "span_probability", lambda n, q, r: Fraction(1, 7))
 
     def test_sn_sep(self, capsys, broken_sn_route):
         code, out, err = run_cli(capsys, "sn-sep", "--n", "4", "--rmax", "3")

@@ -2,10 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from tensorwalk.combinat import Partition
 from tensorwalk.errors import ExcludedCaseError
 from tensorwalk.glwalk import (
-    GlIrrepFamily,
     check_alternating_terms_decreasing,
     check_separation_within_bounds,
     count_gl_families,
@@ -165,33 +163,3 @@ class TestFamilies:
                 if (n, q) == (1, 2):
                     continue
                 assert count_gl_families(n, q, avoid_e=True) > 0
-
-
-class TestGlIrrepFamily:
-    def test_degree_and_unit(self):
-        family = GlIrrepFamily(
-            q=3,
-            assignments=(
-                (1, 0, Partition([2])),
-                (2, 1, Partition([1, 1])),
-            ),
-        )
-        assert family.degree == 2 + 2 * 2
-        assert family.unit_partition == Partition([2])
-        assert not family.avoids_unit()
-
-    def test_avoiding_unit(self):
-        family = GlIrrepFamily(q=3, assignments=((1, 1, Partition([1])),))
-        assert family.avoids_unit()
-        assert family.degree == 1
-
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            GlIrrepFamily(q=2, assignments=((1, 1, Partition([1])),))
-
-    def test_duplicate_slot(self):
-        with pytest.raises(ValueError):
-            GlIrrepFamily(
-                q=3,
-                assignments=((1, 0, Partition([1])), (1, 0, Partition([2]))),
-            )
