@@ -5,7 +5,9 @@ except `sn-sep --n 10 --rmax 40 --with-tv` and `crosscheck --n 8 --rmax 24`,
 recorded at commit 990198aeb912e196cf12a36a653094b9b9e7038a, the two
 `occupancy` records at q = 2 and without q, recorded at commit
 c863b82de3ed147bec2e873344af5c536b5ec31f, and the `occupancy` record at
-q = 3, recorded at commit 9f9749092cf3aeccbede88d06ca0063158d44356.
+q = 3, recorded at commit 9f9749092cf3aeccbede88d06ca0063158d44356, and
+the many-box `occupancy` record at n = 40000 and the q = 191 one, recorded
+at commit 93fbbaf921e97392fcf130031e7e9b85de585c66.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -63,6 +65,10 @@ GOLDEN = [
      "d28685ef062bf387493bf21c1b756c7782bec278bcae9203c551042a13ed6eae"),
     ("occupancy --a 6 --r 8 --n 6 --q 3 --samples 20000 --seed 3",
      "f809dfd21e8ca5bc3ee985aa5c4561cff155434ef1d7180e9cfc1785cc708cfa"),
+    ("occupancy --a 90 --r 100 --n 40000 --samples 2000 --seed 5",
+     "56bebd15ba03a87c0826e4ab5f87745ec3ab128dd85864c61f620d35dd52dd61"),
+    ("occupancy --a 5 --r 6 --n 5 --q 191 --samples 2000 --seed 2",
+     "add54cd7cbda16c59b596cbea91b1ace5fc8ddd966e1629840162805aa4ed612"),
 ]
 
 
