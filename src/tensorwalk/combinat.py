@@ -156,12 +156,14 @@ def count_skew_syt_row(lam: Partition, row: int) -> int:
     return count_skew_syt(lam, inner)
 
 
+@cache
 def q_binomial(n: int, k: int, q: int) -> int:
     """Gaussian binomial coefficient at an integer q >= 2; 0 outside 0..n.
 
     Counts k-dimensional subspaces of an n-dimensional space over a field
     with q elements when q is a prime power; as a polynomial identity the
-    product formula evaluates exactly at any integer q >= 2.
+    product formula evaluates exactly at any integer q >= 2. Cached, since
+    the GL laws ask for the same coefficients at every step r.
     """
     if q < 2:
         raise ValueError("q must be at least 2")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 from .chains import TransitionKernel
 from .errors import ConsistencyError, common_value
@@ -105,28 +105,39 @@ def separation_from_spectrum(eigenvalues, r: int) -> Fraction:
         raise ValueError("need r >= 0")
     if Fraction(1) not in eigs:
         raise ValueError("eigenvalue list must contain 1")
-    total = Fraction(0)
-    for lam, weight in _spectral_weights(eigs):
-        total += lam**r * weight
-    return total
+    scale, weight_denominator, terms = _spectral_weights(eigs)
+    total = sum(weight * lam**r for lam, weight in terms)
+    return Fraction(total, weight_denominator * scale**r)
 
 
 @cache
-def _spectral_weights(eigs: tuple[Fraction, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Pairs (lambda, product over the other non-unit mu of (1-mu)/(lambda-mu)).
+def _spectral_weights(
+    eigs: tuple[Fraction, ...],
+) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """(L, D, pairs (L lambda, D w)) over the non-unit eigenvalues lambda.
 
-    The weights do not depend on r, so a curve over many r computes them
-    once per distinct, validated eigenvalue tuple.
+    The weight w of lambda is the product over the other non-unit mu of
+    (1-mu)/(lambda-mu) = (L - L mu)/(L lambda - L mu), with L the lcm of the
+    eigenvalue denominators, so each weight is one integer ratio; D is the
+    lcm of the weight denominators. So the sum of w lambda^r is an integer
+    sum over the one denominator D L^r. Nothing here depends on r, so a
+    curve over many r computes it once per distinct, validated eigenvalue
+    tuple.
     """
     others = [v for v in eigs if v != 1]
-    pairs = []
-    for i, lam in enumerate(others):
-        prod = Fraction(1)
-        for j, mu in enumerate(others):
-            if j != i:
-                prod *= (1 - mu) / (lam - mu)
-        pairs.append((lam, prod))
-    return tuple(pairs)
+    scale = lcm(*(lam.denominator for lam in others))
+    scaled = [lam.numerator * (scale // lam.denominator) for lam in others]
+    complements = prod(scale - y for y in scaled)
+    weights = [
+        Fraction(complements // (scale - x), prod(x - y for y in scaled if y != x))
+        for x in scaled
+    ]
+    weight_denominator = lcm(*(w.denominator for w in weights))
+    terms = tuple(
+        (x, w.numerator * (weight_denominator // w.denominator))
+        for x, w in zip(scaled, weights)
+    )
+    return scale, weight_denominator, terms
 
 
 def _bfs_distances_to(kernel: TransitionKernel, target: int) -> list[int | None]:

@@ -17,20 +17,36 @@ from .errors import UnsupportedFieldError
 _CHUNK_ELEMENTS = 1 << 20
 
 
+def _int_dtype(largest: int):
+    """Narrowest signed integer dtype of at least 16 bits that holds `largest`.
+
+    Past int64 it is `object`, so numpy works on Python ints. Narrower types
+    are not used: numpy's sort of int8 and uint8 is far slower than of int16.
+    """
+    for dtype in (np.int16, np.int32, np.int64):
+        if largest <= np.iinfo(dtype).max:
+            return dtype
+    return object
+
+
 def _draws(seed: int, samples: int, high: int, shape: tuple[int, ...]):
     """The seeded draws of one run: uniform ints below `high`, in chunks.
 
     Yields arrays of shape (chunk, *shape) until `samples` rows are drawn,
     each with at most `_CHUNK_ELEMENTS` values unless one row is larger.
     Chunking does not change the values: the chunks, concatenated, equal one
-    draw of shape (samples, *shape). The spawn key (0,) keeps every recorded
-    run reproducible.
+    draw of shape (samples, *shape). The values are drawn as int64, which
+    fixes the stream, and handed on in the narrowest dtype that holds
+    high - 1, so only that narrow chunk outlives the draw. The spawn key
+    (0,) keeps every recorded run reproducible.
     """
     seq = np.random.SeedSequence(seed, spawn_key=(0,))
     rng = np.random.Generator(np.random.PCG64(seq))
     rows = max(1, _CHUNK_ELEMENTS // max(1, math.prod(shape)))
+    dtype = _int_dtype(high - 1)
     for start in range(0, samples, rows):
-        yield rng.integers(0, high, size=(min(rows, samples - start), *shape))
+        size = (min(rows, samples - start), *shape)
+        yield rng.integers(0, high, size=size).astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -72,11 +88,10 @@ def occupancy_exact(a: int, r: int, n: int) -> Fraction:
         raise ValueError("need 0 <= a <= n")
     if r < 0:
         raise ValueError("need r >= 0")
-    total = Fraction(0)
-    for b in range(n - a, n + 1):
-        sign = (-1) ** (b - (n - a))
-        total += sign * comb(a, n - b) * Fraction(n - b, n) ** r
-    return comb(n, a) * total
+    # Over the one denominator n^r the k occupied boxes of the inner sum
+    # contribute the integer (-1)^(a-k) C(a, k) k^r, so the sum reduces once.
+    total = sum((-1) ** (a - k) * comb(a, k) * k**r for k in range(a + 1))
+    return Fraction(comb(n, a) * total, n**r)
 
 
 def _pure_birth_power(n: int, r: int, hold_at) -> list[Fraction]:
@@ -119,17 +134,13 @@ def qspan_exact(a: int, r: int, n: int, q: int) -> Fraction:
         raise ValueError("need r >= 0")
     if q < 2:
         raise ValueError("q must be at least 2")
-    total = Fraction(0)
-    for b in range(n - a, n + 1):
-        j = b - (n - a)
-        sign = (-1) ** j
-        total += (
-            sign
-            * q ** comb(j, 2)
-            * q_binomial(a, n - b, q)
-            * Fraction(1, q ** (r * b))
-        )
-    return q_binomial(n, a, q) * total
+    # Over the one denominator q^(rn) the b-th term gains the factor
+    # q^(r(n-b)), so every term is an integer and the sum reduces once.
+    total = sum(
+        (-1) ** j * q ** (comb(j, 2) + r * (a - j)) * q_binomial(a, a - j, q)
+        for j in range(a + 1)
+    )
+    return Fraction(q_binomial(n, a, q) * total, q ** (r * n))
 
 
 def qspan_chain_power(n: int, r: int, q: int) -> list[Fraction]:
@@ -150,7 +161,7 @@ def occupancy_mc(a: int, r: int, n: int, samples: int, seed: int) -> McEstimate:
     successes = 0
     for draws in _draws(seed, samples, n, (r,)):
         draws.sort(axis=1)
-        distinct = 1 + np.count_nonzero(np.diff(draws, axis=1), axis=1)
+        distinct = 1 + np.count_nonzero(draws[:, 1:] != draws[:, :-1], axis=1)
         successes += int((distinct == a).sum())
     return McEstimate(successes=successes, samples=samples)
 
@@ -175,17 +186,14 @@ def _batch_rank_mod(mats: np.ndarray, q: int) -> np.ndarray:
     becomes the pivot, and every row sheds its multiple of it (a row once
     used is never read again, so clearing it too costs nothing). Entries must
     lie in [0, q), as the draws do, and every update reduces mod q, so it
-    needs room for (q - 1)^2: int64 while that fits, Python ints beyond.
+    runs in the narrowest dtype that holds (q - 1)^2 (see `_int_dtype`).
     `mats` is left unchanged.
     """
     k, r, n = mats.shape
     if r == 0:
         return np.zeros(k, dtype=np.int64)
-    fits = (q - 1) ** 2 <= np.iinfo(np.int64).max
     # Column-major per matrix, with the stack last: m[col, row] is a vector.
-    m = np.array(
-        mats.transpose(2, 1, 0), dtype=np.int64 if fits else object, order="C"
-    )
+    m = np.array(mats.transpose(2, 1, 0), dtype=_int_dtype((q - 1) ** 2), order="C")
     unused = np.ones((r, k), dtype=bool)
     stack = np.arange(k)
     for col in range(n):

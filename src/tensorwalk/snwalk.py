@@ -131,10 +131,11 @@ def ratio_via_occupancy(n: int, r: int, lam: Partition) -> Fraction:
     d = count_syt(lam)
     total = Fraction(0)
     for a in range(n + 1):
-        p = occupancy_exact(a, r, n)
-        if p == 0:
-            continue
-        total += p * Fraction(factorial(n - a) * count_skew_syt_row(lam, n - a), d)
+        # The skew count is 0 unless lam_1 >= n - a, so the occupancy law is
+        # computed only where it carries weight.
+        skew = count_skew_syt_row(lam, n - a)
+        if skew:
+            total += occupancy_exact(a, r, n) * Fraction(factorial(n - a) * skew, d)
     return total
 
 

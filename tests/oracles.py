@@ -8,6 +8,7 @@ desk-scale inputs.
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from math import comb
 
 
 @cache
@@ -147,6 +148,53 @@ def occupancy_by_enumeration(a: int, r: int, n: int) -> Fraction:
         1 for seq in product(range(n), repeat=r) if len(set(seq)) == a
     )
     return Fraction(hits, n**r)
+
+
+def occupancy_by_fraction_terms(a: int, r: int, n: int) -> Fraction:
+    """Occupancy law by inclusion-exclusion, adding one Fraction per term."""
+    total = Fraction(0)
+    for b in range(n - a, n + 1):
+        sign = (-1) ** (b - (n - a))
+        total += sign * comb(a, n - b) * Fraction(n - b, n) ** r
+    return comb(n, a) * total
+
+
+@cache
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """[n choose k]_q by the q-Pascal recurrence; 0 outside 0..n."""
+    if k < 0 or k > n:
+        return 0
+    if k == 0 or k == n:
+        return 1
+    return gaussian_binomial(n - 1, k - 1, q) + q**k * gaussian_binomial(n - 1, k, q)
+
+
+def qspan_by_fraction_terms(a: int, r: int, n: int, q: int) -> Fraction:
+    """Span-dimension law by inclusion-exclusion, adding one Fraction per term."""
+    total = Fraction(0)
+    for b in range(n - a, n + 1):
+        j = b - (n - a)
+        total += (
+            (-1) ** j
+            * q ** comb(j, 2)
+            * gaussian_binomial(a, n - b, q)
+            * Fraction(1, q ** (r * b))
+        )
+    return gaussian_binomial(n, a, q) * total
+
+
+def spectral_separation_by_fraction_terms(eigenvalues, r: int) -> Fraction:
+    """Sum over the non-unit lambda of lambda^r times the product over the
+    other non-unit mu of (1-mu)/(lambda-mu), adding one Fraction per term."""
+    others = [Fraction(v) for v in eigenvalues if v != 1]
+    total = Fraction(0)
+    for i, lam in enumerate(others):
+        weight = Fraction(1)
+        for j, mu in enumerate(others):
+            if j != i:
+                weight *= (1 - mu) / (lam - mu)
+        total += lam**r * weight
+    return total
 
 
 def span_dim_by_enumeration(a: int, r: int, n: int, q: int) -> Fraction:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tensorwalk.chains import TransitionKernel
 from tensorwalk.errors import ConsistencyError
+from tensorwalk.glwalk import gl_spectrum
 from tensorwalk.interpolation import (
     BirthDeathChain,
     birth_death_separation,
@@ -21,6 +22,8 @@ from tensorwalk.snwalk import (
     spectrum_sn,
     trivial_shape,
 )
+
+from oracles import spectral_separation_by_fraction_terms
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +127,32 @@ class TestSeparationFromSpectrum:
                 assert separation_from_spectrum(padded, r) != separation_closed_form(
                     n, r
                 )
+
+
+class TestSpectralIntegerSum:
+    """The sum over one denominator equals the per-term Fraction sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(distinct_fractions, st.integers(min_value=0, max_value=40))
+    def test_arbitrary_spectra(self, eigs, r):
+        eigs = [Fraction(1)] + [v for v in eigs if v != 1]
+        assert separation_from_spectrum(eigs, r) == spectral_separation_by_fraction_terms(
+            eigs, r
+        )
+
+    @given(st.integers(2, 12), st.integers(0, 40))
+    def test_symmetric_group_spectra(self, n, r):
+        eigs = spectrum_sn(n).eigenvalues
+        assert separation_from_spectrum(eigs, r) == spectral_separation_by_fraction_terms(
+            eigs, r
+        )
+
+    @given(st.integers(1, 12), st.sampled_from((2, 3, 4, 5, 7, 9)), st.integers(0, 40))
+    def test_gl_spectra(self, n, q, r):
+        eigs = gl_spectrum(n, q).eigenvalues
+        assert separation_from_spectrum(eigs, r) == spectral_separation_by_fraction_terms(
+            eigs, r
+        )
 
 
 class TestVerifyDistance:

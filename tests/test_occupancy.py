@@ -1,5 +1,6 @@
 import copy
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from tensorwalk.occupancy import (
     McEstimate,
     _batch_rank_mod,
     _draws,
+    _int_dtype,
     occupancy_chain_power,
     occupancy_exact,
     occupancy_mc,
@@ -23,6 +25,8 @@ from tensorwalk.occupancy import (
 
 from oracles import (
     occupancy_by_enumeration,
+    occupancy_by_fraction_terms,
+    qspan_by_fraction_terms,
     rank_by_span,
     rank_mod,
     span_dim_by_enumeration,
@@ -118,6 +122,30 @@ class TestQspanExact:
                     dist = qspan_chain_power(n, r, q)
                     for a in range(n + 1):
                         assert dist[a] == qspan_exact(a, r, n, q)
+
+
+@st.composite
+def law_cases(draw):
+    n = draw(st.integers(1, 12))
+    return draw(st.integers(0, n)), draw(st.integers(0, 40)), n
+
+
+class TestIntegerSums:
+    """The laws summed over one denominator equal the per-term Fraction sums."""
+
+    @given(law_cases())
+    @example((0, 0, 1))
+    @example((12, 40, 12))
+    def test_occupancy_matches_fraction_terms(self, case):
+        a, r, n = case
+        assert occupancy_exact(a, r, n) == occupancy_by_fraction_terms(a, r, n)
+
+    @given(law_cases(), st.sampled_from((2, 3, 4, 5, 7, 9)))
+    @example((0, 0, 1), 2)
+    @example((12, 40, 12), 9)
+    def test_qspan_matches_fraction_terms(self, case, q):
+        a, r, n = case
+        assert qspan_exact(a, r, n, q) == qspan_by_fraction_terms(a, r, n, q)
 
 
 class TestMonteCarlo:
@@ -237,6 +265,45 @@ class TestBatchRankMod:
         assert np.array_equal(mats, before)
 
 
+class TestIntDtype:
+    @pytest.mark.parametrize(
+        "largest,dtype",
+        [
+            (0, np.int16),
+            (2**15 - 1, np.int16),
+            (2**15, np.int32),
+            (2**31 - 1, np.int32),
+            (2**31, np.int64),
+            (2**63 - 1, np.int64),
+            (2**63, object),
+            (180**2, np.int16),
+            (190**2, np.int32),
+            (46336**2, np.int32),
+            (46348**2, np.int64),
+        ],
+    )
+    def test_narrowest_signed_width_of_16_bits_or_more(self, largest, dtype):
+        assert _int_dtype(largest) is dtype
+
+
+class TestBatchRankWidths:
+    @pytest.mark.parametrize(
+        "q,dtype", [(181, np.int16), (191, np.int32), (46337, np.int32), (46349, np.int64)]
+    )
+    def test_each_side_of_a_width_switch(self, q, dtype):
+        """Entries near q drive every product toward (q - 1)^2, the most the
+        elimination's dtype must hold; the last row of each matrix is a
+        combination of the first two."""
+        assert _int_dtype((q - 1) ** 2) is dtype
+        rng = np.random.default_rng(SEED)
+        mats = rng.integers(q - 4, q, size=(40, 4, 5))
+        mats[::2] = rng.integers(0, q, size=mats[::2].shape)
+        mats[:, -1] = (2 * mats[:, 0] + (q - 1) * mats[:, 1]) % q
+        ranks = _batch_rank_mod(mats, q)
+        assert ranks.tolist() == [rank_mod(mat, q) for mat in mats.tolist()]
+        assert max(ranks) == 3
+
+
 class TestOccupancyCount:
     @pytest.mark.parametrize("r,n", [(6, 1), (6, 3), (6, 24), (6, 400), (1, 5)])
     def test_matches_set_sizes(self, r, n):
@@ -245,6 +312,18 @@ class TestOccupancyCount:
         for a in range(min(r, n) + 1):
             expected = sum(len(set(row)) == a for row in rows)
             assert occupancy_mc(a, r, n, 500, SEED).successes == expected
+
+
+    @pytest.mark.parametrize(
+        "n,r,samples", [(32768, 400, 200), (32769, 400, 200), (2**31 + 1, 2000, 20)]
+    )
+    def test_width_boundaries(self, n, r, samples):
+        """Box labels up to n - 1 sort in int16 at n = 32768, int32 just above
+        and int64 past 2^31, and still count like the set of each row."""
+        rows = np.concatenate(list(_draws(SEED, samples, n, (r,)))).tolist()
+        sizes = Counter(len(set(row)) for row in rows)
+        for a in {*sizes, r}:
+            assert occupancy_mc(a, r, n, samples, SEED).successes == sizes[a]
 
 
 class TestDraws:

@@ -134,6 +134,22 @@ class TestRatios:
                         )
                         assert term >= 0
 
+    def test_occupancy_route_skips_zero_skew_counts(self, monkeypatch):
+        """Only the a with lam_1 >= n - a carry weight, so the sign shape
+        needs the occupancy law at a = n - 1 and n alone."""
+        n, r = 9, 20
+        calls = []
+
+        def counting(a, r, n):
+            calls.append(a)
+            return occupancy_exact(a, r, n)
+
+        monkeypatch.setattr(snwalk, "occupancy_exact", counting)
+        assert ratio_via_occupancy(n, r, sign_shape(n)) == ratio_via_spectrum(
+            n, r, sign_shape(n)
+        )
+        assert sorted(calls) == [n - 1, n]
+
     def test_large_power_spot_check(self):
         n, r = 5, 37
         sign = sign_shape(n)
