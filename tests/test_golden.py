@@ -7,7 +7,9 @@ recorded at commit 990198aeb912e196cf12a36a653094b9b9e7038a, the two
 c863b82de3ed147bec2e873344af5c536b5ec31f, and the `occupancy` record at
 q = 3, recorded at commit 9f9749092cf3aeccbede88d06ca0063158d44356, and
 the many-box `occupancy` record at n = 40000 and the q = 191 one, recorded
-at commit 93fbbaf921e97392fcf130031e7e9b85de585c66.
+at commit 93fbbaf921e97392fcf130031e7e9b85de585c66, and the multi-jump
+`profile` record at n = 128, 256, 512 and `gl-sep --n 24 --q 2`, recorded
+at commit 8671271a596e40b59546408e98f5cad4162ce798.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -59,6 +61,10 @@ GOLDEN = [
      "56cb308bc7da8759dbd27f680ff3cbeba7201534b22554054dd05a6a172c07e3"),
     ("profile --n 128 --c=0",
      "d1623d85ec6acb663a25d2521f307561604f850fc63145251cf5466450d0d80e"),
+    ("profile --n 128,256,512 --c=-1,0,1,2",
+     "fa5efaa4b0113f90137a87c08daff1b8922630121cd10e71aa9b40be4497bd63"),
+    ("gl-sep --n 24 --q 2 --rmax 48",
+     "d5d5aa1e682b6700549e8335da8512192f3df43005431f5aaa1992d52615a055"),
     ("occupancy --a 2 --r 2 --n 2 --samples 20000 --seed 7",
      "72ef08aa48dca5747198618b916f5af89a138c6e7f26097eff34d74028bee65c"),
     ("occupancy --a 8 --r 10 --n 8 --q 2 --samples 2000 --seed 14",
