@@ -1,6 +1,5 @@
 """Chain-level containers: exact kernels, spectra, separation curves."""
 
-import csv
 import io
 import json
 import logging
@@ -195,7 +194,10 @@ class SeparationCurve:
         """(route, r_prev, r) triples where the value increased with r.
 
         Non-increase holds in every case computed here but is not asserted
-        hard; callers log the violations instead of failing.
+        hard; callers log the violations instead of failing. Each comparison
+        is decided by the two floats, which are correctly rounded and so keep
+        the exact order whenever they differ; the exact values are compared
+        only when the floats are equal.
         """
         out = []
         for route in self.routes():
@@ -203,8 +205,9 @@ class SeparationCurve:
                 (rec for rec in self.records if rec.route == route),
                 key=lambda rec: rec.r,
             )
-            for prev, cur in zip(recs, recs[1:]):
-                if cur.value > prev.value:
+            pairs = [(rec.float_value, rec) for rec in recs]
+            for (before, prev), (after, cur) in zip(pairs, pairs[1:]):
+                if after > before or (after == before and cur.value > prev.value):
                     out.append((route, prev.r, cur.r))
         return out
 
@@ -218,19 +221,18 @@ class SeparationCurve:
             )
 
     def to_csv(self) -> str:
+        """One header and one row per record, sorted by (r, route).
+
+        Every cell is an integer, a "num/den" fraction, a float or a route
+        name, so no cell needs CSV quoting and each row is written as is.
+        """
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        q_header, q_cell = ([], []) if self.q is None else (["q"], [self.q])
-        writer.writerow(["r", *q_header, "s_exact", "s_float", "route"])
+        q_header, q_cell = ("", "") if self.q is None else ("q,", f"{self.q},")
+        buf.write(f"r,{q_header}s_exact,s_float,route\n")
         for rec in sorted(self.records, key=lambda x: (x.r, x.route)):
-            writer.writerow(
-                [
-                    rec.r,
-                    *q_cell,
-                    format_exact(rec.value),
-                    format_float(rec.float_value),
-                    rec.route,
-                ]
+            buf.write(
+                f"{rec.r},{q_cell}{format_exact(rec.value)},"
+                f"{format_float(rec.float_value)},{rec.route}\n"
             )
         return buf.getvalue()
 

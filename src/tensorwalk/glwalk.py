@@ -14,6 +14,7 @@ that index the irreducibles.
 
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import NamedTuple
 
@@ -32,11 +33,13 @@ def _check_q(q: int) -> None:
         raise ValueError("q must be at least 2")
 
 
+@cache
 def gl_spectrum(n: int, q: int) -> Spectrum:
     """Distinct eigenvalues q^-i, i = 0..n; multiplicities are not tracked.
 
     Eigenvalue multiplicities would require counting conjugacy classes by
-    fixed-space dimension, which nothing downstream needs.
+    fixed-space dimension, which nothing downstream needs. Cached, so each
+    (n, q) is built and validated once.
     """
     if n < 1:
         raise ValueError("need n >= 1")

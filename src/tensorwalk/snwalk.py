@@ -10,6 +10,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial
+from operator import mul
 
 from .chains import Spectrum, TransitionKernel
 from .characters import (
@@ -24,6 +25,7 @@ from .combinat import (
     count_syt,
     enumerate_partitions,
     partition_counts,
+    prime_factors,
 )
 from .config import check_n
 from .errors import ConsistencyError, common_value
@@ -187,6 +189,31 @@ def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
     return True
 
 
+@cache
+def _smallest_prime_factors(n: int) -> tuple[int, ...]:
+    """Smallest prime factor of each i < n - 1, with 0 and 1 mapped to themselves."""
+    return tuple(min(prime_factors(i)) if i > 1 else i for i in range(n - 1))
+
+
+def _step_powers(n: int, step: int) -> list[int]:
+    """The table i^step for i < n - 1, with one `pow` per odd prime.
+
+    An even i is i/2 shifted by step bits; any other composite i is p^step
+    times (i/p)^step for its smallest prime factor p, both already in the
+    table.
+    """
+    factors = _smallest_prime_factors(n)
+    powers = [0, 1][: n - 1]
+    for i in range(2, n - 1):
+        if not i & 1:
+            powers.append(powers[i >> 1] << step)
+        elif factors[i] == i:
+            powers.append(pow(i, step))
+        else:
+            powers.append(powers[factors[i]] * powers[i // factors[i]])
+    return powers
+
+
 def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     """Separation distance after each r of the ascending `rs`, in one pass.
 
@@ -195,7 +222,8 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     catastrophically, the exact route does not. The signed terms
     comb(n, i)(n - i - 1) i^r and the denominator n^r are carried from one r
     to the next, so a step of one costs a single big-by-small multiply per
-    term instead of a fresh power.
+    term instead of a fresh power, and a longer step multiplies by the table
+    of i^step from `_step_powers`.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -209,7 +237,8 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
             raise ValueError(f"r must not decrease, got {r} after {previous}")
         step = r - previous
         if step:
-            terms = [term * pow(i, step) for i, term in enumerate(terms)]
+            factors = range(n - 1) if step == 1 else _step_powers(n, step)
+            terms = list(map(mul, terms, factors))
             denominator *= pow(n, step)
             previous = r
         yield Fraction(sum(terms), denominator)

@@ -5,6 +5,8 @@ explicit enumeration or classical recurrences only. Everything is meant for
 desk-scale inputs.
 """
 
+import csv
+import io
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
@@ -195,6 +197,31 @@ def spectral_separation_by_fraction_terms(eigenvalues, r: int) -> Fraction:
                 weight *= (1 - mu) / (lam - mu)
         total += lam**r * weight
     return total
+
+
+def sn_separation_by_fresh_powers(n: int, r: int) -> Fraction:
+    """S_n separation after r steps: the alternating sum
+    sum_i comb(n, i)(n - i - 1)(-1)^(n - i) i^r / n^r, each i^r a fresh power."""
+    total = sum(
+        comb(n, i) * (n - i - 1) * (-1) ** (n - i) * i**r for i in range(n - 1)
+    )
+    return Fraction(total, n**r)
+
+
+def curve_csv_by_writer(q, rows) -> str:
+    """A separation curve's CSV text as `csv.writer` renders it.
+
+    `rows` holds (r, exact value, route) in output order; the exact value is
+    written "num/den" and its float with 17 significant digits.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    q_header, q_cell = ([], []) if q is None else (["q"], [q])
+    writer.writerow(["r", *q_header, "s_exact", "s_float", "route"])
+    for r, value, route in rows:
+        exact = f"{value.numerator}/{value.denominator}"
+        writer.writerow([r, *q_cell, exact, f"{float(value):.17g}", route])
+    return buf.getvalue()
 
 
 def span_dim_by_enumeration(a: int, r: int, n: int, q: int) -> Fraction:

@@ -19,7 +19,11 @@ from tensorwalk.chains import (
 )
 from tensorwalk.errors import ConsistencyError
 from tensorwalk.interpolation import BirthDeathChain
-from tensorwalk.snwalk import build_kernel_characters
+from tensorwalk.cli import main
+from tensorwalk.glwalk import gl_separation_routes
+from tensorwalk.snwalk import build_kernel_characters, separation_routes
+
+from oracles import curve_csv_by_writer
 
 HALF = Fraction(1, 2)
 
@@ -210,6 +214,48 @@ class TestSeparationCurve:
             curve.warn_if_not_monotone()
         assert "increased" in caplog.text
 
+    def test_float_tie_falls_back_to_exact_order(self):
+        base = Fraction(1, 3)
+        up, down = base + Fraction(1, 10**30), base - Fraction(1, 10**30)
+        assert float(up) == float(base) == float(down)
+        rising = SeparationCurve(n=3)
+        rising.add(0, base, "closed_form")
+        rising.add(1, up, "closed_form")
+        assert rising.monotonicity_violations() == [("closed_form", 0, 1)]
+        falling = SeparationCurve(n=3)
+        falling.add(0, base, "closed_form")
+        falling.add(1, down, "closed_form")
+        falling.add(2, down, "closed_form")
+        assert falling.monotonicity_violations() == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**60),
+                st.integers(min_value=-3, max_value=3),
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    def test_violations_match_exact_comparison(self, draws):
+        # values within a few units of 2^-200 of one another share a float
+        values = [
+            Fraction(numerator, 2**60) + Fraction(nudge, 2**200)
+            for numerator, nudge in draws
+        ]
+        values = [min(max(v, Fraction(0)), Fraction(1)) for v in values]
+        curve = SeparationCurve(n=3)
+        for r, value in enumerate(values):
+            curve.add(r, value, "closed_form")
+        expected = [
+            ("closed_form", r, r + 1)
+            for r in range(len(values) - 1)
+            if values[r + 1] > values[r]
+        ]
+        assert curve.monotonicity_violations() == expected
+
     def test_csv_headers(self):
         curve = SeparationCurve(n=3)
         curve.add(0, Fraction(1), "closed_form")
@@ -236,3 +282,60 @@ class TestSeparationCurve:
                 }
             ],
         }
+
+
+class TestCsvRows:
+    """`to_csv` writes rows directly; `csv.writer` must agree byte for byte."""
+
+    @staticmethod
+    def rows(curve):
+        return [
+            (rec.r, rec.value, rec.route)
+            for rec in sorted(curve.records, key=lambda x: (x.r, x.route))
+        ]
+
+    def test_sn_and_gl_curves(self):
+        sn = SeparationCurve(n=6)
+        gl = SeparationCurve(n=5, q=3)
+        for r in range(13):
+            for route, value in separation_routes(6, r).items():
+                sn.add(r, value, route)
+            for route, value in gl_separation_routes(5, 3, r).items():
+                gl.add(r, value, route)
+        for curve in (sn, gl):
+            assert curve.to_csv() == curve_csv_by_writer(curve.q, self.rows(curve))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.none() | st.integers(min_value=2, max_value=10**6),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10**4),
+                st.fractions(min_value=0, max_value=1, max_denominator=10**40),
+                st.sampled_from(["closed_form", "spectral", "total_variation"]),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_matches_csv_writer(self, q, records):
+        curve = SeparationCurve(n=4, q=q)
+        for r, value, route in records:
+            curve.add(r, value, route)
+        assert curve.to_csv() == curve_csv_by_writer(q, self.rows(curve))
+
+    def test_cli_route_names_need_no_quoting(self, tmp_path):
+        # direct rows are only valid CSV while no route name holds a
+        # delimiter, a quote or a line break
+        routes = set()
+        commands = (
+            ["sn-sep", "--n", "5", "--rmax", "3", "--with-tv"],
+            ["sn-sep", "--n", "11", "--rmax", "3"],
+            ["gl-sep", "--n", "3", "--q", "2", "--rmax", "3"],
+        )
+        for argv in commands:
+            out = tmp_path / "curve.json"
+            assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+            routes |= {rec["route"] for rec in json.loads(out.read_text())["records"]}
+        assert {"closed_form", "spectral", "total_variation"} <= routes
+        for route in routes:
+            assert not set(route) & set(',"\r\n'), route

@@ -30,6 +30,8 @@ from tensorwalk.snwalk import (
     tv_exact,
 )
 
+from oracles import sn_separation_by_fresh_powers
+
 
 @pytest.fixture(scope="module")
 def kernels():
@@ -219,6 +221,11 @@ class TestSeparation:
             assert all(x >= y for x, y in zip(values, values[1:]))
 
 
+# n = 2 and 3; n - 1 prime (6, 8, 12, 32); powers of two (4, 8, 16, 32, 64,
+# 128); n with an odd square factor (9, 45, 50, 200).
+JUMP_NS = (2, 3, 4, 6, 8, 9, 12, 16, 32, 45, 50, 64, 128, 200)
+
+
 class TestSteppedClosedForm:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -230,6 +237,29 @@ class TestSteppedClosedForm:
         expected = [
             1 - occupancy_exact(n, r, n) - occupancy_exact(n - 1, r, n) for r in rs
         ]
+        assert list(separation_closed_forms(n, rs)) == expected
+
+    @pytest.mark.parametrize("n", JUMP_NS)
+    def test_jumps_match_fresh_powers(self, n):
+        rs = sorted([0, 0, 1, 2, 2, 5, n - 1, n, 3 * n, 3 * n, 5 * n + 7])
+        expected = [sn_separation_by_fresh_powers(n, r) for r in rs]
+        assert list(separation_closed_forms(n, rs)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_ascending_rs_match_fresh_powers(self, data):
+        n = data.draw(st.sampled_from(JUMP_NS) | st.integers(min_value=2, max_value=60))
+        gaps = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=4 * n),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        rs = [sum(gaps[: k + 1]) for k in range(len(gaps))]
+        if data.draw(st.booleans()):
+            rs = [0] + rs
+        expected = [sn_separation_by_fresh_powers(n, r) for r in rs]
         assert list(separation_closed_forms(n, rs)) == expected
 
     def test_rejects_small_n(self):
