@@ -189,29 +189,25 @@ def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
     return True
 
 
-@cache
-def _smallest_prime_factors(n: int) -> tuple[int, ...]:
-    """Smallest prime factor of each i < n - 1, with 0 and 1 mapped to themselves."""
-    return tuple(min(prime_factors(i)) if i > 1 else i for i in range(n - 1))
+def _step_powers(n: int, step: int) -> Iterator[int]:
+    """i^step for i = 0 .. n - 2 in turn, with one `pow` per odd prime.
 
-
-def _step_powers(n: int, step: int) -> list[int]:
-    """The table i^step for i < n - 1, with one `pow` per odd prime.
-
-    An even i is i/2 shifted by step bits; any other composite i is p^step
-    times (i/p)^step for its smallest prime factor p, both already in the
-    table.
+    An even i is (i/2)^step shifted by step bits; any other composite i is
+    p^step times (i/p)^step for its smallest prime factor p. Both factors
+    are at most i/2, so only the powers up to (n - 2)/2 are kept.
     """
-    factors = _smallest_prime_factors(n)
-    powers = [0, 1][: n - 1]
-    for i in range(2, n - 1):
-        if not i & 1:
-            powers.append(powers[i >> 1] << step)
-        elif factors[i] == i:
-            powers.append(pow(i, step))
+    kept = []
+    for i in range(n - 1):
+        if i < 2:
+            power = i
+        elif not i & 1:
+            power = kept[i >> 1] << step
         else:
-            powers.append(powers[factors[i]] * powers[i // factors[i]])
-    return powers
+            p = min(prime_factors(i))
+            power = pow(i, step) if p == i else kept[p] * kept[i // p]
+        if 2 * i <= n - 2:
+            kept.append(power)
+        yield power
 
 
 def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
@@ -222,8 +218,8 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     catastrophically, the exact route does not. The signed terms
     comb(n, i)(n - i - 1) i^r and the denominator n^r are carried from one r
     to the next, so a step of one costs a single big-by-small multiply per
-    term instead of a fresh power, and a longer step multiplies by the table
-    of i^step from `_step_powers`.
+    term instead of a fresh power, and a longer step multiplies each term by
+    i^step from `_step_powers`.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -237,8 +233,12 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
             raise ValueError(f"r must not decrease, got {r} after {previous}")
         step = r - previous
         if step:
-            factors = range(n - 1) if step == 1 else _step_powers(n, step)
-            terms = list(map(mul, terms, factors))
+            if step == 1:
+                terms = list(map(mul, terms, range(n - 1)))
+            else:
+                # in place, so each old term is freed as its product is made
+                for i, power in enumerate(_step_powers(n, step)):
+                    terms[i] *= power
             denominator *= pow(n, step)
             previous = r
         yield Fraction(sum(terms), denominator)
