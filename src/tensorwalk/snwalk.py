@@ -189,25 +189,33 @@ def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
     return True
 
 
-def _step_powers(n: int, step: int) -> Iterator[int]:
-    """i^step for i = 0 .. n - 2 in turn, with one `pow` per odd prime.
+def _multiply_by_step_powers(terms: list[int], step: int) -> None:
+    """Multiply each terms[i] by i^step in place, with one `pow` per odd prime.
 
-    An even i is (i/2)^step shifted by step bits; any other composite i is
-    p^step times (i/p)^step for its smallest prime factor p. Both factors
-    are at most i/2, so only the powers up to (n - 2)/2 are kept.
+    An even i takes (i/2)^step shifted by step bits; any other composite i
+    takes p^step (i/p)^step for its smallest prime factor p. Both factors
+    are at most i/2, so the powers of the lower half are built and kept
+    first, the upper terms are multiplied next, and each kept power is
+    dropped as soon as its own term has taken it. Every old term is freed
+    as its product is made, so no second list of terms is held.
     """
-    kept = []
-    for i in range(n - 1):
+
+    def power(i: int) -> int:
         if i < 2:
-            power = i
-        elif not i & 1:
-            power = kept[i >> 1] << step
-        else:
-            p = min(prime_factors(i))
-            power = pow(i, step) if p == i else kept[p] * kept[i // p]
-        if 2 * i <= n - 2:
-            kept.append(power)
-        yield power
+            return i
+        if not i & 1:
+            return kept[i >> 1] << step
+        p = min(prime_factors(i))
+        return pow(i, step) if p == i else kept[p] * kept[i // p]
+
+    half = (len(terms) - 1) // 2
+    kept = []
+    for i in range(half + 1):
+        kept.append(power(i))
+    for i in range(half + 1, len(terms)):
+        terms[i] *= power(i)
+    for i in range(half, -1, -1):
+        terms[i] *= kept.pop()
 
 
 def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
@@ -219,7 +227,7 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     comb(n, i)(n - i - 1) i^r and the denominator n^r are carried from one r
     to the next, so a step of one costs a single big-by-small multiply per
     term instead of a fresh power, and a longer step multiplies each term by
-    i^step from `_step_powers`.
+    i^step in place (`_multiply_by_step_powers`).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -236,9 +244,7 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
             if step == 1:
                 terms = list(map(mul, terms, range(n - 1)))
             else:
-                # in place, so each old term is freed as its product is made
-                for i, power in enumerate(_step_powers(n, step)):
-                    terms[i] *= power
+                _multiply_by_step_powers(terms, step)
             denominator *= pow(n, step)
             previous = r
         yield Fraction(sum(terms), denominator)
