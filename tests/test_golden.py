@@ -9,7 +9,8 @@ q = 3, recorded at commit 9f9749092cf3aeccbede88d06ca0063158d44356, and
 the many-box `occupancy` record at n = 40000 and the q = 191 one, recorded
 at commit 93fbbaf921e97392fcf130031e7e9b85de585c66, and the multi-jump
 `profile` record at n = 128, 256, 512 and `gl-sep --n 24 --q 2`, recorded
-at commit 8671271a596e40b59546408e98f5cad4162ce798.
+at commit 8671271a596e40b59546408e98f5cad4162ce798, and `crosscheck --n 10`,
+recorded at commit 2b3d6013d79acc558fbdb953bb70ce7a644623d4.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -53,6 +54,8 @@ GOLDEN = [
      "32371d59a60f43656148cc5fd370074f6535a9bd4560809d7cb72fae27267510"),
     ("crosscheck --n 8 --rmax 24",
      "ed815d8ec3756dcec9c187688b4de543c87729ea787671cbbe6ddfe684276c49"),
+    ("crosscheck --n 10",
+     "ee06ca9f45a6abb2f719603886cae2358b6690efd20c5cce498e4eaeb04c6b09"),
     ("crosscheck --n 4 --q 3",
      "d2ec9b899db8c4da01c00eb0e86ecaf6a5232e362b82ae9c05b325cef18a9fd4"),
     ("spectrum --n 6",
