@@ -41,11 +41,13 @@ class TransitionKernel:
     sums, stationarity normalization and detailed balance, so any kernel
     that exists is reversible.
 
-    `step_distribution` never forms a matrix power. The kernel is scaled
-    once by D, the lcm of its entry denominators, into sparse integer rows;
-    one integer row vector per start is pushed through them, cached step by
-    step, and divided by D^r only when read. `power` keeps the full exact
-    r-step matrices (cached, by repeated multiplication) as the reference.
+    The kernel is also kept scaled once by D (`scale`), the lcm of its entry
+    denominators, as sparse integer rows (`scaled_rows`, one (j, D K[i][j])
+    per nonzero entry). Validation runs in integers over these rows, and
+    `step_distribution` never forms a matrix power: one integer row vector
+    per start is pushed through them, cached step by step, and divided by
+    D^r only when read. `power` keeps the full exact r-step matrices
+    (cached, by repeated multiplication) as the reference.
     """
 
     def __init__(self, states, matrix, stationary):
@@ -58,17 +60,16 @@ class TransitionKernel:
         if len(self._state_index) != len(self.states):
             raise ValueError("duplicate state labels")
         self._powers = [identity_matrix(len(self.states))]
-        self.validate()
-        # Row i of the kernel scaled by D, as (j, D * K[i][j]) per nonzero entry.
-        self._scale = math.lcm(*(x.denominator for row in self.matrix for x in row))
-        self._integer_rows = tuple(
+        self.scale = math.lcm(*(x.denominator for row in self.matrix for x in row))
+        self.scaled_rows = tuple(
             tuple(
-                (j, x.numerator * (self._scale // x.denominator))
+                (j, x.numerator * (self.scale // x.denominator))
                 for j, x in enumerate(row)
                 if x
             )
             for row in self.matrix
         )
+        self.validate()
         self._walks = {}
 
     @property
@@ -79,26 +80,45 @@ class TransitionKernel:
         return self._state_index[state]
 
     def validate(self) -> None:
+        """Check the kernel in integers over its nonzero scaled entries a_ij.
+
+        Each a_ij is non-negative and each row sums to D. The stationary
+        weights w_i over their common denominator W are non-negative and sum
+        to W. Detailed balance is w_i a_ij = w_j a_ji at every nonzero a_ij,
+        with an absent a_ji read as 0, so a one-way edge fails.
+        """
         n = self.size
         if any(len(row) != n for row in self.matrix) or len(self.stationary) != n:
             raise ValueError("dimension mismatch")
-        one = Fraction(1)
-        for i, row in enumerate(self.matrix):
-            if any(x < 0 for x in row):
+        for i, row in enumerate(self.scaled_rows):
+            if any(a < 0 for _, a in row):
                 raise ConsistencyError(f"negative entry in row {self.states[i]}")
-            if sum(row) != one:
+            if sum(a for _, a in row) != self.scale:
                 raise ConsistencyError(f"row {self.states[i]} does not sum to 1")
-        if any(p < 0 for p in self.stationary) or sum(self.stationary) != one:
+        total = math.lcm(*(p.denominator for p in self.stationary))
+        weights = [p.numerator * (total // p.denominator) for p in self.stationary]
+        if any(w < 0 for w in weights) or sum(weights) != total:
             raise ConsistencyError("stationary vector does not sum to 1")
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = self.stationary[i] * self.matrix[i][j]
-                rhs = self.stationary[j] * self.matrix[j][i]
-                if lhs != rhs:
-                    raise ConsistencyError(
-                        "detailed balance fails for pair "
-                        f"({self.states[i]}, {self.states[j]})"
-                    )
+        entries = [dict(row) for row in self.scaled_rows]
+        # The first failing pair in the order of (smaller index, larger index).
+        failure = min(
+            (
+                (min(i, j), max(i, j))
+                for i, row in enumerate(self.scaled_rows)
+                for j, a in row
+                if weights[i] * a != weights[j] * entries[j].get(i, 0)
+            ),
+            default=None,
+        )
+        if failure is not None:
+            i, j = failure
+            raise ConsistencyError(
+                f"detailed balance fails for pair ({self.states[i]}, {self.states[j]})"
+            )
+
+    def scaled_image(self, vector) -> list:
+        """D K v for a vector v indexed like the states, summed over the nonzeros."""
+        return [sum(a * vector[j] for j, a in row) for row in self.scaled_rows]
 
     def power(self, r: int):
         """Exact r-step transition matrix (cached incrementally)."""
@@ -123,10 +143,10 @@ class TransitionKernel:
             nxt = [0] * self.size
             for i, mass in enumerate(walk[-1]):
                 if mass:
-                    for j, a in self._integer_rows[i]:
+                    for j, a in self.scaled_rows[i]:
                         nxt[j] += mass * a
             walk.append(nxt)
-        denominator = self._scale**r
+        denominator = self.scale**r
         return tuple(Fraction(mass, denominator) for mass in walk[r])
 
 

@@ -146,8 +146,9 @@ def defining_character_values(classes) -> list[int]:
 def fixed_point_character_sum(n: int, lam: Partition, i: int) -> int:
     """Character sum over all permutations with exactly i fixed points.
 
-    Evaluated two independent ways, by classes and by an inclusion-exclusion
-    formula in skew tableau counts, and the two must agree exactly.
+    Evaluated two independent ways, by classes and by the inclusion-exclusion
+    formula sum_j (-1)^j n!/(i! j!) f^(lam/(n-i-j)) in skew tableau counts,
+    both in integers, and the two must agree exactly.
     """
     if lam.size != n:
         raise ValueError("shape size must equal n")
@@ -159,11 +160,13 @@ def fixed_point_character_sum(n: int, lam: Partition, i: int) -> int:
         for c in table.classes
         if c.fixed_points == i
     )
-    by_formula = Fraction(0)
-    for j in range(n - i + 1):
-        term = Fraction((-1) ** j, factorial(j)) * count_skew_syt_row(lam, n - i - j)
-        by_formula += term
-    by_formula *= Fraction(factorial(n), factorial(i))
+    # n!/(i! j!) is an integer whenever i + j <= n.
+    by_formula = sum(
+        (-1) ** j
+        * (factorial(n) // (factorial(i) * factorial(j)))
+        * count_skew_syt_row(lam, n - i - j)
+        for j in range(n - i + 1)
+    )
     sums = {"classes": by_classes, "formula": by_formula}
     return common_value(sums, f"the fixed point character sum, n={n} lam={lam} i={i}")
 

@@ -12,7 +12,6 @@ import json
 import logging
 import math
 import sys
-from fractions import Fraction
 
 from . import glwalk, interpolation, occupancy, snwalk
 from .chains import SeparationCurve, format_exact, format_float
@@ -169,20 +168,22 @@ def _sn_checks(n: int, r_max: int):
             )
 
     def eigenfunctions():
+        # chi/d is an eigenfunction with eigenvalue fixed_points/n; scaled by
+        # L, the lcm of the dimensions, into integers w, the identity reads
+        # n D K w = D fixed_points w.
         k = snwalk.build_kernel_characters(n)
         t = character_table(n)
+        dims = [t.dimension(rho) for rho in k.states]
+        scale = math.lcm(*dims)
         for c in t.classes:
             vec = [
-                Fraction(t.value(rho, c.cycle_type), t.dimension(rho))
-                for rho in k.states
+                t.value(rho, c.cycle_type) * (scale // d) for rho, d in zip(k.states, dims)
             ]
-            eig = Fraction(c.fixed_points, n)
-            for i in range(k.size):
-                image = sum(k.matrix[i][j] * vec[j] for j in range(k.size))
-                if image != eig * vec[i]:
-                    raise ConsistencyError(
-                        f"eigenfunction identity fails for class {c.cycle_type}"
-                    )
+            eig = k.scale * c.fixed_points
+            if any(n * x != eig * v for x, v in zip(k.scaled_image(vec), vec)):
+                raise ConsistencyError(
+                    f"eigenfunction identity fails for class {c.cycle_type}"
+                )
 
     def spectrum_mass():
         snwalk.spectrum_sn(n)
@@ -364,6 +365,11 @@ def _sn_or_gl_rule(max_n: int, scope: str = ""):
     return rule
 
 
+def _sn_sep_rule(args):
+    if args.with_tv and args.n > PRACTICAL_MAX_N:
+        return f"--with-tv needs n <= {PRACTICAL_MAX_N}, got {args.n}"
+
+
 def _profile_rule(args):
     for n in args.n_list:
         for c in args.c_list:
@@ -403,9 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sn-sep", help="separation curve for the symmetric group walk")
     p.add_argument("--n", type=sn_n, required=True)
     p.add_argument("--rmax", type=count, required=True)
-    p.add_argument("--with-tv", action="store_true", help="append total variation rows")
+    p.add_argument("--with-tv", action="store_true",
+                   help=f"append total variation rows (n <= {PRACTICAL_MAX_N})")
     add_common(p)
-    p.set_defaults(func=cmd_sn_sep)
+    p.set_defaults(func=cmd_sn_sep, rule=_sn_sep_rule)
 
     p = sub.add_parser("gl-sep", help="separation curve for the general linear walk")
     p.add_argument("--n", type=gl_n, required=True)

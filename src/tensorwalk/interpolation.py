@@ -141,12 +141,15 @@ def _spectral_weights(
 
 
 def _bfs_distances_to(kernel: TransitionKernel, target: int) -> list[int | None]:
-    """Directed distances from every state to `target` on the support graph."""
+    """Directed distances from every state to `target` on the support graph.
+
+    The edges are the nonzero entries of the kernel's sparse rows, which a
+    validated kernel holds positive.
+    """
     reverse: list[list[int]] = [[] for _ in kernel.states]
-    for i, row in enumerate(kernel.matrix):
-        for j, x in enumerate(row):
-            if x > 0:
-                reverse[j].append(i)
+    for i, row in enumerate(kernel.scaled_rows):
+        for j, _ in row:
+            reverse[j].append(i)
     dist: list[int | None] = [None] * kernel.size
     dist[target] = 0
     queue = deque([target])
@@ -174,7 +177,7 @@ def verify_distance(
     dist = _bfs_distances_to(kernel, yi)
     if any(d is None for d in dist):
         raise ValueError("kernel is not ergodic: some state never reaches the target")
-    if not any(kernel.matrix[i][i] > 0 for i in range(kernel.size)):
+    if not any(j == i for i, row in enumerate(kernel.scaled_rows) for j, _ in row):
         raise ValueError("could not verify aperiodicity: no state holds in place")
     d = dist[xi]
     if eigenvalue_count is not None and d > eigenvalue_count - 1:
@@ -258,11 +261,10 @@ def birth_death_separation(chain: BirthDeathChain, eigenvalues, r: int) -> Fract
     if len(eigs) != chain.d + 1:
         raise ValueError("need every distinct eigenvalue of the chain")
     kernel = chain.kernel()
-    scale = lcm(*(x.denominator for row in kernel.matrix for x in row))
     for lam in eigs:
         # K - lam I scaled by a common denominator to integers; it is singular
         # exactly when its determinant vanishes.
-        s = scale * lam.denominator
+        s = kernel.scale * lam.denominator
         shifted = [
             [s * (x - lam if i == j else x) for j, x in enumerate(row)]
             for i, row in enumerate(kernel.matrix)

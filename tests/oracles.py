@@ -10,7 +10,7 @@ import io
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 
 @cache
@@ -72,6 +72,29 @@ def count_standard_fillings(outer, inner=()) -> int:
         return total
 
     return rec(set(cells))
+
+
+@cache
+def count_row_skew_fillings(outer: tuple, m: int) -> int:
+    """Standard fillings of outer/(m), the shape less a first row of m cells.
+
+    Zero when the row does not fit inside the first row of `outer`.
+    """
+    if m > (outer[0] if outer else 0):
+        return 0
+    return count_standard_fillings(outer, (m,))
+
+
+def fixed_point_sum_by_fraction_terms(lam, i: int) -> Fraction:
+    """Character sum of shape `lam` over the permutations with exactly i
+    fixed points, (n!/i!) sum_j (-1)^j/j! f^(lam/(n-i-j)), adding one
+    Fraction per term, with each skew count by direct placement."""
+    n = sum(lam)
+    total = Fraction(0)
+    for j in range(n - i + 1):
+        term = Fraction((-1) ** j, factorial(j))
+        total += term * count_row_skew_fillings(tuple(lam), n - i - j)
+    return total * Fraction(factorial(n), factorial(i))
 
 
 def span_of(vectors, q: int) -> frozenset:

@@ -105,6 +105,52 @@ class TestTransitionKernel:
             )
 
 
+QUARTER, THIRD = Fraction(1, 4), Fraction(1, 3)
+
+
+class TestValidate:
+    """Each integer check of `validate` rejects a kernel only it catches."""
+
+    @pytest.mark.parametrize(
+        "matrix,stationary,message",
+        [
+            ([[HALF, HALF], [0, 1]], [HALF, HALF], r"detailed balance fails for pair \(a, b\)"),
+            ([[1, 0], [HALF, HALF]], [HALF, HALF], r"detailed balance fails for pair \(a, b\)"),
+            (
+                [[Fraction(3, 2), -HALF], [-HALF, Fraction(3, 2)]],
+                [HALF, HALF],
+                "negative entry in row a",
+            ),
+            ([[1, 0], [0, 1]], [HALF, THIRD], "stationary vector does not sum to 1"),
+            (
+                [[1, 0], [0, 1]],
+                [Fraction(3, 2), -HALF],
+                "stationary vector does not sum to 1",
+            ),
+        ],
+        ids=["one-way", "one-way-back", "negative-entry", "weight-sum", "negative-weight"],
+    )
+    def test_rejects(self, matrix, stationary, message):
+        with pytest.raises(ConsistencyError, match=message):
+            TransitionKernel(("a", "b"), matrix, stationary)
+
+    def test_rejects_balance_broken_at_one_pair(self):
+        matrix = [
+            [HALF, QUARTER, QUARTER],
+            [QUARTER, QUARTER, HALF],
+            [QUARTER, QUARTER, HALF],
+        ]
+        with pytest.raises(ConsistencyError, match=r"pair \(b, c\)$"):
+            TransitionKernel(("a", "b", "c"), matrix, [THIRD] * 3)
+
+    def test_scaled_rows_and_image(self):
+        k = sn_kernel(6)
+        assert all(a > 0 for row in k.scaled_rows for _, a in row)
+        vector = list(range(k.size))
+        expected = [k.scale * sum(x * v for x, v in zip(row, vector)) for row in k.matrix]
+        assert k.scaled_image(vector) == expected
+
+
 class TestStepDistribution:
     """Integer row propagation equals the row of the exact Fraction power."""
 

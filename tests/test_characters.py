@@ -15,7 +15,11 @@ from tensorwalk.characters import (
 from tensorwalk.combinat import Partition, count_syt, enumerate_partitions
 from tensorwalk.errors import ConsistencyError, SizeLimitError
 
-from oracles import fixed_point_census, signed_sum_by_enumeration
+from oracles import (
+    fixed_point_census,
+    fixed_point_sum_by_fraction_terms,
+    signed_sum_by_enumeration,
+)
 
 
 def cycle_type_of(perm):
@@ -154,6 +158,13 @@ class TestFixedPointCharacterSum:
             for lam in enumerate_partitions(n):
                 for i in range(n + 1):
                     fixed_point_character_sum(n, lam, i)
+
+    def test_integer_formula_matches_fraction_terms(self):
+        for n in range(1, 11):
+            for lam in enumerate_partitions(n):
+                for i in range(n + 1):
+                    expected = fixed_point_sum_by_fraction_terms(lam, i)
+                    assert fixed_point_character_sum(n, lam, i) == expected, (lam, i)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -466,6 +467,35 @@ class TestCrosscheck:
         assert "kernel is not ergodic" in out
 
 
+    def test_lazy_kernel_fails_only_the_eigenfunction_identity(self, capsys, monkeypatch):
+        """The lazy walk (I + K)/2 is a valid reversible kernel with other eigenvalues.
+
+        Both kernel builders return it, so the comparison of the two builds
+        passes, and --rmax 0 keeps the step-count checks at the point mass.
+        """
+
+        def lazy(build):
+            @functools.cache
+            def wrapped(n):
+                k = build(n)
+                matrix = [
+                    [(int(i == j) + x) / 2 for j, x in enumerate(row)]
+                    for i, row in enumerate(k.matrix)
+                ]
+                return TransitionKernel(k.states, matrix, k.stationary)
+
+            return wrapped
+
+        monkeypatch.setattr(snwalk, "build_kernel_characters",
+                            lazy(snwalk.build_kernel_characters))
+        monkeypatch.setattr(snwalk, "build_kernel_boxes", lazy(snwalk.build_kernel_boxes))
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "5", "--rmax", "0")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL  rational eigenfunction identity (n=5)")
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
@@ -544,8 +574,9 @@ class TestArgumentsCheckedBeforeWork:
             (("occupancy", "--a", "0", "--r", "2", "--n", "0"), "need n >= 1"),
             (("profile", "--n", "2", "--c=-5"), "need r >= 0"),
             (("profile", "--n", "128", "--c=-100"), "need r >= 0"),
+            (("sn-sep", "--n", "11", "--rmax", "2", "--with-tv"), "--with-tv needs n <= 10"),
         ],
-        ids=["occupancy-n0", "profile-n2", "profile-n128"],
+        ids=["occupancy-n0", "profile-n2", "profile-n128", "sn-sep-with-tv"],
     )
     def test_rejected_before_any_computation(self, capsys, monkeypatch, argv, message):
         def no_work(*args):

@@ -192,6 +192,22 @@ class TestVerifyDistance:
             verify_distance(kernel, "a", "b")
 
 
+    def test_periodic_rejected(self):
+        half = Fraction(1, 2)
+        kernel = TransitionKernel(
+            states=("a", "b"), matrix=[[0, 1], [1, 0]], stationary=[half, half]
+        )
+        with pytest.raises(ValueError, match="no state holds in place"):
+            verify_distance(kernel, "a", "b")
+
+    def test_reads_only_the_sparse_rows(self, kernels):
+        k = kernels[6]
+        sparse = TransitionKernel(k.states, k.matrix, k.stationary)
+        sparse.matrix = None
+        d = verify_distance(sparse, trivial_shape(6), sign_shape(6), eigenvalue_count=6)
+        assert d == 5
+
+
 class TestBirthDeath:
     def test_row_sum_validation(self):
         with pytest.raises(ValueError):
