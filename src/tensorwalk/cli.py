@@ -174,10 +174,10 @@ def _sn_checks(n: int, r_max: int):
         k = snwalk.build_kernel_characters(n)
         t = character_table(n)
         dims = [t.dimension(rho) for rho in k.states]
-        scale = math.lcm(*dims)
+        dims_lcm = math.lcm(*dims)
         for c in t.classes:
             vec = [
-                t.value(rho, c.cycle_type) * (scale // d) for rho, d in zip(k.states, dims)
+                t.value(rho, c.cycle_type) * (dims_lcm // d) for rho, d in zip(k.states, dims)
             ]
             eig = k.scale * c.fixed_points
             if any(n * x != eig * v for x, v in zip(k.scaled_image(vec), vec)):

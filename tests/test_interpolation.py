@@ -191,7 +191,6 @@ class TestVerifyDistance:
         with pytest.raises(ValueError):
             verify_distance(kernel, "a", "b")
 
-
     def test_periodic_rejected(self):
         half = Fraction(1, 2)
         kernel = TransitionKernel(
