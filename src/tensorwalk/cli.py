@@ -25,6 +25,7 @@ from .config import PRACTICAL_MAX_N
 from .errors import ConsistencyError, common_value
 
 CLOSED_FORM_MAX_N = 512
+CHARACTER_KERNEL_INVALID = "character kernel invalid; see kernel validation"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -161,8 +162,22 @@ def _run_checks(checks) -> tuple[list[tuple[str, bool, str]], bool]:
 
 
 def _sn_checks(n: int, r_max: int):
+    def character_kernel():
+        # The kernel validates itself when built. `kernel validation` reports
+        # why it is invalid; every other check that reads it fails with one
+        # fixed message, so one defect is not reported under many names.
+        try:
+            return snwalk.build_kernel_characters(n)
+        except ConsistencyError as exc:
+            raise ConsistencyError(CHARACTER_KERNEL_INVALID) from exc
+
     def kernel_routes():
-        if snwalk.build_kernel_boxes(n).matrix != snwalk.build_kernel_characters(n).matrix:
+        characters = character_kernel()
+        try:
+            boxes = snwalk.build_kernel_boxes(n)
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"box-move kernel invalid at n={n}: {exc}") from exc
+        if boxes.matrix != characters.matrix:
             raise ConsistencyError(
                 f"box-move kernel disagrees with character kernel at n={n}"
             )
@@ -171,7 +186,7 @@ def _sn_checks(n: int, r_max: int):
         # chi/d is an eigenfunction with eigenvalue fixed_points/n; scaled by
         # L, the lcm of the dimensions, into integers w, the identity reads
         # n D K w = D fixed_points w.
-        k = snwalk.build_kernel_characters(n)
+        k = character_kernel()
         t = character_table(n)
         dims = [t.dimension(rho) for rho in k.states]
         dims_lcm = math.lcm(*dims)
@@ -193,7 +208,7 @@ def _sn_checks(n: int, r_max: int):
             snwalk.separation_routes(n, r)
 
     def extremality():
-        k = snwalk.build_kernel_characters(n)
+        k = character_kernel()
         for r in range(r_max + 1):
             snwalk.check_single_column_extremal(k, r)
 
@@ -204,7 +219,7 @@ def _sn_checks(n: int, r_max: int):
                 raise ConsistencyError(f"total variation exceeds separation at r={r}")
 
     def support_distance():
-        k = snwalk.build_kernel_characters(n)
+        k = character_kernel()
         try:
             d = interpolation.verify_distance(
                 k, snwalk.trivial_shape(n), snwalk.sign_shape(n), eigenvalue_count=n

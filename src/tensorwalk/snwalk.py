@@ -62,7 +62,7 @@ def build_kernel_characters(n: int) -> TransitionKernel:
     """Transition kernel from exact tensor-product multiplicities.
 
     The most recent kernel is kept, with the walks it has cached, so every
-    route at one n shares a single build.
+    check at one n shares a single build.
     """
     check_n(n)
     eta = defining_character_values(character_table(n).classes)
@@ -71,18 +71,75 @@ def build_kernel_characters(n: int) -> TransitionKernel:
     )
 
 
+class BoxWalk:
+    """Tensor-power multiplicities of the S_n walk, stepped in integers.
+
+    `states` are the partitions of n in the order of `enumerate_partitions`,
+    `dims` their dimensions, and `removals[i]` the indices, among the
+    partitions of n - 1, of the shapes one corner box short of `states[i]`.
+    The multiplicity of rho in lam tensored with the permutation
+    representation is the number of shapes one box short of both, so one
+    step is a down pass onto the partitions of n - 1 and an up pass back.
+    The r-step kernel mass at lam from the trivial start is then
+    dims[lam] mult_r(lam) / n^r, and no `Fraction` is formed until a route
+    reads one.
+    """
+
+    def __init__(self, n: int):
+        check_n(n)
+        self.states = tuple(enumerate_partitions(n))
+        self.dims = tuple(count_syt(lam) for lam in self.states)
+        below = {mu: j for j, mu in enumerate(enumerate_partitions(n - 1))}
+        self.removals = tuple(
+            tuple(below[mu] for mu in lam.corner_removals()) for lam in self.states
+        )
+        self._below_count = len(below)
+        self._state_index = {lam: i for i, lam in enumerate(self.states)}
+        # The 0-th tensor power is the trivial representation, the first state.
+        self._multiplicities = [tuple(int(i == 0) for i in range(len(self.states)))]
+
+    def index(self, lam: Partition) -> int:
+        return self._state_index[lam]
+
+    def step(self, mult) -> tuple[int, ...]:
+        """Multiplicities after tensoring once more with the permutation representation."""
+        down = [0] * self._below_count
+        for m, below in zip(mult, self.removals):
+            if m:
+                for j in below:
+                    down[j] += m
+        return tuple(sum(down[j] for j in below) for below in self.removals)
+
+    def multiplicities(self, r: int) -> tuple[int, ...]:
+        """mult_r: each state's multiplicity in the r-th tensor power (cached)."""
+        if r < 0:
+            raise ValueError("negative power")
+        known = self._multiplicities
+        while len(known) <= r:
+            known.append(self.step(known[-1]))
+        return known[r]
+
+
+@lru_cache(maxsize=1)
+def box_walk(n: int) -> BoxWalk:
+    """The box walk at n; the most recent one is kept with its cached steps."""
+    return BoxWalk(n)
+
+
 def build_kernel_boxes(n: int) -> TransitionKernel:
     """Transition kernel from the remove-a-box / add-a-box description.
 
-    The multiplicity of a target shape equals the number of intermediate
-    shapes reachable by removing one corner from the source and one corner
-    from the target. This construction shares nothing with
-    `build_kernel_characters`, so comparing the two checks both.
+    Row lam holds the multiplicities of one `BoxWalk.step` from the point
+    mass at lam: the number of intermediate shapes reachable by removing one
+    corner from the source and one corner from the target. This
+    construction shares nothing with `build_kernel_characters`, so comparing
+    the two checks both, and with them the steps every kernel route takes.
     """
-    check_n(n)
-    removals = {lam: set(lam.corner_removals()) for lam in enumerate_partitions(n)}
+    walk = box_walk(n)
+    size = len(walk.states)
+    rows = [walk.step([int(i == j) for j in range(size)]) for i in range(size)]
     return _kernel_from_multiplicities(
-        n, lambda lam, rho: len(removals[lam] & removals[rho])
+        n, lambda lam, rho: rows[walk.index(lam)][walk.index(rho)]
     )
 
 
@@ -105,11 +162,14 @@ def spectrum_sn(n: int) -> Spectrum:
 
 
 def ratio_via_kernel(n: int, r: int, lam: Partition) -> Fraction:
-    """r-step mass at `lam` from the trivial start, over its stationary mass."""
-    kernel = build_kernel_characters(n)
-    row = kernel.step_distribution(trivial_shape(n), r)
-    j = kernel.index(lam)
-    return row[j] / kernel.stationary[j]
+    """r-step mass at `lam` from the trivial start, over its stationary mass.
+
+    The mass is f mult_r(lam) / n^r with f the dimension of `lam` and mult_r
+    from the box walk, and the stationary mass is f^2 / n!.
+    """
+    walk = box_walk(n)
+    i = walk.index(lam)
+    return Fraction(factorial(n) * walk.multiplicities(r)[i], n**r * walk.dims[i])
 
 
 def ratio_via_spectrum(n: int, r: int, lam: Partition) -> Fraction:
@@ -160,20 +220,16 @@ def ratio_at(n: int, r: int, lam: Partition) -> Fraction:
 
 
 def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
-    """Verify the walked mass encodes an exact tensor-power multiplicity.
+    """Verify the box walk's multiplicity against the character sum.
 
-    The r-step mass at `lam`, times n^r over the dimension of `lam`, must
-    equal the multiplicity of `lam` in the r-th tensor power of the
-    permutation representation, computed independently as a character sum,
-    and that multiplicity must be a nonnegative integer. Intended for small
-    n and r (the character sum grows quickly).
+    The multiplicity of `lam` in the r-th tensor power of the permutation
+    representation, stepped in integers by `BoxWalk`, must equal the class
+    sum of fixed_points^r times the character of `lam`, over n!, and that
+    must be a nonnegative integer. Intended for small n and r (the
+    character sum grows quickly).
     """
-    kernel = build_kernel_characters(n)
+    walk = box_walk(n)
     table = character_table(n)
-    row = kernel.step_distribution(trivial_shape(n), r)
-    mass = row[kernel.index(lam)]
-    d = table.dimension(lam)
-    from_walk = mass * Fraction(n**r, d)
     char_sum = sum(
         c.class_size * c.fixed_points**r * table.value(lam, c.cycle_type)
         for c in table.classes
@@ -184,7 +240,7 @@ def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
             f"tensor power multiplicity not a nonnegative integer at "
             f"n={n} r={r} lam={lam}: {multiplicity}"
         )
-    multiplicities = {"walk": from_walk, "characters": multiplicity}
+    multiplicities = {"walk": walk.multiplicities(r)[walk.index(lam)], "characters": multiplicity}
     common_value(multiplicities, f"the tensor power identity, n={n} r={r} lam={lam}")
     return True
 
@@ -304,7 +360,16 @@ def separation_profile(c: float) -> float:
 
 
 def tv_exact(n: int, r: int) -> Fraction:
-    """Exact total-variation distance to stationarity after r steps."""
-    kernel = build_kernel_characters(n)
-    row = kernel.step_distribution(trivial_shape(n), r)
-    return sum(abs(p - pi) for p, pi in zip(row, kernel.stationary)) / 2
+    """Exact total-variation distance to stationarity after r steps.
+
+    With masses f mult_r / n^r and stationary masses f^2 / n! over the
+    states of the box walk, this is one integer sum over the common
+    denominator 2 n^r n!.
+    """
+    walk = box_walk(n)
+    order, steps = factorial(n), n**r
+    gap = sum(
+        abs(f * m * order - f * f * steps)
+        for f, m in zip(walk.dims, walk.multiplicities(r))
+    )
+    return Fraction(gap, 2 * steps * order)

@@ -231,6 +231,17 @@ def sn_separation_by_fresh_powers(n: int, r: int) -> Fraction:
     return Fraction(total, n**r)
 
 
+def tv_by_dense_rows(matrix, stationary, start: int, r: int) -> Fraction:
+    """Total-variation distance to `stationary` after r steps from state
+    `start`: a point mass pushed r times through the dense `Fraction` rows of
+    `matrix`, then half the summed absolute differences."""
+    size = len(matrix)
+    row = [Fraction(int(j == start)) for j in range(size)]
+    for _ in range(r):
+        row = [sum(row[i] * matrix[i][j] for i in range(size)) for j in range(size)]
+    return sum(abs(p - pi) for p, pi in zip(row, stationary)) / 2
+
+
 def curve_csv_by_writer(q, rows) -> str:
     """A separation curve's CSV text as `csv.writer` renders it.
 

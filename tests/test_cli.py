@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from tensorwalk import glwalk, interpolation, occupancy, snwalk
 from tensorwalk.chains import TransitionKernel, format_exact, format_float
 from tensorwalk.characters import character_table
+from tensorwalk.combinat import Partition
 from tensorwalk.cli import main
 from tensorwalk.occupancy import occupancy_exact
 
@@ -111,12 +113,20 @@ class TestSnSep:
         assert {r["route"] for r in parse_csv(out)} == {"closed_form"}
 
     def test_only_the_latest_kernel_is_kept(self, capsys):
-        snwalk.build_kernel_characters.cache_clear()
+        snwalk.box_walk.cache_clear()
         for n in ("7", "8"):
             code, _, _ = run_cli(capsys, "sn-sep", "--n", n, "--rmax", "2", "--with-tv")
             assert code == 0
-        info = snwalk.build_kernel_characters.cache_info()
+        info = snwalk.box_walk.cache_info()
         assert (info.misses, info.currsize) == (2, 1)
+
+    def test_builds_no_character_table_or_kernel(self, capsys):
+        character_table.cache_clear()
+        snwalk.build_kernel_characters.cache_clear()
+        code, _, _ = run_cli(capsys, "sn-sep", "--n", "8", "--rmax", "24", "--with-tv")
+        assert code == 0
+        assert character_table.cache_info().misses == 0
+        assert snwalk.build_kernel_characters.cache_info().misses == 0
 
     def test_tv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sn-sep", "--n", "4", "--rmax", "2", "--with-tv")
@@ -455,6 +465,48 @@ class TestCrosscheck:
         monkeypatch.setattr(snwalk, "spectrum_sn", broken)
         with pytest.raises(TypeError, match="boom"):
             main(["crosscheck", "--n", "4"])
+
+    def test_invalid_character_kernel_reported_once(self, capsys, monkeypatch):
+        """An extra [3,1] in [4] tensored with the permutation representation
+        breaks the kernel's row sum: `kernel validation` says so, and every
+        other check that reads the kernel fails with one fixed message."""
+        build = snwalk.tensor_multiplicity
+
+        def one_too_many(n, lam, eta, rho):
+            extra = (lam, rho) == (Partition([4]), Partition([3, 1]))
+            return build(n, lam, eta, rho) + extra
+
+        snwalk.build_kernel_characters.cache_clear()
+        monkeypatch.setattr(snwalk, "tensor_multiplicity", one_too_many)
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "4")
+        assert code == 1
+        # A report line is "FAIL  <name padded to the widest>  <message>".
+        failed = dict(
+            re.split(r"\s{2,}", line.removeprefix("FAIL  "), maxsplit=1)
+            for line in out.splitlines()
+            if line.startswith("FAIL ")
+        )
+        assert failed.pop("kernel validation: rows, stationarity, reversibility (n=4)") == (
+            "row [4] does not sum to 1"
+        )
+        assert sorted(failed) == [
+            "kernel route equality (n=4)",
+            "rational eigenfunction identity (n=4)",
+            "single-column extremality (n=4, r<=16)",
+            "support distance between extremes (n=4)",
+        ]
+        assert set(failed.values()) == {"character kernel invalid; see kernel validation"}
+
+    def test_dropped_corner_in_the_walk_fails_its_checks(self, capsys, monkeypatch):
+        walk = snwalk.BoxWalk(5)
+        walk.removals = (walk.removals[0], walk.removals[1][:1], *walk.removals[2:])
+        monkeypatch.setattr(snwalk, "box_walk", lambda n: walk)
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "5")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert any(line.startswith("FAIL  tensor power multiplicities") for line in failed)
+        assert any("box-move kernel invalid at n=5" in line for line in failed)
+        assert not any("kernel validation" in line for line in failed)
 
     def test_non_ergodic_kernel_is_a_failed_check(self, capsys, monkeypatch):
         def non_ergodic(*args, **kwargs):

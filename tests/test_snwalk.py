@@ -12,6 +12,8 @@ from tensorwalk.combinat import Partition, count_skew_syt_row, count_syt, enumer
 from tensorwalk.errors import ConsistencyError, SizeLimitError
 from tensorwalk.occupancy import occupancy_exact
 from tensorwalk.snwalk import (
+    BoxWalk,
+    box_walk,
     build_kernel_boxes,
     build_kernel_characters,
     check_single_column_extremal,
@@ -30,7 +32,7 @@ from tensorwalk.snwalk import (
     tv_exact,
 )
 
-from oracles import sn_separation_by_fresh_powers
+from oracles import sn_separation_by_fresh_powers, tv_by_dense_rows
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,49 @@ class TestKernelConstruction:
             build_kernel_characters(11)
 
 
+class TestBoxWalk:
+    def test_masses_match_character_kernel_rows(self):
+        """f mult_r / n^r is the character kernel's r-step row at every shape,
+        and the kernel route's ratio is that row over the stationary law."""
+        for n in range(2, 11):
+            kernel, walk = build_kernel_characters(n), box_walk(n)
+            assert walk.states == kernel.states
+            for r in range(3 * n + 1):
+                row = kernel.step_distribution(trivial_shape(n), r)
+                masses = zip(walk.dims, walk.multiplicities(r))
+                assert tuple(Fraction(f * m, n**r) for f, m in masses) == row, (n, r)
+                for lam, p, pi in zip(kernel.states, row, kernel.stationary):
+                    assert ratio_via_kernel(n, r, lam) == p / pi, (n, r, lam)
+
+    def test_tv_matches_dense_rows(self):
+        for n in range(2, 8):
+            kernel = build_kernel_characters(n)
+            for r in range(2 * n + 1):
+                expected = tv_by_dense_rows(kernel.matrix, kernel.stationary, 0, r)
+                assert tv_exact(n, r) == expected, (n, r)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_routes_at_random_steps(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=10))
+        r = data.draw(st.integers(min_value=0, max_value=4 * n))
+        kernel = build_kernel_characters(n)
+        assert tv_exact(n, r) == tv_by_dense_rows(kernel.matrix, kernel.stationary, 0, r)
+        for lam in enumerate_partitions(n):
+            assert ratio_via_kernel(n, r, lam) == ratio_via_spectrum(n, r, lam), (n, r, lam)
+
+    def test_steps_are_cached_and_read_only(self):
+        walk = BoxWalk(5)
+        third = walk.multiplicities(3)
+        assert walk.multiplicities(3) is third
+        assert isinstance(third, tuple)
+        assert walk.multiplicities(0) == (1,) + (0,) * (len(walk.states) - 1)
+
+    def test_rejects_negative_power_and_large_n(self):
+        with pytest.raises(ValueError, match="negative"):
+            BoxWalk(4).multiplicities(-1)
+        with pytest.raises(SizeLimitError):
+            BoxWalk(11)
 class TestSpectrum:
     def test_s4_multiplicities(self):
         entries = spectrum_sn(4).entries
