@@ -470,11 +470,11 @@ class TestCrosscheck:
         """An extra [3,1] in [4] tensored with the permutation representation
         breaks the kernel's row sum: `kernel validation` says so, and every
         other check that reads the kernel fails with one fixed message."""
-        build = snwalk.tensor_multiplicity
+        original = snwalk.tensor_multiplicity
 
         def one_too_many(n, lam, eta, rho):
             extra = (lam, rho) == (Partition([4]), Partition([3, 1]))
-            return build(n, lam, eta, rho) + extra
+            return original(n, lam, eta, rho) + extra
 
         snwalk.build_kernel_characters.cache_clear()
         monkeypatch.setattr(snwalk, "tensor_multiplicity", one_too_many)
