@@ -43,8 +43,6 @@ from .glwalk import (
     is_prime_power,
 )
 from .interpolation import (
-    BirthDeathChain,
-    birth_death_separation,
     interpolation_coefficients,
     separation_from_spectrum,
     verify_distance,

@@ -35,40 +35,37 @@ def format_float(value: float) -> str:
 
 
 class TransitionKernel:
-    """Square stochastic matrix over exact rationals, with stationary vector.
+    """Reversible stochastic kernel over exact rationals, given by sparse rows.
 
-    States are arbitrary hashable labels. Construction validates exact row
-    sums, stationarity normalization and detailed balance, so any kernel
-    that exists is reversible.
+    States are arbitrary hashable labels. `rows[i]` maps a target index j to
+    K[i][j]; zero entries may be left out, and explicit zeros are dropped.
+    Construction validates exact row sums, stationarity normalization and
+    detailed balance, so any kernel that exists is reversible.
 
-    The kernel is also kept scaled once by D (`scale`), the lcm of its entry
+    The kernel is kept scaled once by D (`scale`), the lcm of its entry
     denominators, as sparse integer rows (`scaled_rows`, one (j, D K[i][j])
-    per nonzero entry). Validation runs in integers over these rows, and
-    `step_distribution` never forms a matrix power: one integer row vector
-    per start is pushed through them, cached step by step, and divided by
-    D^r only when read. `power` keeps the full exact r-step matrices
-    (cached, by repeated multiplication) as the reference.
+    per nonzero entry, sorted by j). Validation runs in integers over these
+    rows, and `step_distribution` never forms a matrix power: one integer
+    row vector per start is pushed through them, cached step by step, and
+    divided by D^r only when read. No k x k object exists until `power`,
+    the dense exact reference, is called.
     """
 
-    def __init__(self, states, matrix, stationary):
+    def __init__(self, states, rows, stationary):
         self.states = tuple(states)
-        self.matrix = tuple(
-            tuple(Fraction(x) for x in row) for row in matrix
-        )
         self.stationary = tuple(Fraction(x) for x in stationary)
         self._state_index = {s: i for i, s in enumerate(self.states)}
         if len(self._state_index) != len(self.states):
             raise ValueError("duplicate state labels")
-        self._powers = [identity_matrix(len(self.states))]
-        self.scale = math.lcm(*(x.denominator for row in self.matrix for x in row))
+        entries = [
+            sorted((j, Fraction(x)) for j, x in row.items() if x) for row in rows
+        ]
+        self.scale = math.lcm(*(x.denominator for row in entries for _, x in row))
         self.scaled_rows = tuple(
-            tuple(
-                (j, x.numerator * (self.scale // x.denominator))
-                for j, x in enumerate(row)
-                if x
-            )
-            for row in self.matrix
+            tuple((j, x.numerator * (self.scale // x.denominator)) for j, x in row)
+            for row in entries
         )
+        self._powers = []
         self.validate()
         self._walks = {}
 
@@ -88,8 +85,10 @@ class TransitionKernel:
         with an absent a_ji read as 0, so a one-way edge fails.
         """
         n = self.size
-        if any(len(row) != n for row in self.matrix) or len(self.stationary) != n:
+        if len(self.scaled_rows) != n or len(self.stationary) != n:
             raise ValueError("dimension mismatch")
+        if any(j not in range(n) for row in self.scaled_rows for j, _ in row):
+            raise ValueError("target index out of range")
         for i, row in enumerate(self.scaled_rows):
             if any(a < 0 for _, a in row):
                 raise ConsistencyError(f"negative entry in row {self.states[i]}")
@@ -121,11 +120,20 @@ class TransitionKernel:
         return [sum(a * vector[j] for j, a in row) for row in self.scaled_rows]
 
     def power(self, r: int):
-        """Exact r-step transition matrix (cached incrementally)."""
+        """Exact r-step transition matrix, the dense reference (cached incrementally).
+
+        The first call builds the one-step `Fraction` matrix from the sparse rows.
+        """
         if r < 0:
             raise ValueError("negative power")
+        if not self._powers:
+            step = [[Fraction(0)] * self.size for _ in self.states]
+            for i, row in enumerate(self.scaled_rows):
+                for j, a in row:
+                    step[i][j] = Fraction(a, self.scale)
+            self._powers = [identity_matrix(self.size), tuple(map(tuple, step))]
         while len(self._powers) <= r:
-            self._powers.append(mat_mul(self._powers[-1], self.matrix))
+            self._powers.append(mat_mul(self._powers[-1], self._powers[1]))
         return self._powers[r]
 
     def step_distribution(self, start, r: int) -> tuple[Fraction, ...]:

@@ -177,7 +177,7 @@ def _sn_checks(n: int, r_max: int):
             boxes = snwalk.build_kernel_boxes(n)
         except ConsistencyError as exc:
             raise ConsistencyError(f"box-move kernel invalid at n={n}: {exc}") from exc
-        if boxes.matrix != characters.matrix:
+        if (boxes.scale, boxes.scaled_rows) != (characters.scale, characters.scaled_rows):
             raise ConsistencyError(
                 f"box-move kernel disagrees with character kernel at n={n}"
             )

@@ -3,24 +3,20 @@
 Any power of a diagonalizable kernel with m distinct eigenvalues is a
 polynomial of degree below m in the kernel itself. For a pair of states at
 maximal support distance this collapses the separation distance to a sum
-over the eigenvalues alone; monotone birth-death chains are the classical
-one-dimensional instance.
+over the eigenvalues alone; the support distance is verified on the
+kernel's sparse rows.
 
 Eigenvalues are always inputs here, never computed numerically: every chain
-in scope has a known exact spectrum, and exact singularity checks stand in
-for an eigensolver.
+in scope has a known exact spectrum.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import lcm, prod
 
 from .chains import TransitionKernel
-from .errors import ConsistencyError, common_value
-from .linalg import det_bareiss
+from .errors import ConsistencyError
 
 
 def _check_distinct(values) -> tuple[Fraction, ...]:
@@ -65,31 +61,6 @@ def interpolation_coefficients(eigenvalues, r: int) -> list[Fraction]:
         weight = lam**r / denom
         for a in range(m):
             gamma[a] += weight * quotient[a]
-    return gamma
-
-
-def interpolation_coefficients_subsets(eigenvalues, r: int) -> list[Fraction]:
-    """Same coefficients by literal subset enumeration; oracle for small m."""
-    eigs = _check_distinct(eigenvalues)
-    if r < 0:
-        raise ValueError("need r >= 0")
-    m = len(eigs)
-    gamma = [Fraction(0)] * m
-    for a in range(1, m + 1):
-        total = Fraction(0)
-        for i, lam in enumerate(eigs):
-            others = [eigs[j] for j in range(m) if j != i]
-            denom = Fraction(1)
-            for other in others:
-                denom *= lam - other
-            subset_sum = Fraction(0)
-            for subset in combinations(others, m - a):
-                prod = Fraction(1)
-                for s in subset:
-                    prod *= s
-                subset_sum += prod
-            total += lam**r / denom * subset_sum
-        gamma[a - 1] = (-1) ** (m - a) * total
     return gamma
 
 
@@ -185,95 +156,3 @@ def verify_distance(
             f"distance {d} exceeds the eigenvalue bound {eigenvalue_count - 1}"
         )
     return d
-
-
-@dataclass(frozen=True)
-class BirthDeathChain:
-    """Tridiagonal chain on {0..d}: down rates a, holds b, up rates c.
-
-    down[x] is the rate from x+1 to x (x = 0..d-1), hold[x] the rate from x
-    to x, up[x] the rate from x to x+1. All interior moves must be positive
-    and each row must sum to one exactly.
-    """
-
-    down: tuple[Fraction, ...]
-    hold: tuple[Fraction, ...]
-    up: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "down", tuple(Fraction(x) for x in self.down))
-        object.__setattr__(self, "hold", tuple(Fraction(x) for x in self.hold))
-        object.__setattr__(self, "up", tuple(Fraction(x) for x in self.up))
-        d = self.d
-        if len(self.down) != d or len(self.up) != d:
-            raise ValueError("rate vectors have inconsistent lengths")
-        if any(x <= 0 for x in self.down) or any(x <= 0 for x in self.up):
-            raise ValueError("interior moves must have positive probability")
-        for x in range(d + 1):
-            total = self.hold[x]
-            if x > 0:
-                total += self.down[x - 1]
-            if x < d:
-                total += self.up[x]
-            if total != 1:
-                raise ValueError(f"row {x} does not sum to 1")
-
-    @property
-    def d(self) -> int:
-        return len(self.hold) - 1
-
-    def is_monotone(self) -> bool:
-        """Up rate plus the next down rate never exceeds one."""
-        return all(self.up[x] + self.down[x] <= 1 for x in range(self.d))
-
-    def stationary(self) -> list[Fraction]:
-        weights = [Fraction(1)]
-        for x in range(1, self.d + 1):
-            weights.append(weights[-1] * self.up[x - 1] / self.down[x - 1])
-        z = sum(weights)
-        return [w / z for w in weights]
-
-    def kernel(self) -> TransitionKernel:
-        d = self.d
-        matrix = []
-        for x in range(d + 1):
-            row = [Fraction(0)] * (d + 1)
-            row[x] = self.hold[x]
-            if x > 0:
-                row[x - 1] = self.down[x - 1]
-            if x < d:
-                row[x + 1] = self.up[x]
-            matrix.append(row)
-        return TransitionKernel(range(d + 1), matrix, self.stationary())
-
-
-def birth_death_separation(chain: BirthDeathChain, eigenvalues, r: int) -> Fraction:
-    """Separation distance of a monotone birth-death chain started at 0.
-
-    The supplied eigenvalues (all d+1 of them, including 1) are validated by
-    a vanishing fraction-free determinant of the shifted kernel. The
-    eigenvalue-only value is asserted against the direct route through the
-    r-step mass at the far endpoint.
-    """
-    if not chain.is_monotone():
-        raise ValueError("chain is not monotone")
-    eigs = _check_distinct(eigenvalues)
-    if len(eigs) != chain.d + 1:
-        raise ValueError("need every distinct eigenvalue of the chain")
-    kernel = chain.kernel()
-    for lam in eigs:
-        # K - lam I scaled by a common denominator to integers; it is singular
-        # exactly when its determinant vanishes.
-        s = kernel.scale * lam.denominator
-        shifted = [
-            [s * (x - lam if i == j else x) for j, x in enumerate(row)]
-            for i, row in enumerate(kernel.matrix)
-        ]
-        if det_bareiss(shifted) != 0:
-            raise ValueError(f"{lam} is not an eigenvalue of the chain")
-    pi = chain.stationary()
-    separations = {
-        "spectral": separation_from_spectrum(eigs, r),
-        "direct": 1 - kernel.step_distribution(0, r)[chain.d] / pi[chain.d],
-    }
-    return common_value(separations, f"the birth-death separation, r={r}")

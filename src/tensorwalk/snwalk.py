@@ -41,20 +41,21 @@ def sign_shape(n: int) -> Partition:
     return Partition([1] * n)
 
 
-def _kernel_from_multiplicities(n: int, multiplicity) -> TransitionKernel:
+def _kernel_from_multiplicities(n: int, rows) -> TransitionKernel:
     """Kernel d_rho m(lam, rho) / (d_lam n) under the Plancherel law d_lam^2 / n!.
 
-    `multiplicity(lam, rho)` is the multiplicity of `rho` in `lam` tensored
-    with the permutation representation; each builder computes its own.
+    `rows[i]` maps the index j of each rho with m(lam, rho) > 0 to that
+    multiplicity, for lam the i-th partition of n; each builder computes its
+    own. One `Fraction` is formed per nonzero multiplicity.
     """
     states = enumerate_partitions(n)
-    dims = {lam: count_syt(lam) for lam in states}
-    matrix = [
-        [Fraction(dims[rho] * multiplicity(lam, rho), dims[lam] * n) for rho in states]
-        for lam in states
+    dims = [count_syt(lam) for lam in states]
+    kernel_rows = [
+        {j: Fraction(dims[j] * m, dims[i] * n) for j, m in row.items()}
+        for i, row in enumerate(rows)
     ]
-    stationary = [Fraction(dims[lam] ** 2, factorial(n)) for lam in states]
-    return TransitionKernel(states, matrix, stationary)
+    stationary = [Fraction(d**2, factorial(n)) for d in dims]
+    return TransitionKernel(states, kernel_rows, stationary)
 
 
 @lru_cache(maxsize=1)
@@ -66,9 +67,12 @@ def build_kernel_characters(n: int) -> TransitionKernel:
     """
     check_n(n)
     eta = defining_character_values(character_table(n).classes)
-    return _kernel_from_multiplicities(
-        n, lambda lam, rho: tensor_multiplicity(n, lam, eta, rho)
-    )
+    states = enumerate_partitions(n)
+    rows = []
+    for lam in states:
+        row = (tensor_multiplicity(n, lam, eta, rho) for rho in states)
+        rows.append({j: m for j, m in enumerate(row) if m})
+    return _kernel_from_multiplicities(n, rows)
 
 
 class BoxWalk:
@@ -137,10 +141,11 @@ def build_kernel_boxes(n: int) -> TransitionKernel:
     """
     walk = box_walk(n)
     size = len(walk.states)
-    rows = [walk.step([int(i == j) for j in range(size)]) for i in range(size)]
-    return _kernel_from_multiplicities(
-        n, lambda lam, rho: rows[walk.index(lam)][walk.index(rho)]
-    )
+    rows = []
+    for i in range(size):
+        row = walk.step([int(i == j) for j in range(size)])
+        rows.append({j: m for j, m in enumerate(row) if m})
+    return _kernel_from_multiplicities(n, rows)
 
 
 @cache

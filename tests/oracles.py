@@ -9,7 +9,7 @@ import csv
 import io
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 
@@ -220,6 +220,35 @@ def spectral_separation_by_fraction_terms(eigenvalues, r: int) -> Fraction:
                 weight *= (1 - mu) / (lam - mu)
         total += lam**r * weight
     return total
+
+
+def interpolation_coefficients_subsets(eigenvalues, r: int) -> list[Fraction]:
+    """Coefficients gamma with K^r = sum_a gamma[a] K^a for any matrix whose
+    distinct eigenvalues are the given m values, by literal enumeration of
+    the subsets in the elementary symmetric sums."""
+    eigs = [Fraction(v) for v in eigenvalues]
+    if len(set(eigs)) != len(eigs):
+        raise ValueError("eigenvalues must be pairwise distinct")
+    if r < 0:
+        raise ValueError("need r >= 0")
+    m = len(eigs)
+    gamma = [Fraction(0)] * m
+    for a in range(1, m + 1):
+        total = Fraction(0)
+        for i, lam in enumerate(eigs):
+            others = [eigs[j] for j in range(m) if j != i]
+            denom = Fraction(1)
+            for other in others:
+                denom *= lam - other
+            subset_sum = Fraction(0)
+            for subset in combinations(others, m - a):
+                term = Fraction(1)
+                for s in subset:
+                    term *= s
+                subset_sum += term
+            total += lam**r / denom * subset_sum
+        gamma[a - 1] = (-1) ** (m - a) * total
+    return gamma
 
 
 def sn_separation_by_fresh_powers(n: int, r: int) -> Fraction:

@@ -18,7 +18,6 @@ from tensorwalk.chains import (
     format_float,
 )
 from tensorwalk.errors import ConsistencyError
-from tensorwalk.interpolation import BirthDeathChain
 from tensorwalk.cli import main
 from tensorwalk.glwalk import gl_separation_routes
 from tensorwalk.snwalk import build_kernel_characters, separation_routes
@@ -35,7 +34,13 @@ def sn_kernel(n):
 
 def fresh_copy(kernel):
     """Same kernel with empty caches."""
-    return TransitionKernel(kernel.states, kernel.matrix, kernel.stationary)
+    rows = [{j: Fraction(a, kernel.scale) for j, a in row} for row in kernel.scaled_rows]
+    return TransitionKernel(kernel.states, rows, kernel.stationary)
+
+
+def dense(matrix):
+    """Rows of a dense matrix as maps from every column index to its entry."""
+    return [dict(enumerate(row)) for row in matrix]
 
 
 def assert_rows_match_powers(kernel, steps):
@@ -48,22 +53,29 @@ def assert_rows_match_powers(kernel, steps):
 
 
 @st.composite
-def birth_death_chains(draw):
+def tridiagonal_kernels(draw):
+    """Birth-death kernels on {0..d}: up[x] from x to x + 1, down[x] from
+    x + 1 to x, the rest held, and the stationary law by detailed balance.
+    A hold of 0 (both rates 1/2) is given as an explicit zero."""
     d = draw(st.integers(min_value=1, max_value=5))
     rate = st.fractions(min_value=Fraction(1, 9), max_value=HALF, max_denominator=9)
     down = draw(st.lists(rate, min_size=d, max_size=d))
     up = draw(st.lists(rate, min_size=d, max_size=d))
-    hold = [
-        1 - (down[x - 1] if x > 0 else 0) - (up[x] if x < d else 0)
-        for x in range(d + 1)
-    ]
-    return BirthDeathChain(down=tuple(down), hold=tuple(hold), up=tuple(up))
+    rows = [{x: Fraction(1)} for x in range(d + 1)]
+    for x in range(d):
+        rows[x][x + 1], rows[x + 1][x] = up[x], down[x]
+        rows[x][x] -= up[x]
+        rows[x + 1][x + 1] -= down[x]
+    weights = [Fraction(1)]
+    for x in range(d):
+        weights.append(weights[-1] * up[x] / down[x])
+    return TransitionKernel(range(d + 1), rows, [w / sum(weights) for w in weights])
 
 
 def two_state_kernel():
     return TransitionKernel(
         states=("a", "b"),
-        matrix=[[HALF, HALF], [HALF, HALF]],
+        rows=[{0: HALF, 1: HALF}, {0: HALF, 1: HALF}],
         stationary=[HALF, HALF],
     )
 
@@ -79,7 +91,7 @@ class TestTransitionKernel:
         with pytest.raises(ConsistencyError):
             TransitionKernel(
                 states=("a", "b"),
-                matrix=[[HALF, HALF], [HALF, Fraction(1, 3)]],
+                rows=[{0: HALF, 1: HALF}, {0: HALF, 1: Fraction(1, 3)}],
                 stationary=[HALF, HALF],
             )
 
@@ -88,7 +100,7 @@ class TestTransitionKernel:
         with pytest.raises(ConsistencyError):
             TransitionKernel(
                 states=("a", "b"),
-                matrix=[[third, 1 - third], [third, 1 - third]],
+                rows=[{0: third, 1: 1 - third}, {0: third, 1: 1 - third}],
                 stationary=[HALF, HALF],
             )
 
@@ -100,12 +112,55 @@ class TestTransitionKernel:
         with pytest.raises(ValueError):
             TransitionKernel(
                 states=("a", "a"),
-                matrix=[[HALF, HALF], [HALF, HALF]],
+                rows=[{0: HALF, 1: HALF}, {0: HALF, 1: HALF}],
                 stationary=[HALF, HALF],
             )
 
 
 QUARTER, THIRD = Fraction(1, 4), Fraction(1, 3)
+
+
+class TestSparseRows:
+    """The constructor's input: one map from target index to entry per state."""
+
+    def test_rejects_wrong_row_count(self):
+        for rows in ([{0: 1}], [{0: 1}, {1: 1}, {2: 1}]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                TransitionKernel(("a", "b"), rows, [HALF, HALF])
+
+    def test_rejects_out_of_range_target(self):
+        for target in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                TransitionKernel(("a", "b"), [{0: 1}, {target: 1}], [HALF, HALF])
+
+    def test_explicit_zeros_left_out(self):
+        rows = [
+            {0: HALF, 1: HALF, 2: 0},
+            {0: QUARTER, 1: HALF, 2: QUARTER},
+            {0: Fraction(0), 1: HALF, 2: HALF},
+        ]
+        k = TransitionKernel("abc", rows, [QUARTER, HALF, QUARTER])
+        assert k.scale == 4
+        assert k.scaled_rows == (
+            ((0, 2), (1, 2)),
+            ((0, 1), (1, 2), (2, 1)),
+            ((1, 2), (2, 2)),
+        )
+
+    def test_rows_sorted_by_target(self):
+        rows = [{1: THIRD, 0: 1 - THIRD}, {1: THIRD, 0: 1 - THIRD}]
+        k = TransitionKernel("ab", rows, [1 - THIRD, THIRD])
+        assert k.scaled_rows == (((0, 2), (1, 1)), ((0, 2), (1, 1)))
+
+    def test_first_power_is_the_given_rows(self):
+        rows = [[HALF, HALF, 0], [QUARTER, HALF, QUARTER], [0, HALF, HALF]]
+        k = TransitionKernel("abc", dense(rows), [QUARTER, HALF, QUARTER])
+        assert not k._powers
+        assert k.power(1) == tuple(map(tuple, rows))
+        assert all(isinstance(x, Fraction) for row in k.power(1) for x in row)
+        assert k.power(0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 ONE_WAY = r"detailed balance fails for pair \(a, b\)"
 
 
@@ -133,7 +188,7 @@ class TestValidate:
     )
     def test_rejects(self, matrix, stationary, message):
         with pytest.raises(ConsistencyError, match=message):
-            TransitionKernel(("a", "b"), matrix, stationary)
+            TransitionKernel(("a", "b"), dense(matrix), stationary)
 
     def test_rejects_balance_broken_at_one_pair(self):
         matrix = [
@@ -142,13 +197,13 @@ class TestValidate:
             [QUARTER, QUARTER, HALF],
         ]
         with pytest.raises(ConsistencyError, match=r"pair \(b, c\)$"):
-            TransitionKernel(("a", "b", "c"), matrix, [THIRD] * 3)
+            TransitionKernel(("a", "b", "c"), dense(matrix), [THIRD] * 3)
 
     def test_scaled_rows_and_image(self):
         k = sn_kernel(6)
         assert all(a > 0 for row in k.scaled_rows for _, a in row)
         vector = list(range(k.size))
-        expected = [k.scale * sum(x * v for x, v in zip(row, vector)) for row in k.matrix]
+        expected = [k.scale * sum(x * v for x, v in zip(row, vector)) for row in k.power(1)]
         assert k.scaled_image(vector) == expected
 
 
@@ -166,11 +221,11 @@ class TestStepDistribution:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        birth_death_chains(),
+        tridiagonal_kernels(),
         st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=3),
     )
-    def test_birth_death_kernels(self, chain, steps):
-        assert_rows_match_powers(chain.kernel(), steps)
+    def test_birth_death_kernels(self, kernel, steps):
+        assert_rows_match_powers(kernel, steps)
 
 
 class TestSpectrum:

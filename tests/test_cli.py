@@ -530,11 +530,11 @@ class TestCrosscheck:
             @functools.cache
             def wrapped(n):
                 k = build(n)
-                matrix = [
-                    [(int(i == j) + x) / 2 for j, x in enumerate(row)]
-                    for i, row in enumerate(k.matrix)
+                rows = [
+                    {j: (int(i == j) + x) / 2 for j, x in enumerate(row)}
+                    for i, row in enumerate(k.power(1))
                 ]
-                return TransitionKernel(k.states, matrix, k.stationary)
+                return TransitionKernel(k.states, rows, k.stationary)
 
             return wrapped
 
@@ -601,7 +601,7 @@ class TestRouteDisagreement:
 
         def lazy_boxes(n):
             kernel = build(n)
-            identity = [[int(i == j) for j in range(kernel.size)] for i in range(kernel.size)]
+            identity = [{i: 1} for i in range(kernel.size)]
             return TransitionKernel(kernel.states, identity, kernel.stationary)
 
         monkeypatch.setattr(snwalk, "build_kernel_boxes", lazy_boxes)

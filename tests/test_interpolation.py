@@ -7,10 +7,7 @@ from tensorwalk.chains import TransitionKernel
 from tensorwalk.errors import ConsistencyError
 from tensorwalk.glwalk import gl_spectrum
 from tensorwalk.interpolation import (
-    BirthDeathChain,
-    birth_death_separation,
     interpolation_coefficients,
-    interpolation_coefficients_subsets,
     separation_from_spectrum,
     verify_distance,
 )
@@ -23,7 +20,10 @@ from tensorwalk.snwalk import (
     trivial_shape,
 )
 
-from oracles import spectral_separation_by_fraction_terms
+from oracles import (
+    interpolation_coefficients_subsets,
+    spectral_separation_by_fraction_terms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +31,25 @@ def kernels():
     return {n: build_kernel_characters(n) for n in range(2, 8)}
 
 
-def lazy_ehrenfest() -> BirthDeathChain:
+def lazy_ehrenfest() -> TransitionKernel:
     # lazy nearest-neighbour walk on {0,1,2} with binomial stationary law;
     # its distinct eigenvalues are exactly 1, 1/2, 0
     half, quarter = Fraction(1, 2), Fraction(1, 4)
-    return BirthDeathChain(
-        down=(quarter, half), hold=(half, half, half), up=(half, quarter)
+    return TransitionKernel(
+        states=range(3),
+        rows=[
+            {0: half, 1: half},
+            {0: quarter, 1: half, 2: quarter},
+            {1: half, 2: half},
+        ],
+        stationary=[quarter, half, quarter],
     )
+
+
+def direct_separation(kernel: TransitionKernel, r: int) -> Fraction:
+    """1 - K^r(0, d) / pi(d) from the last state d, by the integer row walk."""
+    d = kernel.size - 1
+    return 1 - kernel.step_distribution(0, r)[d] / kernel.stationary[d]
 
 
 distinct_fractions = st.lists(
@@ -185,7 +197,7 @@ class TestVerifyDistance:
         one, zero = Fraction(1), Fraction(0)
         kernel = TransitionKernel(
             states=("a", "b"),
-            matrix=[[one, zero], [zero, one]],
+            rows=[{0: one, 1: zero}, {0: zero, 1: one}],
             stationary=[half, half],
         )
         with pytest.raises(ValueError):
@@ -194,79 +206,43 @@ class TestVerifyDistance:
     def test_periodic_rejected(self):
         half = Fraction(1, 2)
         kernel = TransitionKernel(
-            states=("a", "b"), matrix=[[0, 1], [1, 0]], stationary=[half, half]
+            states=("a", "b"), rows=[{1: 1}, {0: 1}], stationary=[half, half]
         )
         with pytest.raises(ValueError, match="no state holds in place"):
             verify_distance(kernel, "a", "b")
 
     def test_reads_only_the_sparse_rows(self, kernels):
         k = kernels[6]
-        sparse = TransitionKernel(k.states, k.matrix, k.stationary)
-        sparse.matrix = None
+        rows = [{j: Fraction(a, k.scale) for j, a in row} for row in k.scaled_rows]
+        sparse = TransitionKernel(k.states, rows, k.stationary)
         d = verify_distance(sparse, trivial_shape(6), sign_shape(6), eigenvalue_count=6)
         assert d == 5
+        assert not sparse._powers
 
 
 class TestBirthDeath:
-    def test_row_sum_validation(self):
-        with pytest.raises(ValueError):
-            BirthDeathChain(
-                down=(Fraction(1, 4),),
-                hold=(Fraction(1, 2), Fraction(1, 2)),
-                up=(Fraction(1, 2),),
-            )
+    """Tridiagonal kernels: the eigenvalue-only formula against the row walk."""
 
     def test_two_state_chain(self):
         a, c = Fraction(1, 3), Fraction(1, 2)
-        chain = BirthDeathChain(down=(a,), hold=(1 - c, 1 - a), up=(c,))
-        assert chain.is_monotone()
+        kernel = TransitionKernel(
+            states=range(2),
+            rows=[{0: 1 - c, 1: c}, {0: a, 1: 1 - a}],
+            stationary=[a / (a + c), c / (a + c)],
+        )
         eigs = [Fraction(1), 1 - a - c]
         for r in range(6):
-            assert birth_death_separation(chain, eigs, r) == (1 - a - c) ** r
+            assert separation_from_spectrum(eigs, r) == (1 - a - c) ** r
+            assert separation_from_spectrum(eigs, r) == direct_separation(kernel, r)
 
     def test_lazy_walk_example(self):
-        chain = lazy_ehrenfest()
-        assert chain.stationary() == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+        kernel = lazy_ehrenfest()
+        assert kernel.stationary == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
         eigs = [Fraction(1), Fraction(1, 2), Fraction(0)]
-        kernel = chain.kernel()
         for r in range(8):
-            value = birth_death_separation(chain, eigs, r)
-            direct = 1 - kernel.power(r)[0][2] / chain.stationary()[2]
-            assert value == direct
-        assert birth_death_separation(chain, eigs, 0) == 1
-        assert birth_death_separation(chain, eigs, 2) == Fraction(1, 2)
-
-    def test_wrong_eigenvalue_rejected(self):
-        chain = lazy_ehrenfest()
-        with pytest.raises(ValueError):
-            birth_death_separation(
-                chain, [Fraction(1), Fraction(1, 3), Fraction(0)], 2
-            )
-
-    def test_eigenvalue_off_by_tiny_amount_rejected(self):
-        chain = lazy_ehrenfest()
-        near = Fraction(1, 2) + Fraction(1, 10**30)
-        with pytest.raises(ValueError):
-            birth_death_separation(chain, [Fraction(1), near, Fraction(0)], 2)
-
-    def test_zero_leading_pivot_accepted(self):
-        # K - I/2 has a zero top-left entry, so the singularity check must
-        # swap rows before it can eliminate
-        chain = lazy_ehrenfest()
-        assert chain.kernel().matrix[0][0] == Fraction(1, 2)
-        eigs = [Fraction(1), Fraction(1, 2), Fraction(0)]
-        assert birth_death_separation(chain, eigs, 3) == Fraction(1, 4)
-
-    def test_non_monotone_rejected(self):
-        third, two_thirds = Fraction(1, 3), Fraction(2, 3)
-        chain = BirthDeathChain(
-            down=(two_thirds, third),
-            hold=(third, Fraction(0), two_thirds),
-            up=(two_thirds, third),
-        )
-        assert not chain.is_monotone()
-        with pytest.raises(ValueError):
-            birth_death_separation(chain, [Fraction(1)], 1)
+            assert separation_from_spectrum(eigs, r) == direct_separation(kernel, r)
+        assert separation_from_spectrum(eigs, 0) == 1
+        assert separation_from_spectrum(eigs, 2) == Fraction(1, 2)
 
 
 class TestStationaryIdentity:

@@ -49,20 +49,38 @@ class TestKernelConstruction:
     def test_s3_rows_and_stationary(self, kernels):
         k = kernels[3]
         assert k.states == (Partition([3]), Partition([2, 1]), Partition([1, 1, 1]))
-        assert k.matrix[0] == (Fraction(1, 3), Fraction(2, 3), Fraction(0))
-        assert k.matrix[2] == (Fraction(0), Fraction(2, 3), Fraction(1, 3))
+        assert k.power(1)[0] == (Fraction(1, 3), Fraction(2, 3), Fraction(0))
+        assert k.power(1)[2] == (Fraction(0), Fraction(2, 3), Fraction(1, 3))
         assert k.stationary == (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
 
     def test_box_route_matches_characters(self):
         for n in range(1, 7):
-            assert build_kernel_boxes(n).matrix == build_kernel_characters(n).matrix, n
+            assert build_kernel_boxes(n).power(1) == build_kernel_characters(n).power(1), n
+
+    def test_builders_pass_only_nonzero_entries(self, monkeypatch):
+        seen = []
+
+        class Recording(TransitionKernel):
+            def __init__(self, states, rows, stationary):
+                seen.append(rows)
+                super().__init__(states, rows, stationary)
+
+        monkeypatch.setattr(snwalk, "TransitionKernel", Recording)
+        for build in (build_kernel_boxes, build_kernel_characters.__wrapped__):
+            kernel = build(6)
+            (rows,) = seen
+            seen.clear()
+            assert all(x > 0 for row in rows for x in row.values())
+            assert [sorted(row) for row in rows] == [
+                [j for j, _ in row] for row in kernel.scaled_rows
+            ]
 
     def test_reaching_trivial_needs_near_trivial_shape(self, kernels):
         for n in range(3, 7):
             k = kernels[n]
             top = trivial_shape(n)
             reachers = {
-                lam for lam in k.states if k.matrix[k.index(lam)][k.index(top)] > 0
+                lam for lam in k.states if k.power(1)[k.index(lam)][k.index(top)] > 0
             }
             assert reachers == {top, Partition([n - 1, 1])}
 
@@ -89,7 +107,7 @@ class TestBoxWalk:
         for n in range(2, 8):
             kernel = build_kernel_characters(n)
             for r in range(2 * n + 1):
-                expected = tv_by_dense_rows(kernel.matrix, kernel.stationary, 0, r)
+                expected = tv_by_dense_rows(kernel.power(1), kernel.stationary, 0, r)
                 assert tv_exact(n, r) == expected, (n, r)
 
     @settings(max_examples=25, deadline=None)
@@ -98,7 +116,7 @@ class TestBoxWalk:
         n = data.draw(st.integers(min_value=2, max_value=10))
         r = data.draw(st.integers(min_value=0, max_value=4 * n))
         kernel = build_kernel_characters(n)
-        assert tv_exact(n, r) == tv_by_dense_rows(kernel.matrix, kernel.stationary, 0, r)
+        assert tv_exact(n, r) == tv_by_dense_rows(kernel.power(1), kernel.stationary, 0, r)
         for lam in enumerate_partitions(n):
             assert ratio_via_kernel(n, r, lam) == ratio_via_spectrum(n, r, lam), (n, r, lam)
 
@@ -229,7 +247,7 @@ class TestSeparation:
         # reversible S_3 kernel that swaps trivial and sign and holds [2,1]:
         # after one step the trivial shape has ratio 0 < the sign's ratio 6
         states = enumerate_partitions(3)
-        swap = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        swap = [{2: 1}, {1: 1}, {0: 1}]
         plancherel = [Fraction(count_syt(lam) ** 2, 6) for lam in states]
         kernel = TransitionKernel(states, swap, plancherel)
         kernel.validate()
@@ -367,5 +385,5 @@ class TestEigenfunctions:
                 ]
                 eig = Fraction(c.fixed_points, n)
                 for i in range(k.size):
-                    image = sum(k.matrix[i][j] * vec[j] for j in range(k.size))
+                    image = sum(k.power(1)[i][j] * vec[j] for j in range(k.size))
                     assert image == eig * vec[i]
