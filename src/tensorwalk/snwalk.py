@@ -133,11 +133,12 @@ def box_walk(n: int) -> BoxWalk:
 def build_kernel_boxes(n: int) -> TransitionKernel:
     """Transition kernel from the remove-a-box / add-a-box description.
 
-    Row lam holds the multiplicities of one `BoxWalk.step` from the point
-    mass at lam: the number of intermediate shapes reachable by removing one
-    corner from the source and one corner from the target. This
-    construction shares nothing with `build_kernel_characters`, so comparing
-    the two checks both, and with them the steps every kernel route takes.
+    Row lam holds the nonzero multiplicities of one `BoxWalk.step` from the
+    point mass at lam: the number of intermediate shapes reachable by
+    removing one corner from the source and one corner from the target.
+    This construction shares nothing with `build_kernel_characters`, so
+    comparing the two checks both, and with them the steps every kernel
+    route takes.
     """
     walk = box_walk(n)
     size = len(walk.states)
