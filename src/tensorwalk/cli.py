@@ -392,6 +392,12 @@ def _profile_rule(args):
                 return f"need n ln n + c n finite, got n = {n}, c = {c}"
             if (r := _profile_step(n, c)) < 0:
                 return f"need r >= 0, got r = ceil(n ln n + c n) = {r} at n = {n}, c = {c}"
+            # Twice the cutoff step is far past the window the profile describes.
+            if r > (cap := 2 * _profile_step(n, 0)):
+                return (
+                    f"need r <= 2 ceil(n ln n) = {cap}, "
+                    f"got r = ceil(n ln n + c n) = {r} at n = {n}, c = {c}"
+                )
 
 
 def _occupancy_rule(args):
@@ -439,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="finite-size distance vs limiting profile")
     p.add_argument("--n", dest="n_list", type=_list_of(sn_n), required=True,
                    help="comma-separated sizes")
-    p.add_argument("--c", dest="c_list", required=True, help="comma-separated time offsets",
+    p.add_argument("--c", dest="c_list", required=True,
+                   help="comma-separated time offsets; each step count "
+                   "r = ceil(n ln n + c n) must lie in [0, 2 ceil(n ln n)]",
                    type=_list_of(_checked(float, math.isfinite, "need finite values")))
     add_common(p)
     p.set_defaults(func=cmd_profile, rule=_profile_rule)

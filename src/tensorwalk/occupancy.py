@@ -1,20 +1,24 @@
 """Occupancy engines: exact balls-in-boxes and random-vector span laws.
 
-The exact routes return Fractions. Each Monte Carlo run takes one seed, which
-fixes its whole draw sequence, so a run is reproducible bit for bit.
+The exact routes return Fractions and never load numpy. Each Monte Carlo run
+takes one seed, which fixes its whole draw sequence, so a run is
+reproducible bit for bit. numpy loads on the first draw. The draws come in
+chunks of 2^18 values (one row, if a row is larger): the calling thread draws
+chunk k + 1 while one worker thread counts chunk k, so up to two narrow chunks
+are alive at once.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .combinat import is_prime, q_binomial
 from .errors import UnsupportedFieldError
 
-_CHUNK_ELEMENTS = 1 << 20
+_CHUNK_ELEMENTS = 1 << 18
 
 
 def _int_dtype(largest: int):
@@ -23,6 +27,8 @@ def _int_dtype(largest: int):
     Past int64 it is `object`, so numpy works on Python ints. Narrower types
     are not used: numpy's sort of int8 and uint8 is far slower than of int16.
     """
+    import numpy as np
+
     for dtype in (np.int16, np.int32, np.int64):
         if largest <= np.iinfo(dtype).max:
             return dtype
@@ -39,7 +45,13 @@ def _draws(seed: int, samples: int, high: int, shape: tuple[int, ...]):
     fixes the stream, and handed on in the narrowest dtype that holds
     high - 1, so only that narrow chunk outlives the draw. The spawn key
     (0,) keeps every recorded run reproducible.
+
+    numpy is imported here, on the first draw. `_count_matches` counts each
+    chunk on a worker thread while the next is drawn, so up to two chunks of
+    at most 2^18 values are alive at once.
     """
+    import numpy as np
+
     seq = np.random.SeedSequence(seed, spawn_key=(0,))
     rng = np.random.Generator(np.random.PCG64(seq))
     rows = max(1, _CHUNK_ELEMENTS // max(1, math.prod(shape)))
@@ -158,16 +170,48 @@ def occupancy_mc(a: int, r: int, n: int, samples: int, seed: int) -> McEstimate:
         raise ValueError("need 0 <= a <= n")
     if r == 0:
         return McEstimate(successes=samples if a == 0 else 0, samples=samples)
+    return _count_matches(seed, samples, n, (r,), _distinct_counts, a)
+
+
+def _count_matches(seed, samples, high, shape, statistic, a) -> McEstimate:
+    """Rows of the seeded draws (see `_draws`) whose `statistic` equals a.
+
+    `statistic` maps a (k, *shape) chunk to k values and may change the
+    chunk. The generator stays in this thread, so the stream does not
+    depend on the counting. One worker thread counts chunk k while this
+    thread draws chunk k + 1; at most one chunk waits for the worker, and
+    the worker is joined before this returns, also when `statistic` raises.
+    """
+    import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
+
+    def count(chunk) -> int:
+        return int(np.count_nonzero(statistic(chunk) == a))
+
     successes = 0
-    for draws in _draws(seed, samples, n, (r,)):
-        draws.sort(axis=1)
-        distinct = 1 + np.count_nonzero(draws[:, 1:] != draws[:, :-1], axis=1)
-        successes += int((distinct == a).sum())
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        counting = None
+        for chunk in _draws(seed, samples, high, shape):
+            waiting = worker.submit(count, chunk)
+            if counting is not None:
+                successes += counting.result()
+            counting = waiting
+        successes += counting.result()
     return McEstimate(successes=successes, samples=samples)
+
+
+def _distinct_counts(rows: np.ndarray) -> np.ndarray:
+    """Number of distinct values in each row; sorts the rows in place."""
+    import numpy as np
+
+    rows.sort(axis=1)
+    return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
 
 
 def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
     """x^(q-2) mod q elementwise: the inverse of each x that q does not divide."""
+    import numpy as np
+
     out = np.ones_like(x)
     e = q - 2
     while e:
@@ -189,6 +233,8 @@ def _batch_rank_mod(mats: np.ndarray, q: int) -> np.ndarray:
     runs in the narrowest dtype that holds (q - 1)^2 (see `_int_dtype`).
     `mats` is left unchanged.
     """
+    import numpy as np
+
     k, r, n = mats.shape
     if r == 0:
         return np.zeros(k, dtype=np.int64)
@@ -225,11 +271,7 @@ def qspan_mc(
         return McEstimate(successes=0, samples=samples)
     if r == 0:
         return McEstimate(successes=samples if a == 0 else 0, samples=samples)
-    successes = sum(
-        int((_batch_rank_mod(draws, q) == a).sum())
-        for draws in _draws(seed, samples, q, (r, n))
-    )
-    return McEstimate(successes=successes, samples=samples)
+    return _count_matches(seed, samples, q, (r, n), lambda m: _batch_rank_mod(m, q), a)
 
 
 def poisson_not01(c: float) -> float:

@@ -254,6 +254,16 @@ class TestProfile:
         assert out == ""
         assert f"n ln n + c n finite, got n = 64, c = {float(offset)}" in err
 
+    def test_step_cap_is_twice_the_cutoff_step(self, capsys):
+        """At n = 2, 2 ceil(n ln n) = 4: c = 1.3 gives r = 4 and c = 1.4 gives r = 5."""
+        code, out, _ = run_cli(capsys, "profile", "--n", "2", "--c=1.3")
+        assert code == 0
+        assert [int(row["r"]) for row in parse_csv(out)] == [4]
+        code, out, err = run_cli(capsys, "profile", "--n", "2", "--c=1.3,1.4")
+        assert code == 2
+        assert out == ""
+        assert "need r <= 2 ceil(n ln n) = 4, got r = ceil(n ln n + c n) = 5" in err
+
 
 class TestOccupancyCommand:
     ARGS = (
@@ -626,9 +636,10 @@ class TestArgumentsCheckedBeforeWork:
             (("occupancy", "--a", "0", "--r", "2", "--n", "0"), "need n >= 1"),
             (("profile", "--n", "2", "--c=-5"), "need r >= 0"),
             (("profile", "--n", "128", "--c=-100"), "need r >= 0"),
+            (("profile", "--n", "512", "--c=1e6"), "need r <= 2 ceil(n ln n) = 6390"),
             (("sn-sep", "--n", "11", "--rmax", "2", "--with-tv"), "--with-tv needs n <= 10"),
         ],
-        ids=["occupancy-n0", "profile-n2", "profile-n128", "sn-sep-with-tv"],
+        ids=["occupancy-n0", "profile-n2", "profile-n128", "profile-c1e6", "sn-sep-with-tv"],
     )
     def test_rejected_before_any_computation(self, capsys, monkeypatch, argv, message):
         def no_work(*args):
@@ -705,17 +716,22 @@ def test_every_argument_gets_an_exit_code(command, data):
         assert "usage: tensorwalk" in err.getvalue()
 
 
+def run_python(*args):
+    """A fresh interpreter with `src/` on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestProcessExitStatus:
     """The status the operating system sees from `python -m tensorwalk.cli`."""
 
     @staticmethod
     def run(*argv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "tensorwalk.cli", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        return run_python("-m", "tensorwalk.cli", *argv)
 
     def test_success(self):
         proc = self.run("sn-sep", "--n", "3", "--rmax", "2")
@@ -735,3 +751,34 @@ class TestProcessExitStatus:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "usage: tensorwalk" in proc.stderr
+
+
+IMPORT_PROBE = """
+import json, os, sys
+import tensorwalk.cli as cli
+
+def loaded():
+    return [name for name in ("numpy", "concurrent.futures") if name in sys.modules]
+
+report = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv + ["--out", os.devnull]) == 0, argv
+    report[" ".join(argv)] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_only_monte_carlo_loads_numpy():
+    """numpy and the worker pool load on the first Monte Carlo draw, so every
+    other command, and the import itself, go without them."""
+    exact = [
+        "sn-sep --n 8 --rmax 5", "gl-sep --n 4 --q 2 --rmax 4", "profile --n 64 --c=0",
+        "crosscheck --n 5", "spectrum --n 6",
+    ]
+    draw = "occupancy --a 2 --r 3 --n 4 --samples 100"
+    proc = run_python("-c", IMPORT_PROBE, json.dumps([c.split() for c in exact + [draw]]))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {
+        "import": [], **{c: [] for c in exact}, draw: ["numpy", "concurrent.futures"]
+    }

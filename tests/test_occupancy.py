@@ -1,5 +1,6 @@
 import copy
 import math
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tensorwalk import occupancy
 from tensorwalk.errors import UnsupportedFieldError
 from tensorwalk.occupancy import (
     _CHUNK_ELEMENTS,
     McEstimate,
     _batch_rank_mod,
+    _count_matches,
     _draws,
     _int_dtype,
     occupancy_chain_power,
@@ -326,6 +329,14 @@ class TestOccupancyCount:
             assert occupancy_mc(a, r, n, samples, SEED).successes == sizes[a]
 
 
+def _one_draw(seed, samples, high, shape):
+    """The draws of a run as one unchunked array."""
+    seq = np.random.SeedSequence(seed, spawn_key=(0,))
+    return np.random.Generator(np.random.PCG64(seq)).integers(
+        0, high, size=(samples, *shape)
+    )
+
+
 class TestDraws:
     @pytest.mark.parametrize(
         "shape,high",
@@ -334,14 +345,78 @@ class TestDraws:
     def test_chunks_concatenate_to_one_draw(self, shape, high):
         samples = 5 * _CHUNK_ELEMENTS // (2 * max(1, math.prod(shape))) + 1
         chunks = list(_draws(SEED, samples, high, shape))
-        seq = np.random.SeedSequence(SEED, spawn_key=(0,))
-        whole = np.random.Generator(np.random.PCG64(seq)).integers(
-            0, high, size=(samples, *shape)
-        )
+        whole = _one_draw(SEED, samples, high, shape)
         assert len(chunks) == 3
         assert all(chunk.size <= _CHUNK_ELEMENTS for chunk in chunks)
         assert all(len(chunk) <= _CHUNK_ELEMENTS for chunk in chunks)
         assert np.array_equal(np.concatenate(chunks), whole)
+
+
+class TestPipeline:
+    """Each chunk is counted on one worker thread while the next is drawn."""
+
+    SAMPLES = 50
+
+    @pytest.mark.parametrize(
+        "rows", [1, 7, SAMPLES], ids=["one-row-per-chunk", "ragged-last-chunk", "one-chunk"]
+    )
+    def test_chunked_counts_match_one_draw(self, monkeypatch, rows):
+        threads = threading.active_count()
+        r, n = 6, 4
+        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", rows * r)
+        assert len(list(_draws(SEED, self.SAMPLES, n, (r,)))) == -(-self.SAMPLES // rows)
+        sizes = Counter(len(set(row)) for row in _one_draw(SEED, self.SAMPLES, n, (r,)).tolist())
+        for a in range(n + 1):
+            assert occupancy_mc(a, r, n, self.SAMPLES, SEED).successes == sizes[a]
+
+        q, r, n = 3, 5, 4
+        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", rows * r * n)
+        mats = _one_draw(SEED, self.SAMPLES, q, (r, n)).tolist()
+        ranks = Counter(rank_mod(mat, q) for mat in mats)
+        for a in range(n + 1):
+            assert qspan_mc(a, r, n, q, self.SAMPLES, SEED).successes == ranks[a]
+        assert threading.active_count() == threads
+
+    def test_one_worker_and_at_most_two_chunks_ahead(self, monkeypatch):
+        """The calling thread draws, one other thread counts, and no chunk is
+        drawn before the chunk two places ahead of it has started counting."""
+        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 6)
+        drawers, counters, drawn, ahead = set(), set(), [], []
+        draws = occupancy._draws
+
+        def watched_draws(*args):
+            for chunk in draws(*args):
+                drawers.add(threading.get_ident())
+                drawn.append(chunk)
+                yield chunk
+
+        def statistic(chunk):
+            counters.add(threading.get_ident())
+            ahead.append(len(drawn) - len(ahead))
+            return np.zeros(len(chunk))
+
+        monkeypatch.setattr(occupancy, "_draws", watched_draws)
+        threads = threading.active_count()
+        assert _count_matches(SEED, 30, 4, (6,), statistic, 0).successes == 30
+        assert drawers == {threading.get_ident()}
+        assert len(counters) == 1 and counters != drawers
+        assert len(ahead) == 30 and max(ahead) <= 2
+        assert threading.active_count() == threads
+
+    def test_statistic_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 6)
+        calls = []
+
+        def statistic(chunk):
+            calls.append(len(chunk))
+            if len(calls) == 2:
+                raise RuntimeError("second chunk")
+            return np.zeros(len(chunk))
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="second chunk"):
+            _count_matches(SEED, 5, 4, (6,), statistic, 0)
+        assert threading.active_count() == threads
 
 
 class TestPoissonNot01:
