@@ -317,9 +317,9 @@ def cmd_crosscheck(args) -> int:
     lines = []
     for name, ok, message in results:
         status = "PASS" if ok else "FAIL"
-        line = f"{status}  {name.ljust(width)}"
-        if message:
-            line += f"  {message}"
+        line = f"{status}  {name}"
+        if message:  # names are padded only to align the messages after them
+            line = f"{status}  {name.ljust(width)}  {message}"
         lines.append(line)
     lines.append(f"{'ALL PASS' if all_ok else 'FAILURES PRESENT'} ({len(results)} checks)")
     _write_output("\n".join(lines) + "\n", args.out)

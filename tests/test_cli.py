@@ -19,7 +19,7 @@ from tensorwalk import glwalk, interpolation, occupancy, snwalk
 from tensorwalk.chains import TransitionKernel, format_exact, format_float
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition
-from tensorwalk.cli import main
+from tensorwalk.cli import _gl_checks, main
 from tensorwalk.occupancy import occupancy_exact
 
 from oracles import euler_partition_count
@@ -625,6 +625,21 @@ class TestRouteDisagreement:
         assert code == 1
         assert "FAIL  three-route separation equality" in out
         assert "span_probability" in out
+
+    def test_crosscheck_pads_names_only_before_messages(self, capsys, broken_gl_route):
+        names = [name for name, _ in _gl_checks(3, 2, 9)]
+        width = max(map(len, names))
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "3", "--q", "2")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[-1] == f"FAILURES PRESENT ({len(names)} checks)"
+        assert {line[:4] for line in lines[:-1]} == {"PASS", "FAIL"}
+        for name, line in zip(names, lines):
+            if line.startswith("PASS"):
+                assert line == f"PASS  {name}"
+            else:
+                prefix = f"FAIL  {name.ljust(width)}  "
+                assert line.startswith(prefix) and line[len(prefix)] != " "
 
 
 class TestArgumentsCheckedBeforeWork:
