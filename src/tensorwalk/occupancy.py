@@ -173,7 +173,9 @@ def occupancy_mc(a: int, r: int, n: int, samples: int, seed: int) -> McEstimate:
     return _count_matches(seed, samples, n, (r,), _distinct_counts, a)
 
 
-def _count_matches(seed, samples, high, shape, statistic, a) -> McEstimate:
+def _count_matches(
+    seed: int, samples: int, high: int, shape: tuple[int, ...], statistic, a: int
+) -> McEstimate:
     """Rows of the seeded draws (see `_draws`) whose `statistic` equals a.
 
     `statistic` maps a (k, *shape) chunk to k values and may change the
