@@ -10,8 +10,9 @@ the many-box `occupancy` record at n = 40000 and the q = 191 one, recorded
 at commit 93fbbaf921e97392fcf130031e7e9b85de585c66, and the multi-jump
 `profile` record at n = 128, 256, 512 and `gl-sep --n 24 --q 2`, recorded
 at commit 8671271a596e40b59546408e98f5cad4162ce798. The four `crosscheck`
-digests were re-recorded when PASS lines stopped padding the check name
-(the padding only aligns failure messages).
+digests were re-recorded at commit d5738b1b445a1ef67f286a48848178f2b915b0b5,
+when PASS lines stopped padding the check name (the padding only aligns
+failure messages).
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
