@@ -60,7 +60,6 @@ from .occupancy import (
 from .snwalk import (
     build_kernel_boxes,
     build_kernel_characters,
-    ratio_at,
     separation_closed_form,
     separation_closed_forms,
     separation_profile,

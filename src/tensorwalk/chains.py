@@ -45,10 +45,10 @@ class TransitionKernel:
     The kernel is kept scaled once by D (`scale`), the lcm of its entry
     denominators, as sparse integer rows (`scaled_rows`, one (j, D K[i][j])
     per nonzero entry, sorted by j). Validation runs in integers over these
-    rows, and `step_distribution` never forms a matrix power: one integer
-    row vector per start is pushed through them, cached step by step, and
-    divided by D^r only when read. No k x k object exists until `power`,
-    the dense exact reference, is called.
+    rows, and `scaled_image` is the walk operator: it applies D K to an
+    integer vector over the nonzeros, so r applications give D^r K^r v
+    with no matrix power formed. No k x k object exists until `power`, the
+    dense exact reference, is called.
     """
 
     def __init__(self, states, rows, stationary):
@@ -67,7 +67,6 @@ class TransitionKernel:
         )
         self._powers = []
         self.validate()
-        self._walks = {}
 
     @property
     def size(self) -> int:
@@ -135,27 +134,6 @@ class TransitionKernel:
         while len(self._powers) <= r:
             self._powers.append(mat_mul(self._powers[-1], self._powers[1]))
         return self._powers[r]
-
-    def step_distribution(self, start, r: int) -> tuple[Fraction, ...]:
-        """Distribution after r steps from a point mass at `start`.
-
-        Equal to `power(r)[index(start)]`, computed as D^r times that row in
-        integers (see the class docstring).
-        """
-        if r < 0:
-            raise ValueError("negative power")
-        start_index = self.index(start)
-        point_mass = [int(j == start_index) for j in range(self.size)]
-        walk = self._walks.setdefault(start_index, [point_mass])
-        while len(walk) <= r:
-            nxt = [0] * self.size
-            for i, mass in enumerate(walk[-1]):
-                if mass:
-                    for j, a in self.scaled_rows[i]:
-                        nxt[j] += mass * a
-            walk.append(nxt)
-        denominator = self.scale**r
-        return tuple(Fraction(mass, denominator) for mass in walk[r])
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,10 @@ def conjugacy_classes(n: int) -> list[ClassDescriptor]:
         centralizer = 1
         for j, m in counts.items():
             centralizer *= j**m * factorial(m)
-        assert factorial(n) % centralizer == 0
+        if factorial(n) % centralizer:
+            raise ConsistencyError(
+                f"centralizer order {centralizer} does not divide {n}! at {ct}"
+            )
         out.append(
             ClassDescriptor(
                 cycle_type=ct,

@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 
 from . import glwalk, interpolation, occupancy, snwalk
@@ -208,9 +209,7 @@ def _sn_checks(n: int, r_max: int):
             snwalk.separation_routes(n, r)
 
     def extremality():
-        k = character_kernel()
-        for r in range(r_max + 1):
-            snwalk.check_single_column_extremal(k, r)
+        snwalk.check_single_column_extremal(character_kernel(), r_max)
 
     def tv_dominated():
         separations = snwalk.separation_closed_forms(n, range(r_max + 1))
@@ -339,6 +338,12 @@ def _checked(parse, ok, rule: str):
     return convert
 
 
+def _file_path(path: str) -> bool:
+    """Whether `open(path, "w")` can take `path`: its directory exists, and
+    it is not a directory itself."""
+    return os.path.isdir(os.path.dirname(path) or os.curdir) and not os.path.isdir(path)
+
+
 def _list_of(item):
     """Argument type: comma-separated values of type `item`."""
 
@@ -423,9 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
     gl_q = _checked(_checked(int, lambda q: q >= 2, "need q >= 2"),
                     glwalk.is_prime_power, "need q to be a prime power")
 
+    out_path = _checked(str, _file_path, "need a file path in an existing directory")
+
+    def add_out(p):
+        p.add_argument("--out", type=out_path, default=None,
+                       help="output path (default stdout)")
+
     def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        add_out(p)
 
     p = sub.add_parser("sn-sep", help="separation curve for the symmetric group walk")
     p.add_argument("--n", type=sn_n, required=True)
@@ -461,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_checked(int, lambda v: v >= 1, "must be >= 1"),
                    default=100_000)
     p.add_argument("--seed", type=count, default=0)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    add_out(p)
     p.set_defaults(func=cmd_occupancy, rule=_occupancy_rule)
 
     p = sub.add_parser("crosscheck", help="run the route-equality matrix")
@@ -478,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="distinct eigenvalues of a walk (CSV)")
     p.add_argument("--n", type=gl_n, required=True)
     p.add_argument("--q", type=gl_q, default=None)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    add_out(p)
     p.set_defaults(func=cmd_spectrum, rule=_sn_or_gl_rule(CLOSED_FORM_MAX_N))
 
     return parser

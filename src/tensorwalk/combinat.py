@@ -1,13 +1,15 @@
 """Exact combinatorial primitives: partitions, tableaux counts, q-binomials.
 
 All counting here is integer-exact. Rational intermediates use Fraction and
-are asserted to collapse to integers before returning.
+are checked to collapse to integers before returning; a broken identity
+raises ConsistencyError instead of being truncated.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from .errors import ConsistencyError
 from .linalg import det_bareiss
 
 
@@ -101,7 +103,8 @@ def count_syt(lam: Partition) -> int:
         for j in range(row):
             hook_product *= (row - j) + (conj[j] - i) - 1
     num = factorial(n)
-    assert num % hook_product == 0
+    if num % hook_product:
+        raise ConsistencyError(f"hook product {hook_product} does not divide {n}! at {lam}")
     return num // hook_product
 
 
@@ -146,7 +149,10 @@ def count_skew_syt(outer: Partition, inner: Partition) -> int:
     for s in scales:
         denom *= factorial(s)
     value = Fraction(factorial(cells) * det, denom)
-    assert value.denominator == 1 and value >= 0
+    if value.denominator != 1 or value < 0:
+        raise ConsistencyError(
+            f"skew tableau count of {outer}/{inner} is not a nonnegative integer: {value}"
+        )
     return int(value)
 
 
@@ -175,7 +181,10 @@ def q_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         acc *= q ** (n - i) - 1
         den = q ** (i + 1) - 1
-        assert acc % den == 0
+        if acc % den:
+            raise ConsistencyError(
+                f"q-binomial [{n} {k}] at q={q}: {den} does not divide the partial product"
+            )
         acc //= den
     return acc
 

@@ -48,22 +48,25 @@ def gl_spectrum(n: int, q: int) -> Spectrum:
     return Spectrum(entries)
 
 
+def _alternating_terms(n: int, q: int, r: int) -> list[int]:
+    """The closed form's term magnitudes q^C(b,2) [n choose b]_q q^(-rb), b = 1..n,
+    as integers over the common denominator q^(rn)."""
+    return [q ** (comb(b, 2) + r * (n - b)) * q_binomial(n, b, q) for b in range(1, n + 1)]
+
+
 def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
     """Alternating q-series for the separation distance after r steps.
 
-    The terms q^C(b,2) [n choose b]_q q^(-rb) are summed as integers over the
-    common denominator q^(rn) and reduced once.
+    The terms of `_alternating_terms`, positive at odd b, are summed as
+    integers over the common denominator q^(rn) and reduced once.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     _check_q(q)
     if r < 0:
         raise ValueError("need r >= 0")
-    numerator = 0
-    for b in range(1, n + 1):
-        term = q ** (comb(b, 2) + r * (n - b)) * q_binomial(n, b, q)
-        numerator += term if b % 2 == 1 else -term
-    return Fraction(numerator, q ** (r * n))
+    terms = _alternating_terms(n, q, r)
+    return Fraction(sum(terms[::2]) - sum(terms[1::2]), q ** (r * n))
 
 
 def span_probability(n: int, q: int, r: int) -> Fraction:
@@ -211,11 +214,11 @@ def count_gl_families(n: int, q: int, avoid_e: bool = False) -> int:
 
 
 def check_alternating_terms_decreasing(n: int, q: int, r: int) -> bool:
-    """Exact check that the closed form's term magnitudes strictly decrease."""
-    terms = [
-        q ** comb(b, 2) * q_binomial(n, b, q) * Fraction(1, q ** (r * b))
-        for b in range(1, n + 1)
-    ]
+    """Exact check that the closed form's term magnitudes strictly decrease.
+
+    The terms share one positive denominator, so they are compared as integers.
+    """
+    terms = _alternating_terms(n, q, r)
     for t1, t2 in zip(terms, terms[1:]):
         if not t2 < t1:
             raise ConsistencyError(

@@ -62,8 +62,8 @@ def _kernel_from_multiplicities(n: int, rows) -> TransitionKernel:
 def build_kernel_characters(n: int) -> TransitionKernel:
     """Transition kernel from exact tensor-product multiplicities.
 
-    The most recent kernel is kept, with the walks it has cached, so every
-    check at one n shares a single build.
+    The most recent kernel is kept, so every check at one n shares a
+    single build.
     """
     check_n(n)
     eta = defining_character_values(character_table(n).classes)
@@ -178,22 +178,6 @@ def ratio_via_kernel(n: int, r: int, lam: Partition) -> Fraction:
     return Fraction(factorial(n) * walk.multiplicities(r)[i], n**r * walk.dims[i])
 
 
-def ratio_via_spectrum(n: int, r: int, lam: Partition) -> Fraction:
-    """Spectral form of the same ratio: sum over classes of eigenvalue powers.
-
-    Uses the rational eigenfunction scaling (character over dimension), so
-    the whole sum stays in exact arithmetic.
-    """
-    table = character_table(n)
-    d = table.dimension(lam)
-    total = Fraction(0)
-    for c in table.classes:
-        total += Fraction(c.fixed_points, n) ** r * Fraction(
-            c.class_size * table.value(lam, c.cycle_type), d
-        )
-    return total
-
-
 def ratio_via_occupancy(n: int, r: int, lam: Partition) -> Fraction:
     """Nonnegative form of the ratio: occupancy law against skew tableau counts."""
     d = count_syt(lam)
@@ -205,24 +189,6 @@ def ratio_via_occupancy(n: int, r: int, lam: Partition) -> Fraction:
         if skew:
             total += occupancy_exact(a, r, n) * Fraction(factorial(n - a) * skew, d)
     return total
-
-
-def ratio_at(n: int, r: int, lam: Partition) -> Fraction:
-    """Ratio of walked mass to stationary mass at `lam`, triple-checked.
-
-    Computes the kernel power route, the spectral route and the occupancy
-    route and requires exact agreement.
-    """
-    if lam.size != n:
-        raise ValueError("shape size must equal n")
-    if r < 0:
-        raise ValueError("need r >= 0")
-    ratios = {
-        "kernel": ratio_via_kernel(n, r, lam),
-        "spectrum": ratio_via_spectrum(n, r, lam),
-        "occupancy": ratio_via_occupancy(n, r, lam),
-    }
-    return common_value(ratios, f"the mass ratio at {lam}, n={n} r={r}")
 
 
 def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
@@ -338,21 +304,27 @@ def separation_routes(n: int, r: int) -> dict[str, Fraction]:
     return routes
 
 
-def check_single_column_extremal(kernel: TransitionKernel, r: int) -> None:
-    """Raise unless the single-column shape attains the minimum mass ratio.
+def check_single_column_extremal(kernel: TransitionKernel, r_max: int) -> None:
+    """Raise unless the single-column shape attains the minimum mass ratio at every r <= r_max.
 
     The ratio is the r-step mass from the trivial start over the stationary
-    mass; ties with other shapes are allowed.
+    mass; ties with other shapes are allowed. The kernel is reversible, so
+    K^r(triv, lam) / pi(lam) = (K^r e_triv)(lam) / pi(triv), and the integer
+    vector v_r = (D K)^r e_triv, one `scaled_image` per step, is a positive
+    multiple of the ratios at r: shapes are compared in integers.
     """
     n = kernel.states[0].size
-    row = kernel.step_distribution(trivial_shape(n), r)
-    ratios = [p / pi for p, pi in zip(row, kernel.stationary)]
-    sign_ratio = ratios[kernel.index(sign_shape(n))]
-    for lam, ratio in zip(kernel.states, ratios):
-        if ratio < sign_ratio:
-            raise ConsistencyError(
-                f"ratio at {lam} undercuts the single-column shape at n={n} r={r}"
-            )
+    sign = kernel.index(sign_shape(n))
+    start = kernel.index(trivial_shape(n))
+    vector = [int(i == start) for i in range(kernel.size)]
+    for r in range(r_max + 1):
+        if r:
+            vector = kernel.scaled_image(vector)
+        for lam, x in zip(kernel.states, vector):
+            if x < vector[sign]:
+                raise ConsistencyError(
+                    f"ratio at {lam} undercuts the single-column shape at n={n} r={r}"
+                )
 
 
 def separation_profile(c: float) -> float:

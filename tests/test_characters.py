@@ -1,8 +1,10 @@
+import math
 from collections import Counter
 from math import factorial
 
 import pytest
 
+from tensorwalk import characters
 from tensorwalk.characters import (
     character_table,
     character_value,
@@ -73,6 +75,12 @@ class TestConjugacyClasses:
             conjugacy_classes(11)
         with pytest.raises(SizeLimitError):
             character_table(0)
+
+    def test_centralizer_not_dividing_raises(self, monkeypatch):
+        # the 3-cycles' centralizer 3 (1! + 1) = 6 does not divide 3! + 1 = 7
+        monkeypatch.setattr(characters, "factorial", lambda m: math.factorial(m) + 1)
+        with pytest.raises(ConsistencyError, match=r"order 6 does not divide 3! at \[3\]"):
+            conjugacy_classes(3)
 
     def test_size_limit_ignores_environment(self, monkeypatch):
         monkeypatch.setenv("TENSORWALK_MAX_N", "11")

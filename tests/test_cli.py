@@ -653,13 +653,24 @@ class TestArgumentsCheckedBeforeWork:
             (("profile", "--n", "128", "--c=-100"), "need r >= 0"),
             (("profile", "--n", "512", "--c=1e6"), "need r <= 2 ceil(n ln n) = 6390"),
             (("sn-sep", "--n", "11", "--rmax", "2", "--with-tv"), "--with-tv needs n <= 10"),
+            (("sn-sep", "--n", "11", "--rmax", "2", "--out", "missing/curve.csv"),
+             "need a file path in an existing directory, got missing/curve.csv"),
+            (("occupancy", "--a", "1", "--r", "2", "--n", "3", "--out", "missing/x.json"),
+             "need a file path in an existing directory, got missing/x.json"),
+            (("spectrum", "--n", "4", "--out", "."),
+             "need a file path in an existing directory, got ."),
         ],
-        ids=["occupancy-n0", "profile-n2", "profile-n128", "profile-c1e6", "sn-sep-with-tv"],
+        ids=["occupancy-n0", "profile-n2", "profile-n128", "profile-c1e6", "sn-sep-with-tv",
+             "sn-sep-out-missing-directory", "occupancy-out-missing-directory",
+             "spectrum-out-directory"],
     )
-    def test_rejected_before_any_computation(self, capsys, monkeypatch, argv, message):
+    def test_rejected_before_any_computation(
+        self, capsys, monkeypatch, tmp_path, argv, message
+    ):
         def no_work(*args):
             raise AssertionError("the computation started")
 
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(occupancy, "occupancy_mc", no_work)
         monkeypatch.setattr(snwalk, "separation_closed_forms", no_work)
         code, out, err = run_cli(capsys, *argv)

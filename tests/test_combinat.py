@@ -1,9 +1,12 @@
+import math
 from collections import Counter
+from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tensorwalk import combinat
 from tensorwalk.combinat import (
     Partition,
     count_partitions,
@@ -16,6 +19,7 @@ from tensorwalk.combinat import (
     prime_factors,
     q_binomial,
 )
+from tensorwalk.errors import ConsistencyError
 
 from oracles import count_standard_fillings, count_subspaces, euler_partition_count
 
@@ -97,6 +101,13 @@ class TestCountSyt:
             total = sum(count_syt(lam) ** 2 for lam in enumerate_partitions(n))
             assert total == factorial(n)
 
+    def test_hook_product_not_dividing_raises(self, monkeypatch):
+        # 3! + 1 = 7 over the hook product 3 of [2,1] must not be floored to 2
+        monkeypatch.setattr(combinat, "factorial", lambda m: math.factorial(m) + 1)
+        message = r"hook product 3 does not divide 3! at \[2,1\]"
+        with pytest.raises(ConsistencyError, match=message):
+            count_syt.__wrapped__(Partition([2, 1]))
+
 
 class TestCountSkewSyt:
     def test_not_contained_is_zero(self):
@@ -149,6 +160,13 @@ class TestCountSkewSyt:
         assert count_skew_syt_row(lam, 0) == count_syt(lam)
         assert count_skew_syt_row(lam, 4) == 0
 
+    def test_negative_count_raises(self, monkeypatch):
+        original = combinat.det_bareiss
+        monkeypatch.setattr(combinat, "det_bareiss", lambda matrix: -original(matrix))
+        message = r"\[3,1\]/\[1\] is not a nonnegative integer: -3"
+        with pytest.raises(ConsistencyError, match=message):
+            count_skew_syt.__wrapped__(Partition([3, 1]), Partition([1]))
+
 
 class TestQBinomial:
     def test_edges(self):
@@ -186,6 +204,12 @@ class TestQBinomial:
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
             q_binomial(3, 1, 1)
+
+    def test_inexact_division_raises(self):
+        # off the integers the quotient (q^2 - 1)/(q - 1) = 21/4 / 3/2 is not
+        # whole; the remainder must be reported, not floored away
+        with pytest.raises(ConsistencyError, match="does not divide"):
+            q_binomial.__wrapped__(2, 1, Fraction(5, 2))
 
 
 @pytest.fixture(scope="module")

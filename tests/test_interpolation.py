@@ -47,9 +47,9 @@ def lazy_ehrenfest() -> TransitionKernel:
 
 
 def direct_separation(kernel: TransitionKernel, r: int) -> Fraction:
-    """1 - K^r(0, d) / pi(d) from the last state d, by the integer row walk."""
+    """1 - K^r(0, d) / pi(d) from the last state d, by the dense power."""
     d = kernel.size - 1
-    return 1 - kernel.step_distribution(0, r)[d] / kernel.stationary[d]
+    return 1 - kernel.power(r)[0][d] / kernel.stationary[d]
 
 
 distinct_fractions = st.lists(

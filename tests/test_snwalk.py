@@ -17,10 +17,8 @@ from tensorwalk.snwalk import (
     build_kernel_boxes,
     build_kernel_characters,
     check_single_column_extremal,
-    ratio_at,
     ratio_via_kernel,
     ratio_via_occupancy,
-    ratio_via_spectrum,
     separation_closed_form,
     separation_closed_forms,
     separation_profile,
@@ -91,17 +89,19 @@ class TestKernelConstruction:
 
 class TestBoxWalk:
     def test_masses_match_character_kernel_rows(self):
-        """f mult_r / n^r is the character kernel's r-step row at every shape,
-        and the kernel route's ratio is that row over the stationary law."""
+        """The kernel route's ratio is the character kernel's r-step mass over
+        the stationary law at every shape. By detailed balance that ratio is
+        n! (D K)^r e_triv / D^r, with D K applied by `scaled_image`."""
         for n in range(2, 11):
             kernel, walk = build_kernel_characters(n), box_walk(n)
             assert walk.states == kernel.states
+            vector = [int(i == 0) for i in range(kernel.size)]
             for r in range(3 * n + 1):
-                row = kernel.step_distribution(trivial_shape(n), r)
-                masses = zip(walk.dims, walk.multiplicities(r))
-                assert tuple(Fraction(f * m, n**r) for f, m in masses) == row, (n, r)
-                for lam, p, pi in zip(kernel.states, row, kernel.stationary):
-                    assert ratio_via_kernel(n, r, lam) == p / pi, (n, r, lam)
+                if r:
+                    vector = kernel.scaled_image(vector)
+                for lam, v in zip(kernel.states, vector):
+                    expected = Fraction(factorial(n) * v, kernel.scale**r)
+                    assert ratio_via_kernel(n, r, lam) == expected, (n, r, lam)
 
     def test_tv_matches_dense_rows(self):
         for n in range(2, 8):
@@ -118,7 +118,7 @@ class TestBoxWalk:
         kernel = build_kernel_characters(n)
         assert tv_exact(n, r) == tv_by_dense_rows(kernel.power(1), kernel.stationary, 0, r)
         for lam in enumerate_partitions(n):
-            assert ratio_via_kernel(n, r, lam) == ratio_via_spectrum(n, r, lam), (n, r, lam)
+            assert tensor_power_check(n, r, lam), (n, r, lam)
 
     def test_steps_are_cached_and_read_only(self):
         walk = BoxWalk(5)
@@ -172,20 +172,29 @@ class TestSpectrum:
             spectrum_sn(12)
 
 
+def checked_ratio(n, r, lam):
+    """The mass ratio at `lam` by the kernel and occupancy routes, required
+    equal, with the class sum checked against the kernel route's multiplicity."""
+    assert tensor_power_check(n, r, lam)
+    ratio = ratio_via_kernel(n, r, lam)
+    assert ratio_via_occupancy(n, r, lam) == ratio, (n, r, lam)
+    return ratio
+
+
 class TestRatios:
     def test_point_mass_at_start(self):
         for n in range(2, 7):
-            assert ratio_at(n, 0, trivial_shape(n)) == factorial(n)
+            assert checked_ratio(n, 0, trivial_shape(n)) == factorial(n)
 
     def test_known_examples(self):
-        assert ratio_at(3, 1, Partition([1, 1, 1])) == 0
-        assert ratio_at(3, 2, Partition([1, 1, 1])) == Fraction(2, 3)
+        assert checked_ratio(3, 1, Partition([1, 1, 1])) == 0
+        assert checked_ratio(3, 2, Partition([1, 1, 1])) == Fraction(2, 3)
 
     def test_three_routes_agree_exhaustively(self):
         for n in range(2, 6):
             for lam in enumerate_partitions(n):
                 for r in range(0, 2 * n + 1):
-                    ratio_at(n, r, lam)
+                    checked_ratio(n, r, lam)
 
     def test_nonnegative_terms(self):
         # every summand of the occupancy route is a product of nonnegatives
@@ -210,7 +219,7 @@ class TestRatios:
             return occupancy_exact(a, r, n)
 
         monkeypatch.setattr(snwalk, "occupancy_exact", counting)
-        assert ratio_via_occupancy(n, r, sign_shape(n)) == ratio_via_spectrum(
+        assert ratio_via_occupancy(n, r, sign_shape(n)) == ratio_via_kernel(
             n, r, sign_shape(n)
         )
         assert sorted(calls) == [n - 1, n]
@@ -228,8 +237,8 @@ class TestTensorPowerCheck:
 
     def test_sign_absent_from_defining(self, kernels):
         assert tensor_power_check(3, 1, Partition([1, 1, 1]))
-        row = kernels[3].step_distribution(trivial_shape(3), 1)
-        assert row[kernels[3].index(Partition([1, 1, 1]))] == 0
+        k = kernels[3]
+        assert k.power(1)[k.index(trivial_shape(3))][k.index(Partition([1, 1, 1]))] == 0
 
     def test_zero_power_is_point_mass(self):
         for lam in enumerate_partitions(4):
@@ -254,6 +263,25 @@ class TestSeparation:
         check_single_column_extremal(kernel, 0)
         with pytest.raises(ConsistencyError, match="undercuts"):
             check_single_column_extremal(kernel, 1)
+        # back at the point mass at r = 2, so only a pass over every r <= 2 sees it
+        with pytest.raises(ConsistencyError, match=r"shape at n=3 r=1$"):
+            check_single_column_extremal(kernel, 2)
+
+    def test_extremality_check_finds_a_late_undercut(self):
+        # reversible S_4 path [4] - [3,1] - [2,2] - [1^4] - [2,1,1] under the
+        # uniform law: the sign shape, three steps from the start, gains mass
+        # at r = 3 while [2,1,1] behind it still has none
+        states = enumerate_partitions(4)
+        index = {lam: i for i, lam in enumerate(states)}
+        path = [index[Partition(p)] for p in ([4], [3, 1], [2, 2], [1, 1, 1, 1], [2, 1, 1])]
+        rows = [{} for _ in states]
+        for x, y in zip(path, path[1:]):
+            rows[x][y] = rows[y][x] = Fraction(1, 2)
+        rows[path[0]][path[0]] = rows[path[-1]][path[-1]] = Fraction(1, 2)
+        kernel = TransitionKernel(states, rows, [Fraction(1, 5)] * 5)
+        check_single_column_extremal(kernel, 2)
+        with pytest.raises(ConsistencyError, match=r"at \[2,1,1\] undercuts .* n=4 r=3$"):
+            check_single_column_extremal(kernel, 3)
 
     def test_closed_form_small_n(self):
         # one surviving eigenvalue for three letters: 3^(1-r) for r >= 1
