@@ -13,8 +13,10 @@ that index the irreducibles.
 """
 
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
+from itertools import pairwise
 from math import comb
 from typing import NamedTuple
 
@@ -48,10 +50,11 @@ def gl_spectrum(n: int, q: int) -> Spectrum:
     return Spectrum(entries)
 
 
-def _alternating_terms(n: int, q: int, r: int) -> list[int]:
+def _alternating_terms(n: int, q: int, r: int) -> Iterator[int]:
     """The closed form's term magnitudes q^C(b,2) [n choose b]_q q^(-rb), b = 1..n,
     as integers over the common denominator q^(rn)."""
-    return [q ** (comb(b, 2) + r * (n - b)) * q_binomial(n, b, q) for b in range(1, n + 1)]
+    for b in range(1, n + 1):
+        yield q ** (comb(b, 2) + r * (n - b)) * q_binomial(n, b, q)
 
 
 def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
@@ -65,8 +68,9 @@ def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
     _check_q(q)
     if r < 0:
         raise ValueError("need r >= 0")
-    terms = _alternating_terms(n, q, r)
-    return Fraction(sum(terms[::2]) - sum(terms[1::2]), q ** (r * n))
+    terms = enumerate(_alternating_terms(n, q, r), 1)
+    numerator = sum(term if b % 2 == 1 else -term for b, term in terms)
+    return Fraction(numerator, q ** (r * n))
 
 
 def span_probability(n: int, q: int, r: int) -> Fraction:
@@ -218,8 +222,7 @@ def check_alternating_terms_decreasing(n: int, q: int, r: int) -> bool:
 
     The terms share one positive denominator, so they are compared as integers.
     """
-    terms = _alternating_terms(n, q, r)
-    for t1, t2 in zip(terms, terms[1:]):
+    for t1, t2 in pairwise(_alternating_terms(n, q, r)):
         if not t2 < t1:
             raise ConsistencyError(
                 f"alternating terms fail to decrease at n={n} q={q} r={r}"
