@@ -95,7 +95,8 @@ class TestBoxWalk:
         for n in range(2, 11):
             kernel, walk = build_kernel_characters(n), box_walk(n)
             assert walk.states == kernel.states
-            vector = [int(i == 0) for i in range(kernel.size)]
+            start = kernel.index(trivial_shape(n))
+            vector = [int(i == start) for i in range(kernel.size)]
             for r in range(3 * n + 1):
                 if r:
                     vector = kernel.scaled_image(vector)
