@@ -12,7 +12,6 @@ from .characters import (
     ClassDescriptor,
     character_table,
     conjugacy_classes,
-    defining_character_values,
     fixed_point_character_sum,
     signed_fixed_point_sum,
     tensor_multiplicity,
@@ -28,6 +27,7 @@ from .combinat import (
 from .errors import (
     ConsistencyError,
     ExcludedCaseError,
+    RouteDisagreement,
     SizeLimitError,
     UnsupportedFieldError,
 )

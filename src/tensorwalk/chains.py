@@ -2,16 +2,13 @@
 
 import io
 import json
-import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConsistencyError
 from .linalg import identity_matrix, mat_mul
-
-logger = logging.getLogger("tensorwalk")
 
 
 def format_exact(value: Fraction) -> str:
@@ -136,16 +133,19 @@ class TransitionKernel:
         return self._powers[r]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Distinct eigenvalues, sorted descending, with optional multiplicities."""
+class Spectrum(namedtuple("Spectrum", "entries")):
+    """Distinct eigenvalues, sorted descending, with optional multiplicities.
 
-    entries: tuple[tuple[Fraction, int | None], ...]
+    `entries` is a tuple of (eigenvalue, multiplicity or None) pairs.
+    """
 
-    def __post_init__(self):
-        values = [v for v, _ in self.entries]
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        values = [v for v, _ in entries]
         if sorted(values, reverse=True) != values or len(set(values)) != len(values):
             raise ValueError("eigenvalues must be distinct and sorted descending")
+        return super().__new__(cls, entries)
 
     @property
     def eigenvalues(self) -> tuple[Fraction, ...]:
@@ -162,24 +162,21 @@ class Spectrum:
         return sum(ms)
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    r: int
-    value: Fraction
-    route: str
+class CurveRecord(namedtuple("CurveRecord", "r value route")):
+    __slots__ = ()
 
     @property
     def float_value(self) -> float:
         return float(self.value)
 
 
-@dataclass
 class SeparationCurve:
     """Per-step distance values, possibly from several computation routes."""
 
-    n: int
-    q: int | None = None
-    records: list[CurveRecord] = field(default_factory=list)
+    def __init__(self, n: int, q: int | None = None):
+        self.n = n
+        self.q = q
+        self.records = []
 
     def add(self, r: int, value: Fraction, route: str) -> None:
         value = Fraction(value)
@@ -200,10 +197,10 @@ class SeparationCurve:
         """(route, r_prev, r) triples where the value increased with r.
 
         Non-increase holds in every case computed here but is not asserted
-        hard; callers log the violations instead of failing. Each comparison
-        is decided by the two floats, which are correctly rounded and so keep
-        the exact order whenever they differ; the exact values are compared
-        only when the floats are equal.
+        hard; callers warn about the violations instead of failing. Each
+        comparison is decided by the two floats, which are correctly rounded
+        and so keep the exact order whenever they differ; the exact values are
+        compared only when the floats are equal.
         """
         out = []
         for route in self.routes():
@@ -218,12 +215,11 @@ class SeparationCurve:
         return out
 
     def warn_if_not_monotone(self) -> None:
+        """One "WARNING ..." line on stderr per violation."""
         for route, r_prev, r_cur in self.monotonicity_violations():
-            logger.warning(
-                "distance increased with step count: route=%s r=%d->%d",
-                route,
-                r_prev,
-                r_cur,
+            sys.stderr.write(
+                f"WARNING distance increased with step count: route={route} "
+                f"r={r_prev}->{r_cur}\n"
             )
 
     def to_csv(self) -> str:

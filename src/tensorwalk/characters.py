@@ -6,8 +6,7 @@ arithmetic. The practical bound on n (`tensorwalk.config`) keeps tables
 small, so each table is built once per n and cached.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -17,14 +16,12 @@ from .config import check_n
 from .errors import ConsistencyError, common_value
 
 
-@dataclass
-class ClassDescriptor:
+class ClassDescriptor(
+    namedtuple("ClassDescriptor", "cycle_type class_size fixed_points sign")
+):
     """Conjugacy class of the symmetric group, described by its cycle type."""
 
-    cycle_type: Partition
-    class_size: int
-    fixed_points: int
-    sign: int
+    __slots__ = ()
 
 
 def conjugacy_classes(n: int) -> list[ClassDescriptor]:
@@ -89,6 +86,10 @@ class CharacterTable:
         self.n = n
         self.partitions = tuple(partitions)
         self.classes = tuple(classes)
+        # Two columns of `classes` as plain tuples, for the sums over classes.
+        # `fixed_points` is also the n-dimensional permutation character.
+        self.class_sizes = tuple(c.class_size for c in self.classes)
+        self.fixed_points = tuple(c.fixed_points for c in self.classes)
         self.values = tuple(tuple(row) for row in values)
         self._row_index = {p: i for i, p in enumerate(self.partitions)}
         self._col_index = {c.cycle_type: j for j, c in enumerate(self.classes)}
@@ -141,11 +142,6 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n, partitions, classes, values)
 
 
-def defining_character_values(classes) -> list[int]:
-    """Values of the n-dimensional permutation character (fixed points)."""
-    return [c.fixed_points for c in classes]
-
-
 def fixed_point_character_sum(n: int, lam: Partition, i: int) -> int:
     """Character sum over all permutations with exactly i fixed points.
 
@@ -159,9 +155,9 @@ def fixed_point_character_sum(n: int, lam: Partition, i: int) -> int:
         raise ValueError("fixed point count out of range")
     table = character_table(n)
     by_classes = sum(
-        c.class_size * table.value(lam, c.cycle_type)
-        for c in table.classes
-        if c.fixed_points == i
+        size * chi
+        for size, fixed, chi in zip(table.class_sizes, table.fixed_points, table.row(lam))
+        if fixed == i
     )
     # n!/(i! j!) is an integer whenever i + j <= n.
     by_formula = sum(
@@ -193,9 +189,9 @@ def tensor_multiplicity(n: int, lam: Partition, eta_values, rho: Partition) -> i
     """
     table = character_table(n)
     total = sum(
-        c.class_size * eta * chi_lam * chi_rho
-        for c, eta, chi_lam, chi_rho in zip(
-            table.classes, eta_values, table.row(lam), table.row(rho), strict=True
+        size * eta * chi_lam * chi_rho
+        for size, eta, chi_lam, chi_rho in zip(
+            table.class_sizes, eta_values, table.row(lam), table.row(rho), strict=True
         )
     )
     value, remainder = divmod(total, factorial(n))

@@ -9,7 +9,6 @@ error and propagates. Output is deterministic for a fixed flag set
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -496,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,20 +10,35 @@ class ConsistencyError(Exception):
     """
 
 
+class RouteDisagreement(ConsistencyError):
+    """Two routes gave different values for the same quantity.
+
+    `where` names the quantity and the walk parameters, `route` and `value`
+    the route that differs, and `first_route` and `first` the route it was
+    compared with. The message names all five.
+    """
+
+    def __init__(self, where: str, route, value, first_route, first):
+        super().__init__(
+            f"route {route} disagrees with {first_route} on {where}: {value} vs {first}"
+        )
+        self.where = where
+        self.route = route
+        self.value = value
+        self.first_route = first_route
+        self.first = first
+
+
 def common_value(values: dict, where: str):
     """The value that every route in `values` (route name -> value) gives.
 
-    Raises ConsistencyError naming the first route whose value differs from
-    the first route's, `where` (the quantity and the walk parameters) and
-    both values.
+    Raises RouteDisagreement for the first route whose value differs from
+    the first route's.
     """
     (first_route, first), *rest = values.items()
     for route, value in rest:
         if value != first:
-            raise ConsistencyError(
-                f"route {route} disagrees with {first_route} on {where}: "
-                f"{value} vs {first}"
-            )
+            raise RouteDisagreement(where, route, value, first_route, first)
     return first
 
 

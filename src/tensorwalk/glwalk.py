@@ -13,12 +13,12 @@ that index the irreducibles.
 """
 
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from itertools import pairwise
 from math import comb
-from typing import NamedTuple
 
 from .chains import Spectrum
 from .combinat import prime_factors, q_binomial
@@ -133,9 +133,7 @@ def check_separation_within_bounds(n: int, q: int, c: int) -> bool:
     return True
 
 
-class EulerProductLimit(NamedTuple):
-    value: float
-    factors: int
+EulerProductLimit = namedtuple("EulerProductLimit", "value factors")
 
 
 def gl_separation_limit(q: int, c: int) -> EulerProductLimit:

@@ -8,10 +8,8 @@ chunk k + 1 while one worker thread counts chunk k, so up to two narrow chunks
 are alive at once.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -61,12 +59,10 @@ def _draws(seed: int, samples: int, high: int, shape: tuple[int, ...]):
         yield rng.integers(0, high, size=size).astype(dtype, copy=False)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(namedtuple("McEstimate", "successes samples")):
     """Empirical frequency with its binomial standard error."""
 
-    successes: int
-    samples: int
+    __slots__ = ()
 
     @property
     def estimate(self) -> float:
@@ -202,7 +198,7 @@ def _count_matches(
     return McEstimate(successes=successes, samples=samples)
 
 
-def _distinct_counts(rows: np.ndarray) -> np.ndarray:
+def _distinct_counts(rows):
     """Number of distinct values in each row; sorts the rows in place."""
     import numpy as np
 
@@ -210,7 +206,7 @@ def _distinct_counts(rows: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
 
 
-def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
+def _inverse_mod(x, q: int):
     """x^(q-2) mod q elementwise: the inverse of each x that q does not divide."""
     import numpy as np
 
@@ -224,7 +220,7 @@ def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _batch_rank_mod(mats: np.ndarray, q: int) -> np.ndarray:
+def _batch_rank_mod(mats, q: int):
     """Rank over the prime field F_q of each matrix in a (k, r, n) stack.
 
     Forward elimination on the whole stack at once, pivoting per matrix: in

@@ -13,11 +13,7 @@ from math import comb, factorial
 from operator import mul
 
 from .chains import Spectrum, TransitionKernel
-from .characters import (
-    character_table,
-    defining_character_values,
-    tensor_multiplicity,
-)
+from .characters import character_table, tensor_multiplicity
 from .combinat import (
     Partition,
     count_partitions,
@@ -66,7 +62,7 @@ def build_kernel_characters(n: int) -> TransitionKernel:
     single build.
     """
     check_n(n)
-    eta = defining_character_values(character_table(n).classes)
+    eta = character_table(n).fixed_points
     states = enumerate_partitions(n)
     rows = []
     for lam in states:
@@ -203,8 +199,8 @@ def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
     walk = box_walk(n)
     table = character_table(n)
     char_sum = sum(
-        c.class_size * c.fixed_points**r * table.value(lam, c.cycle_type)
-        for c in table.classes
+        size * fixed**r * chi
+        for size, fixed, chi in zip(table.class_sizes, table.fixed_points, table.row(lam))
     )
     multiplicity = Fraction(char_sum, factorial(n))
     if multiplicity.denominator != 1 or multiplicity < 0:

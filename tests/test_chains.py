@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import logging
 import struct
 import sys
 from fractions import Fraction
@@ -25,6 +24,7 @@ from tensorwalk.snwalk import build_kernel_characters, separation_routes
 from oracles import curve_csv_by_writer
 
 HALF = Fraction(1, 2)
+RISING_WARNING = "WARNING distance increased with step count: route=closed_form r=0->1\n"
 
 
 @cache
@@ -313,14 +313,26 @@ class TestSeparationCurve:
         with pytest.raises(ConsistencyError):
             curve.add(0, Fraction(3, 2), "closed_form")
 
-    def test_monotonicity_soft_check(self, caplog):
+    def test_monotonicity_soft_check(self, capsys):
         curve = SeparationCurve(n=3)
         curve.add(0, Fraction(1, 2), "closed_form")
         curve.add(1, Fraction(3, 4), "closed_form")
         assert curve.monotonicity_violations() == [("closed_form", 0, 1)]
-        with caplog.at_level(logging.WARNING, logger="tensorwalk"):
-            curve.warn_if_not_monotone()
-        assert "increased" in caplog.text
+        curve.warn_if_not_monotone()
+        assert capsys.readouterr() == ("", RISING_WARNING)
+
+    def test_curves_never_share_records(self):
+        first, second = SeparationCurve(n=3), SeparationCurve(n=3)
+        first.add(0, Fraction(1), "closed_form")
+        assert second.records == []
+        assert first.records is not second.records
+
+    def test_record_float_value(self):
+        curve = SeparationCurve(n=3)
+        curve.add(2, Fraction(1, 3), "spectral")
+        (record,) = curve.records
+        assert (record.r, record.value, record.route) == (2, Fraction(1, 3), "spectral")
+        assert record.float_value == 1 / 3
 
     def test_float_tie_falls_back_to_exact_order(self):
         base = Fraction(1, 3)

@@ -9,7 +9,6 @@ from tensorwalk.characters import (
     character_table,
     character_value,
     conjugacy_classes,
-    defining_character_values,
     fixed_point_character_sum,
     signed_fixed_point_sum,
     tensor_multiplicity,
@@ -209,7 +208,7 @@ class TestTensorMultiplicity:
 
     def test_defining_factor_examples(self):
         table = character_table(3)
-        eta = defining_character_values(table.classes)
+        eta = table.fixed_points
         assert tensor_multiplicity(3, Partition([3]), eta, Partition([2, 1])) == 1
         assert tensor_multiplicity(3, Partition([1, 1, 1]), eta, Partition([3])) == 0
 
@@ -224,7 +223,7 @@ class TestTensorMultiplicity:
     def test_dimension_consistency(self):
         for n in range(2, 7):
             table = character_table(n)
-            eta = defining_character_values(table.classes)
+            eta = table.fixed_points
             for lam in enumerate_partitions(n):
                 total = sum(
                     count_syt(rho) * tensor_multiplicity(n, lam, eta, rho)

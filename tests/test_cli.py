@@ -19,6 +19,7 @@ from tensorwalk import glwalk, interpolation, occupancy, snwalk
 from tensorwalk.chains import TransitionKernel, format_exact, format_float
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition
+from tensorwalk.errors import ConsistencyError
 from tensorwalk.cli import _gl_checks, main
 from tensorwalk.occupancy import occupancy_exact
 
@@ -61,6 +62,17 @@ class TestSnSep:
         assert code == 0
         rows = parse_csv(out)
         assert {r["route"] for r in rows} == {"closed_form"}
+
+    def test_rising_curve_warns_on_stderr(self, capsys, monkeypatch):
+        # No computed grid rises, so a rising curve is put in its place. The
+        # warning is one exact line; the curve is still written and exits 0.
+        monkeypatch.setattr(
+            snwalk, "separation_closed_forms", lambda n, rs: iter([Fraction(1, 2), Fraction(3, 4)])
+        )
+        code, out, err = run_cli(capsys, "sn-sep", "--n", "20", "--rmax", "1")
+        assert code == 0
+        assert out == "r,s_exact,s_float,route\n0,1/2,0.5,closed_form\n1,3/4,0.75,closed_form\n"
+        assert err == "WARNING distance increased with step count: route=closed_form r=0->1\n"
 
     def test_closed_form_curve_in_one_pass(self, capsys, monkeypatch):
         passes = []
@@ -742,6 +754,24 @@ def test_every_argument_gets_an_exit_code(command, data):
         assert "usage: tensorwalk" in err.getvalue()
 
 
+def test_route_disagreement_carries_its_fields(capsys, monkeypatch):
+    # A closed form of 0 at r = 0, where every route gives 1.
+    monkeypatch.setattr(glwalk, "gl_separation_closed_form", lambda n, q, r: Fraction(0))
+    with pytest.raises(ConsistencyError) as caught:
+        glwalk.gl_separation_routes(3, 2, 0)
+    exc = caught.value
+    assert (exc.where, exc.route, exc.value, exc.first_route, exc.first) == (
+        "the GL separation, n=3 q=2 r=0", "span_probability", 1, "closed_form", 0
+    )
+    message = (
+        "route span_probability disagrees with closed_form on the GL separation, "
+        "n=3 q=2 r=0: 1 vs 0"
+    )
+    assert str(exc) == message
+    code, out, err = run_cli(capsys, "gl-sep", "--n", "3", "--q", "2", "--rmax", "0")
+    assert (code, out, err) == (1, "", f"consistency failure: {message}\n")
+
+
 def run_python(*args):
     """A fresh interpreter with `src/` on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -781,30 +811,65 @@ class TestProcessExitStatus:
 
 IMPORT_PROBE = """
 import json, os, sys
+path, commands, watched = json.loads(sys.argv[1])
+sys.path[:0] = path
 import tensorwalk.cli as cli
 
 def loaded():
-    return [name for name in ("numpy", "concurrent.futures") if name in sys.modules]
+    return [name for name in watched if name in sys.modules]
 
 report = {"import": loaded()}
-for argv in json.loads(sys.argv[1]):
+for argv in commands:
     assert cli.main(argv + ["--out", os.devnull]) == 0, argv
     report[" ".join(argv)] = loaded()
 print(json.dumps(report))
 """
 
+# Modules no command needs: the import and every exact command go without
+# them. A Monte Carlo draw loads numpy and the worker pool, and numpy may load
+# the rest.
+UNNEEDED = (
+    "__future__", "concurrent.futures", "dataclasses", "inspect", "logging", "numpy", "typing"
+)
+EXACT_COMMANDS = (
+    "sn-sep --n 8 --rmax 5", "gl-sep --n 4 --q 2 --rmax 4", "profile --n 64 --c=0",
+    "crosscheck --n 5", "spectrum --n 6",
+)
+DRAW_COMMAND = "occupancy --a 2 --r 3 --n 4 --samples 100"
+
+
+@functools.cache
+def import_probe_report():
+    """What the probe saw loaded after the import and after each command.
+
+    The interpreter runs isolated and without `site` (`-I -S`), so no `.pth`
+    file preloads a module the import would otherwise load. `src/` and the
+    test interpreter's path go on `sys.path` by hand, so numpy stays
+    importable.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [entry for entry in sys.path if entry]
+    commands = [c.split() for c in EXACT_COMMANDS + (DRAW_COMMAND,)]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", IMPORT_PROBE,
+         json.dumps([path, commands, UNNEEDED])],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
 
 def test_only_monte_carlo_loads_numpy():
     """numpy and the worker pool load on the first Monte Carlo draw, so every
     other command, and the import itself, go without them."""
-    exact = [
-        "sn-sep --n 8 --rmax 5", "gl-sep --n 4 --q 2 --rmax 4", "profile --n 64 --c=0",
-        "crosscheck --n 5", "spectrum --n 6",
-    ]
-    draw = "occupancy --a 2 --r 3 --n 4 --samples 100"
-    proc = run_python("-c", IMPORT_PROBE, json.dumps([c.split() for c in exact + [draw]]))
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report == {
-        "import": [], **{c: [] for c in exact}, draw: ["numpy", "concurrent.futures"]
+    report = import_probe_report()
+    assert {c: report[c] for c in ("import",) + EXACT_COMMANDS} == {
+        "import": [], **{c: [] for c in EXACT_COMMANDS}
     }
+    assert {"numpy", "concurrent.futures"} <= set(report[DRAW_COMMAND])
+
+
+def test_import_loads_no_unneeded_stdlib():
+    """`import tensorwalk.cli` loads argparse, json, fractions and the package,
+    and none of dataclasses, logging, inspect, typing or __future__."""
+    assert import_probe_report()["import"] == []

@@ -184,6 +184,17 @@ class TestMonteCarlo:
         assert est.estimate == 0.25
         assert est.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 100))
 
+    def test_estimate_is_an_immutable_value(self):
+        est = McEstimate(successes=25, samples=100)
+        assert est == McEstimate(25, 100)
+        assert est != McEstimate(successes=26, samples=100)
+        with pytest.raises(AttributeError):
+            est.successes = 26
+        with pytest.raises(AttributeError):
+            est.extra = 1
+        assert est.within(Fraction(1, 4))
+        assert not est.within(Fraction(1, 2))
+
 
 @st.composite
 def matrices_mod_q(draw):
