@@ -32,8 +32,6 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .glwalk import (
-    count_gl_families,
-    cuspidal_count,
     gl_separation_bounds,
     gl_separation_closed_form,
     gl_separation_exact,

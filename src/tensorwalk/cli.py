@@ -284,21 +284,11 @@ def _gl_checks(n: int, q: int, r_max: int):
         for c in range(7):
             glwalk.check_alternating_terms_decreasing(n, q, n + c)
 
-    def families_exist():
-        if glwalk.count_gl_families(n, q, avoid_e=True) <= 0:
-            raise ConsistencyError("no family avoids the unit cuspidal")
-
-    def cuspidal_integrality():
-        for m in range(1, 13):
-            glwalk.cuspidal_count(m, q)
-
     return [
         (f"three-route separation equality (n={n}, q={q}, r<={r_max})", three_routes),
         (f"separation pinned at 1 before n steps (n={n}, q={q})", early_saturation),
         (f"separation inside bracketing bounds (n={n}, q={q}, c<=6)", bounds),
         (f"alternating terms strictly decreasing (n={n}, q={q})", decreasing_terms),
-        (f"families avoiding the unit cuspidal exist (n={n}, q={q})", families_exist),
-        (f"cuspidal count integrality (q={q}, m<=12)", cuspidal_integrality),
     ]
 
 

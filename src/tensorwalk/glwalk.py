@@ -7,9 +7,8 @@ are rational functions of q, so they evaluate at any integer q >= 2; the
 prime-power flag only matters for group-theoretic interpretation and for
 Monte Carlo elsewhere.
 
-No GL character table is built; the q-series routes make the representation
-level bookkeeping unnecessary beyond counting the families of partitions
-that index the irreducibles.
+No GL character table is built: the q-series routes need no
+representation-level bookkeeping.
 """
 
 import sys
@@ -158,61 +157,6 @@ def gl_separation_limit(q: int, c: int) -> EulerProductLimit:
         if m > 10_000:
             raise RuntimeError("product did not stabilize")
     return EulerProductLimit(value=1.0 - product, factors=m - 1)
-
-
-def _mobius(d: int) -> int:
-    exponents = prime_factors(d).values()
-    if any(e > 1 for e in exponents):
-        return 0
-    return (-1) ** len(exponents)
-
-
-def cuspidal_count(m: int, q: int) -> int:
-    """Number of degree-m cuspidal characters, by Moebius inversion over q-powers."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    _check_q(q)
-    total = 0
-    for d in range(1, m + 1):
-        if m % d == 0:
-            total += _mobius(d) * (q ** (m // d) - 1)
-    if total % m != 0:
-        raise ConsistencyError(f"cuspidal count not divisible: m={m} q={q} sum={total}")
-    return total // m
-
-
-def count_gl_families(n: int, q: int, avoid_e: bool = False) -> int:
-    """Number of degree-n families of partitions over the cuspidals.
-
-    Generating-function coefficient extraction in exact integers: each
-    cuspidal of degree m contributes a partition generating function in
-    x^m. With avoid_e, the factor of the distinguished degree-one unit
-    cuspidal is dropped, counting families whose unit slot is empty.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_q(q)
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    for m in range(1, n + 1):
-        colors = cuspidal_count(m, q)
-        if m == 1 and avoid_e:
-            colors -= 1
-        if colors <= 0:
-            continue
-        for k in range(1, n // m + 1):
-            j = m * k
-            # multiply by (1 - x^j)^(-colors)
-            new = [0] * (n + 1)
-            for t in range(n + 1):
-                acc = 0
-                i = 0
-                while i * j <= t:
-                    acc += comb(colors + i - 1, i) * coeffs[t - i * j]
-                    i += 1
-                new[t] = acc
-            coeffs = new
-    return coeffs[n]
 
 
 def check_alternating_terms_decreasing(n: int, q: int, r: int) -> bool:

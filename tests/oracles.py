@@ -335,30 +335,3 @@ def fixed_point_census(n: int) -> dict[int, int]:
     for fixed, _ in permutation_stats(n):
         census[fixed] = census.get(fixed, 0) + 1
     return census
-
-
-def count_families_by_enumeration(n: int, cuspidal_counts, avoid_e: bool) -> int:
-    """Families of partitions over labeled cuspidals, by slot recursion.
-
-    `cuspidal_counts[m]` is the number of degree-m cuspidals. Each labeled
-    cuspidal receives a partition (possibly empty); the weighted sizes must
-    sum to n. The unit slot is one of the degree-1 cuspidals; avoid_e pins
-    its partition empty.
-    """
-    slots = []
-    for m, count in sorted(cuspidal_counts.items()):
-        effective = count - 1 if (m == 1 and avoid_e) else count
-        slots.extend([m] * effective)
-
-    def rec(idx: int, remaining: int) -> int:
-        if idx == len(slots):
-            return 1 if remaining == 0 else 0
-        m = slots[idx]
-        total = 0
-        j = 0
-        while j * m <= remaining:
-            total += euler_partition_count(j) * rec(idx + 1, remaining - j * m)
-            j += 1
-        return total
-
-    return rec(0, n)

@@ -6,8 +6,6 @@ from tensorwalk.errors import ExcludedCaseError
 from tensorwalk.glwalk import (
     check_alternating_terms_decreasing,
     check_separation_within_bounds,
-    count_gl_families,
-    cuspidal_count,
     gl_separation_bounds,
     gl_separation_closed_form,
     gl_separation_exact,
@@ -16,7 +14,7 @@ from tensorwalk.glwalk import (
     is_prime_power,
 )
 
-from oracles import count_families_by_enumeration, span_dim_by_enumeration
+from oracles import span_dim_by_enumeration
 
 
 class TestSpectrum:
@@ -119,47 +117,3 @@ class TestLimit:
             abs(float(gl_separation_exact(n, 2, n)) - limit) for n in (4, 8, 12, 16)
         ]
         assert all(x > y for x, y in zip(gaps, gaps[1:]))
-
-
-class TestCuspidalCount:
-    def test_known_values(self):
-        assert cuspidal_count(1, 3) == 2
-        assert cuspidal_count(2, 2) == 1
-        assert cuspidal_count(6, 2) == 9
-
-    def test_integrality_grid(self):
-        for q in (2, 3, 4, 5):
-            for m in range(1, 13):
-                assert cuspidal_count(m, q) >= 0
-
-    def test_degree_one_count(self):
-        for q in (2, 3, 4, 5, 9):
-            assert cuspidal_count(1, q) == q - 1
-
-
-class TestFamilies:
-    def test_known_values(self):
-        assert count_gl_families(2, 2) == 3
-        assert count_gl_families(1, 2, avoid_e=True) == 0
-        assert count_gl_families(1, 3, avoid_e=True) == 1
-
-    def test_matches_class_counts(self):
-        # the number of irreducibles equals the number of conjugacy classes,
-        # which for the 2x2 groups is q^2 - 1
-        for q in (2, 3, 4, 5):
-            assert count_gl_families(2, q) == q**2 - 1
-
-    def test_against_slot_enumeration(self):
-        for q in (2, 3):
-            for n in range(1, 5):
-                counts = {m: cuspidal_count(m, q) for m in range(1, n + 1)}
-                for avoid in (False, True):
-                    assert count_gl_families(n, q, avoid) == \
-                        count_families_by_enumeration(n, counts, avoid)
-
-    def test_avoiding_unit_exists(self):
-        for q in (2, 3, 4):
-            for n in range(1, 9):
-                if (n, q) == (1, 2):
-                    continue
-                assert count_gl_families(n, q, avoid_e=True) > 0
