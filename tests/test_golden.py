@@ -59,7 +59,7 @@ GOLDEN = [
     ("crosscheck --n 10",
      "d4d6e9d7589b8fc6047b8e05e1f5bafaff6b3864e74fe1289744d7affddc7e28"),
     ("crosscheck --n 4 --q 3",
-     "508b567142f516e53c2e5e692e2ec2826d58e5a5d74b6b8552264366f3f4ebd6"),
+     "e70cc28961efc8ef405a168b19d352c3ef10e0d729b083a404d5a9c076f5ef8d"),
     ("spectrum --n 6",
      "cf7090d2552702d98926ef4efe7e2d0e2c01fb0bea41700cece1513050b27cda"),
     ("spectrum --n 4 --q 2",
