@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 from . import glwalk, interpolation, occupancy, snwalk
 from .chains import SeparationCurve, format_exact, format_float
@@ -201,7 +202,10 @@ def _sn_checks(n: int, r_max: int):
                 )
 
     def spectrum_mass():
-        snwalk.spectrum_sn(n)
+        # the multiplicity of i/n counts the classes with i fixed points
+        spectrum = {int(value * n): mult for value, mult in snwalk.spectrum_sn(n).entries}
+        if spectrum != Counter(c.fixed_points for c in character_table(n).classes):
+            raise ConsistencyError("spectrum multiplicities differ from the class census")
 
     def four_routes():
         for r in range(r_max + 1):
@@ -241,9 +245,11 @@ def _sn_checks(n: int, r_max: int):
             sums = {"classes": direct, "closed_form": signed_fixed_point_sum(n, i)}
             common_value(sums, f"the signed fixed point sum, n={n} i={i}")
 
+    tensor_r_max = min(r_max, 12)
+
     def tensor_powers():
         for lam in enumerate_partitions(n):
-            for r in range(min(r_max, 12) + 1):
+            for r in range(tensor_r_max + 1):
                 snwalk.tensor_power_check(n, r, lam)
 
     checks = [
@@ -262,7 +268,9 @@ def _sn_checks(n: int, r_max: int):
         (f"signed fixed point sums vs closed form (n={n})", signed_sums),
     ]
     if n <= 7:
-        checks.append((f"tensor power multiplicities (n={n}, r<=12)", tensor_powers))
+        checks.append(
+            (f"tensor power multiplicities (n={n}, r<={tensor_r_max})", tensor_powers)
+        )
     return checks
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorwalk import glwalk, interpolation, occupancy, snwalk
-from tensorwalk.chains import TransitionKernel, format_exact, format_float
+from tensorwalk.chains import Spectrum, TransitionKernel, format_exact, format_float
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition
 from tensorwalk.errors import ConsistencyError
@@ -472,6 +472,26 @@ class TestCrosscheck:
         info = character_table.cache_info()
         assert info.misses == 1
         assert info.hits >= 1
+
+    def test_tensor_power_label_names_the_checked_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "3", "--rmax", "5")
+        assert code == 0
+        assert "PASS  tensor power multiplicities (n=3, r<=5)" in out.splitlines()
+
+    def test_spectrum_multiplicities_checked_against_the_classes(self, capsys, monkeypatch):
+        # swapping two multiplicities keeps their total but not the class census
+        true_spectrum = snwalk.spectrum_sn
+
+        def swapped(n):
+            (top, a), *middle, (bottom, b) = true_spectrum(n).entries
+            return Spectrum(((top, b), *middle, (bottom, a)))
+
+        monkeypatch.setattr(snwalk, "spectrum_sn", swapped)
+        code, out, _ = run_cli(capsys, "crosscheck", "--n", "5")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert len(failed) == 1
+        assert "spectrum multiplicity total (n=5)" in failed[0]
 
     def test_size_guard_ignores_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TENSORWALK_MAX_N", "11")
