@@ -50,7 +50,6 @@ from .occupancy import (
     occupancy_chain_power,
     occupancy_exact,
     occupancy_mc,
-    poisson_not01,
     qspan_chain_power,
     qspan_exact,
     qspan_mc,

@@ -270,13 +270,3 @@ def qspan_mc(
     if r == 0:
         return McEstimate(successes=samples if a == 0 else 0, samples=samples)
     return _count_matches(seed, samples, q, (r, n), lambda m: _batch_rank_mod(m, q), a)
-
-
-def poisson_not01(c: float) -> float:
-    """Probability that a Poisson variable with mean e^(-c) is neither 0 nor 1."""
-    if c < -700.0:
-        return 1.0
-    mean = math.exp(-c)
-    if mean > 700.0:
-        return 1.0
-    return 1.0 - math.exp(-mean) * (1.0 + mean)

@@ -9,7 +9,7 @@ independent exact routes which are cross-asserted wherever cheap.
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, factorial
+from math import comb, exp, factorial
 from operator import mul
 
 from .chains import Spectrum, TransitionKernel
@@ -26,7 +26,7 @@ from .combinat import (
 from .config import check_n
 from .errors import ConsistencyError, common_value
 from .interpolation import separation_from_spectrum
-from .occupancy import occupancy_exact, poisson_not01
+from .occupancy import occupancy_exact
 
 
 def trivial_shape(n: int) -> Partition:
@@ -330,7 +330,12 @@ def separation_profile(c: float) -> float:
     e^(-c); the profile is the probability that it is neither 0 nor 1. The
     finite-n error decays like log(n)/n.
     """
-    return poisson_not01(c)
+    if c < -700.0:
+        return 1.0
+    mean = exp(-c)
+    if mean > 700.0:
+        return 1.0
+    return 1.0 - exp(-mean) * (1.0 + mean)
 
 
 def tv_exact(n: int, r: int) -> Fraction:

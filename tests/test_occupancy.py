@@ -20,7 +20,6 @@ from tensorwalk.occupancy import (
     occupancy_chain_power,
     occupancy_exact,
     occupancy_mc,
-    poisson_not01,
     qspan_chain_power,
     qspan_exact,
     qspan_mc,
@@ -428,20 +427,3 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="second chunk"):
             _count_matches(SEED, 5, 4, (6,), statistic, 0)
         assert threading.active_count() == threads
-
-
-class TestPoissonNot01:
-    # reference values computed with 40-digit arithmetic
-    def test_reference_values(self):
-        assert poisson_not01(0.0) == pytest.approx(0.26424111765711536, rel=1e-14)
-        assert poisson_not01(1.0) == pytest.approx(0.05315299240107115, rel=1e-14)
-        assert poisson_not01(-2.0) == pytest.approx(0.99481573959054099, rel=1e-14)
-
-    def test_limits(self):
-        assert poisson_not01(40.0) == pytest.approx(0.0, abs=1e-15)
-        assert poisson_not01(800.0) == 0.0
-        assert poisson_not01(-800.0) == 1.0
-
-    def test_monotone_decreasing_in_c(self):
-        values = [poisson_not01(c / 2) for c in range(-10, 11)]
-        assert all(x >= y for x, y in zip(values, values[1:]))

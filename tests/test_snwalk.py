@@ -373,10 +373,20 @@ class TestSteppedClosedForm:
 
 
 class TestProfile:
+    # reference values computed with 40-digit arithmetic
     def test_reference_values(self):
         assert separation_profile(0.0) == pytest.approx(0.26424111765711536, rel=1e-14)
         assert separation_profile(1.0) == pytest.approx(0.05315299240107115, rel=1e-14)
-        assert separation_profile(50.0) == pytest.approx(0.0, abs=1e-15)
+        assert separation_profile(-2.0) == pytest.approx(0.99481573959054099, rel=1e-14)
+
+    def test_limits(self):
+        assert separation_profile(40.0) == pytest.approx(0.0, abs=1e-15)
+        assert separation_profile(800.0) == 0.0
+        assert separation_profile(-800.0) == 1.0
+
+    def test_monotone_decreasing_in_c(self):
+        values = [separation_profile(c / 2) for c in range(-10, 11)]
+        assert all(x >= y for x, y in zip(values, values[1:]))
 
     def test_profile_tracks_exact_values(self):
         # at time n log n the finite-size value sits near the limit profile
