@@ -1,8 +1,11 @@
-"""Every public library function has a caller in the library itself.
+"""Every public library function and method has a caller outside the tests.
 
 A function that only its own tests reach serves no command, route or check,
-yet every change must keep it working. The scan reads the source with `ast`,
-so a name in a docstring or a comment is no caller.
+yet every change must keep it working. A caller is a read of the name in the
+library itself, in the benchmark's output checks (`perfbench/checks.py`) or
+in the benchmark's traced `TARGETS`. The scan reads the source with `ast`,
+so a name in a docstring or a comment is no caller. Methods are matched by
+name alone, so any read of `.name` counts as a call of every method so named.
 """
 
 import ast
@@ -11,12 +14,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tensorwalk"
 
-# Public functions kept without a caller in src/, each with its reason.
+TABLE_ORACLE = "checks the Murnaghan-Nakayama table in tests/test_characters.py"
+
+# Public functions and methods kept without a caller, each with its reason.
 UNREACHED = {
     "interpolation_coefficients": "waits for its crosscheck caller (ROADMAP item 12)",
     "gl_separation_limit": "waits for `profile --q` (ROADMAP item 6)",
-    "occupancy_chain_power": "read by perfbench/checks.py",
-    "qspan_chain_power": "read by perfbench/checks.py",
+    "CharacterTable.check_row_orthogonality": TABLE_ORACLE,
+    "CharacterTable.check_column_orthogonality": TABLE_ORACLE,
 }
 
 
@@ -24,22 +29,31 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def public_functions() -> list[str]:
-    """The public module-level functions of the package."""
-    return [
-        node.name
-        for path in sorted(SRC.glob("*.py"))
-        for node in _tree(path).body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    ]
+def _is_public(node) -> bool:
+    return not node.name.startswith("_")
+
+
+def public_callables() -> dict[str, str]:
+    """The public module-level functions and the public methods of public
+    classes, keyed by their qualified name, with the name a caller reads."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef) and _is_public(node):
+                found[node.name] = node.name
+            elif isinstance(node, ast.ClassDef) and _is_public(node):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and _is_public(method):
+                        found[f"{node.name}.{method.name}"] = method.name
+    return found
 
 
 def names_read() -> set[str]:
-    """Every name and attribute read in src/, outside `__init__.py`."""
+    """Every name and attribute read in src/ outside `__init__.py`, and in
+    perfbench/checks.py."""
+    paths = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
     read = set()
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
+    for path in [*paths, ROOT / "perfbench" / "checks.py"]:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -68,5 +82,7 @@ def tracer_targets() -> set[str]:
 
 def test_every_public_function_has_a_library_caller():
     reached = names_read() | tracer_targets()
-    unreached = sorted(name for name in public_functions() if name not in reached)
+    unreached = sorted(
+        qualified for qualified, name in public_callables().items() if name not in reached
+    )
     assert unreached == sorted(UNREACHED)
