@@ -63,7 +63,8 @@ def names_read() -> set[str]:
 
 
 def tracer_targets() -> set[str]:
-    """The attribute names written out in perfbench/tracer.py `TARGETS`."""
+    """The attribute names written out in perfbench/tracer.py `TARGETS`,
+    qualified by their class for a method."""
     tree = _tree(ROOT / "perfbench" / "tracer.py")
     (targets,) = [
         node.value
@@ -81,8 +82,11 @@ def tracer_targets() -> set[str]:
 
 
 def test_every_public_function_has_a_library_caller():
-    reached = names_read() | tracer_targets()
+    read = names_read()
+    traced = tracer_targets()  # a traced method is written `Class.method`
     unreached = sorted(
-        qualified for qualified, name in public_callables().items() if name not in reached
+        qualified
+        for qualified, name in public_callables().items()
+        if name not in read and qualified not in traced
     )
     assert unreached == sorted(UNREACHED)
