@@ -12,7 +12,9 @@ at commit 93fbbaf921e97392fcf130031e7e9b85de585c66, and the multi-jump
 at commit 8671271a596e40b59546408e98f5cad4162ce798. The four `crosscheck`
 digests were re-recorded at commit d5738b1b445a1ef67f286a48848178f2b915b0b5,
 when PASS lines stopped padding the check name (the padding only aligns
-failure messages).
+failure messages). `crosscheck --n 4 --q 3` was re-recorded again at commit
+fc4c86a53e4975df94a339923cbe133cc98f685f, when its two GL family-count
+lines were deleted.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
