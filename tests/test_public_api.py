@@ -4,8 +4,9 @@ A function that only its own tests reach serves no command, route or check,
 yet every change must keep it working. A caller is a read of the name in the
 library itself, in the benchmark's output checks (`perfbench/checks.py`) or
 in the benchmark's traced `TARGETS`. The scan reads the source with `ast`,
-so a name in a docstring or a comment is no caller. Methods are matched by
-name alone, so any read of `.name` counts as a call of every method so named.
+so a name in a docstring or a comment is no caller. In the source a method
+is matched by name alone, so any read of `.name` counts as a call of every
+method so named.
 """
 
 import ast
@@ -83,7 +84,7 @@ def tracer_targets() -> set[str]:
 
 def test_every_public_function_has_a_library_caller():
     read = names_read()
-    traced = tracer_targets()  # a traced method is written `Class.method`
+    traced = tracer_targets()
     unreached = sorted(
         qualified
         for qualified, name in public_callables().items()
