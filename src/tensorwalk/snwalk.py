@@ -20,8 +20,8 @@ from .combinat import (
     count_skew_syt_row,
     count_syt,
     enumerate_partitions,
+    is_prime,
     partition_counts,
-    prime_factors,
 )
 from .config import check_n
 from .errors import ConsistencyError, common_value
@@ -213,33 +213,40 @@ def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
     return True
 
 
-def _multiply_by_step_powers(terms: list[int], step: int) -> None:
-    """Multiply each terms[i] by i^step in place, with one `pow` per odd prime.
+def _power_sum(coefficients: list[int], r: int) -> int:
+    """The sum of coefficients[i] i^r over i >= 1, in one Horner pass.
 
-    An even i takes (i/2)^step shifted by step bits; any other composite i
-    takes p^step (i/p)^step for its smallest prime factor p. Both factors
-    are at most i/2, so the powers of the lower half are built and kept
-    first, the upper terms are multiplied next, and each kept power is
-    dropped as soon as its own term has taken it. Every old term is freed
-    as its product is made, so no second list of terms is held.
+    Each i is the product of its prime factors in ascending order, so the
+    sum nests as S(m, p0) = c_m + sum over primes p >= p0 with m p <= top of
+    p^r S(m p, p), and the total is S(1, 2). A node with no child, where
+    m p^2 > top, is c_{m p} p^r, one big-by-small multiply; a factor 2^r is
+    a shift, and each odd prime costs one `pow`, kept for the whole pass.
+    Only the few nodes with children multiply two big integers.
     """
+    top = len(coefficients) - 1
+    if top < 1:
+        return 0
+    primes = [p for p in range(2, top + 1) if is_prime(p)]
+    powers = {}
 
-    def power(i: int) -> int:
-        if i < 2:
-            return i
-        if not i & 1:
-            return kept[i >> 1] << step
-        p = min(prime_factors(i))
-        return pow(i, step) if p == i else kept[p] * kept[i // p]
+    def times_power(p: int, x: int) -> int:
+        if p == 2:
+            return x << r
+        if p not in powers:
+            powers[p] = pow(p, r)
+        return x * powers[p]
 
-    half = (len(terms) - 1) // 2
-    kept = []
-    for i in range(half + 1):
-        kept.append(power(i))
-    for i in range(half + 1, len(terms)):
-        terms[i] *= power(i)
-    for i in range(half, -1, -1):
-        terms[i] *= kept.pop()
+    def horner(m: int, first: int) -> int:
+        total = coefficients[m]
+        for k in range(first, len(primes)):
+            p = primes[k]
+            i = m * p
+            if i > top:
+                break
+            total += times_power(p, horner(i, k) if i * p <= top else coefficients[i])
+        return total
+
+    return horner(1, 0)
 
 
 def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
@@ -247,15 +254,18 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
 
     The distance is one alternating integer sum over the common denominator
     n^r, reduced once per r; fixed-precision evaluation of this sum cancels
-    catastrophically, the exact route does not. The signed terms
-    comb(n, i)(n - i - 1) i^r and the denominator n^r are carried from one r
-    to the next, so a step of one costs a single big-by-small multiply per
-    term instead of a fresh power, and a longer step multiplies each term by
-    i^step in place (`_multiply_by_step_powers`).
+    catastrophically, the exact route does not. Its terms are the small
+    signed coefficients comb(n, i)(n - i - 1)(-1)^(n - i) times i^r. A step
+    of one multiplies the terms carried from the last r by i, one
+    big-by-small multiply per term; any longer step evaluates the sum afresh
+    by `_power_sum` and carries nothing. A step of one that finds no terms
+    carried rebuilds them first.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    terms = [comb(n, i) * (n - i - 1) * (-1) ** (n - i) for i in range(n - 1)]
+    coefficients = [comb(n, i) * (n - i - 1) * (-1) ** (n - i) for i in range(n - 1)]
+    terms = coefficients
+    total = sum(terms)
     denominator = 1
     previous = 0
     for r in rs:
@@ -264,14 +274,17 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
         if r < previous:
             raise ValueError(f"r must not decrease, got {r} after {previous}")
         step = r - previous
-        if step:
-            if step == 1:
-                terms = list(map(mul, terms, range(n - 1)))
-            else:
-                _multiply_by_step_powers(terms, step)
-            denominator *= pow(n, step)
-            previous = r
-        yield Fraction(sum(terms), denominator)
+        if step == 1:
+            if terms is None:
+                terms = [c * pow(i, previous) for i, c in enumerate(coefficients)]
+            terms = list(map(mul, terms, range(n - 1)))
+            total = sum(terms)
+        elif step:
+            terms = None
+            total = _power_sum(coefficients, r)
+        denominator *= pow(n, step)
+        previous = r
+        yield Fraction(total, denominator)
 
 
 def separation_closed_form(n: int, r: int) -> Fraction:

@@ -314,8 +314,9 @@ class TestSeparation:
 
 
 # n = 2 and 3; n - 1 prime (6, 8, 12, 32); powers of two (4, 8, 16, 32, 64,
-# 128); n with an odd square factor (9, 45, 50, 200).
-JUMP_NS = (2, 3, 4, 6, 8, 9, 12, 16, 32, 45, 50, 64, 128, 200)
+# 128); n with an odd square factor (9, 45, 50, 200); at the CLI cap of 512,
+# a prime n (509), an odd top index n - 2 (511) and the cap itself.
+JUMP_NS = (2, 3, 4, 6, 8, 9, 12, 16, 32, 45, 50, 64, 128, 200, 509, 511, 512)
 
 
 class TestSteppedClosedForm:
