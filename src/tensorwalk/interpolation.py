@@ -69,35 +69,40 @@ def separation_from_spectrum(eigenvalues, r: int) -> Fraction:
 
     For a reversible ergodic kernel and states x, y whose support distance
     equals the number of non-unit eigenvalues, this equals
-    1 - K^r(x, y) / pi(y). The caller certifies that hypothesis.
+    1 - K^r(x, y) / pi(y). The caller certifies that hypothesis. The
+    eigenvalues are exact rationals (`int` or `Fraction`).
     """
-    eigs = _check_distinct(eigenvalues)
     if r < 0:
         raise ValueError("need r >= 0")
-    if Fraction(1) not in eigs:
-        raise ValueError("eigenvalue list must contain 1")
-    scale, weight_denominator, terms = _spectral_weights(eigs)
+    pairs = tuple((v.numerator, v.denominator) for v in eigenvalues)
+    scale, weight_denominator, terms = _spectral_weights(pairs)
     total = sum(weight * lam**r for lam, weight in terms)
     return Fraction(total, weight_denominator * scale**r)
 
 
 @cache
 def _spectral_weights(
-    eigs: tuple[Fraction, ...],
+    pairs: tuple[tuple[int, int], ...],
 ) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """(L, D, pairs (L lambda, D w)) over the non-unit eigenvalues lambda.
 
-    The weight w of lambda is the product over the other non-unit mu of
-    (1-mu)/(lambda-mu) = (L - L mu)/(L lambda - L mu), with L the lcm of the
-    eigenvalue denominators, so each weight is one integer ratio; D is the
-    lcm of the weight denominators. So the sum of w lambda^r is an integer
-    sum over the one denominator D L^r. Nothing here depends on r, so a
-    curve over many r computes it once per distinct, validated eigenvalue
-    tuple.
+    `pairs` holds each eigenvalue as its reduced (numerator, denominator);
+    they must be distinct and include 1. The weight w of lambda is the
+    product over the other non-unit mu of (1-mu)/(lambda-mu) =
+    (L - L mu)/(L lambda - L mu), with L the lcm of the eigenvalue
+    denominators, so each weight is one integer ratio; D is the lcm of the
+    weight denominators. So the sum of w lambda^r is an integer sum over the
+    one denominator D L^r. Nothing here depends on r, so a curve over many r
+    validates and weighs its spectrum once; an invalid spectrum raises on
+    every call, as errors are not cached.
     """
-    others = [v for v in eigs if v != 1]
-    scale = lcm(*(lam.denominator for lam in others))
-    scaled = [lam.numerator * (scale // lam.denominator) for lam in others]
+    if len(set(pairs)) != len(pairs):
+        raise ValueError("eigenvalues must be pairwise distinct")
+    if (1, 1) not in pairs:
+        raise ValueError("eigenvalue list must contain 1")
+    others = [pair for pair in pairs if pair != (1, 1)]
+    scale = lcm(*(d for _, d in others))
+    scaled = [a * (scale // d) for a, d in others]
     complements = prod(scale - y for y in scaled)
     weights = [
         Fraction(complements // (scale - x), prod(x - y for y in scaled if y != x))

@@ -126,6 +126,18 @@ class TestSeparationFromSpectrum:
         with pytest.raises(ValueError):
             separation_from_spectrum([Fraction(1, 2), Fraction(1, 4)], 3)
 
+    def test_invalid_spectrum_raises_between_valid_calls(self):
+        valid = [Fraction(1), Fraction(1, 2), Fraction(1, 4)]
+        invalid = [Fraction(1), Fraction(1, 2), Fraction(2, 4)]
+        assert separation_from_spectrum(valid, 2) == Fraction(5, 8)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="distinct"):
+                separation_from_spectrum(invalid, 2)
+        assert separation_from_spectrum(valid, 2) == Fraction(5, 8)
+        assert separation_from_spectrum(valid, 3) == spectral_separation_by_fraction_terms(
+            valid, 3
+        )
+
     def test_spurious_eigenvalue_changes_value(self):
         # with the full ladder 0/n .. (n-1)/n the formula instead gives the
         # pure-birth occupancy complement, which differs from the walk's
