@@ -342,10 +342,13 @@ def _file_path(path: str) -> bool:
 
 
 def _list_of(item):
-    """Argument type: comma-separated values of type `item`."""
+    """Argument type: comma-separated values of type `item`, at least one."""
 
     def convert(text: str) -> list:
-        return [item(part) for part in text.split(",") if part.strip()]
+        values = [item(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"need at least one value, got {text!r}")
+        return values
 
     convert.__name__ = f"{item.__name__} list"
     return convert

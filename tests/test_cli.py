@@ -259,6 +259,17 @@ class TestProfile:
         assert out == ""
         assert "--c" in err and "finite" in err
 
+    @pytest.mark.parametrize(
+        "grid, flag",
+        [(["--n", ",", "--c", "0"], "--n"), (["--n", "64", "--c", ","], "--c")],
+        ids=["no-sizes", "no-offsets"],
+    )
+    def test_empty_grid_rejected(self, capsys, grid, flag):
+        code, out, err = run_cli(capsys, "profile", *grid, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: need at least one value" in err
+
     @pytest.mark.parametrize("offset", ["1e308", "-1e308"])
     def test_non_finite_step_rejected(self, capsys, offset):
         code, out, err = run_cli(capsys, "profile", "--n", "64", f"--c={offset}")
