@@ -220,21 +220,12 @@ def _power_sum(coefficients: list[int], r: int) -> int:
     sum nests as S(m, p0) = c_m + sum over primes p >= p0 with m p <= top of
     p^r S(m p, p), and the total is S(1, 2). A node with no child, where
     m p^2 > top, is c_{m p} p^r, one big-by-small multiply; a factor 2^r is
-    a shift, and each odd prime costs one `pow`, kept for the whole pass.
+    a shift, and each odd prime costs one `pow`, made once for the pass.
     Only the few nodes with children multiply two big integers.
     """
     top = len(coefficients) - 1
-    if top < 1:
-        return 0
     primes = [p for p in range(2, top + 1) if is_prime(p)]
-    powers = {}
-
-    def times_power(p: int, x: int) -> int:
-        if p == 2:
-            return x << r
-        if p not in powers:
-            powers[p] = pow(p, r)
-        return x * powers[p]
+    powers = {p: pow(p, r) for p in primes[1:]}
 
     def horner(m: int, first: int) -> int:
         total = coefficients[m]
@@ -243,10 +234,11 @@ def _power_sum(coefficients: list[int], r: int) -> int:
             i = m * p
             if i > top:
                 break
-            total += times_power(p, horner(i, k) if i * p <= top else coefficients[i])
+            inner = horner(i, k) if i * p <= top else coefficients[i]
+            total += inner << r if p == 2 else inner * powers[p]
         return total
 
-    return horner(1, 0)
+    return horner(1, 0) if top else 0
 
 
 def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
