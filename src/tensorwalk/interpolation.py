@@ -74,19 +74,19 @@ def separation_from_spectrum(eigenvalues, r: int) -> Fraction:
     """
     if r < 0:
         raise ValueError("need r >= 0")
-    pairs = tuple((v.numerator, v.denominator) for v in eigenvalues)
-    scale, weight_denominator, terms = _spectral_weights(pairs)
+    ratios = tuple((v.numerator, v.denominator) for v in eigenvalues)
+    scale, weight_denominator, terms = _spectral_weights(ratios)
     total = sum(weight * lam**r for lam, weight in terms)
     return Fraction(total, weight_denominator * scale**r)
 
 
 @cache
 def _spectral_weights(
-    pairs: tuple[tuple[int, int], ...],
+    ratios: tuple[tuple[int, int], ...],
 ) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """(L, D, pairs (L lambda, D w)) over the non-unit eigenvalues lambda.
 
-    `pairs` holds each eigenvalue as its reduced (numerator, denominator);
+    `ratios` holds each eigenvalue as its reduced (numerator, denominator);
     they must be distinct and include 1. The weight w of lambda is the
     product over the other non-unit mu of (1-mu)/(lambda-mu) =
     (L - L mu)/(L lambda - L mu), with L the lcm of the eigenvalue
@@ -96,11 +96,11 @@ def _spectral_weights(
     validates and weighs its spectrum once; an invalid spectrum raises on
     every call, as errors are not cached.
     """
-    if len(set(pairs)) != len(pairs):
+    if len(set(ratios)) != len(ratios):
         raise ValueError("eigenvalues must be pairwise distinct")
-    if (1, 1) not in pairs:
+    if (1, 1) not in ratios:
         raise ValueError("eigenvalue list must contain 1")
-    others = [pair for pair in pairs if pair != (1, 1)]
+    others = [ratio for ratio in ratios if ratio != (1, 1)]
     scale = lcm(*(d for _, d in others))
     scaled = [a * (scale // d) for a, d in others]
     complements = prod(scale - y for y in scaled)
