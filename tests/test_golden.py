@@ -14,7 +14,9 @@ digests were re-recorded at commit d5738b1b445a1ef67f286a48848178f2b915b0b5,
 when PASS lines stopped padding the check name (the padding only aligns
 failure messages). `crosscheck --n 4 --q 3` was re-recorded again at commit
 fc4c86a53e4975df94a339923cbe133cc98f685f, when its two GL family-count
-lines were deleted.
+lines were deleted. `sn-sep --n 11 --rmax 12`, the first n above the
+command line's four-route limit, was recorded at commit
+5d23b571e6532bfd7f20583990a2cdb7700fbc5f.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -46,6 +48,8 @@ GOLDEN = [
      "f44028af204d0f2129bcd9b127649eca815ff52788d82699a95e465eb9347edf"),
     ("sn-sep --n 10 --rmax 40 --with-tv",
      "66d48c58369f5406146fdc94234a535eb58d876be9608dd73181815f973d5dfc"),
+    ("sn-sep --n 11 --rmax 12",
+     "d302b81fa94822c51bb845ec0a0445d402233e325fc85d7b07b821065e95f79a"),
     ("sn-sep --n 40 --rmax 200",
      "de9c323b6bf81aae78d24501ad798e35ce3f03ee7eb166bf6c703b76b23668b0"),
     ("gl-sep --n 6 --q 3 --rmax 20",
