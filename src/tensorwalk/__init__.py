@@ -28,7 +28,6 @@ from .errors import (
     ConsistencyError,
     ExcludedCaseError,
     RouteDisagreement,
-    SizeLimitError,
     UnsupportedFieldError,
 )
 from .glwalk import (

@@ -2,8 +2,8 @@
 
 Character values come from the Murnaghan-Nakayama rule, implemented on
 first-column hook length sets (beta sets), so the whole table is integer
-arithmetic. The practical bound on n (`tensorwalk.config`) keeps tables
-small, so each table is built once per n and cached.
+arithmetic. A table has one row and one column per partition of n and
+grows quickly with n, so each table is built once per n and cached.
 """
 
 from collections import Counter, namedtuple
@@ -12,7 +12,6 @@ from functools import cache
 from math import comb, factorial
 
 from .combinat import Partition, count_skew_syt_row, enumerate_partitions
-from .config import check_n
 from .errors import ConsistencyError, common_value
 
 
@@ -26,7 +25,6 @@ class ClassDescriptor(
 
 def conjugacy_classes(n: int) -> list[ClassDescriptor]:
     """One descriptor per cycle type, in the fixed partition order."""
-    check_n(n)
     out = []
     for ct in enumerate_partitions(n):
         counts = Counter(ct)
@@ -133,7 +131,6 @@ class CharacterTable:
 @cache
 def character_table(n: int) -> CharacterTable:
     """Integer character table of the symmetric group on n letters (cached)."""
-    check_n(n)
     partitions = enumerate_partitions(n)
     classes = conjugacy_classes(n)
     values = [

@@ -22,9 +22,9 @@ from .characters import (
     signed_fixed_point_sum,
 )
 from .combinat import enumerate_partitions, is_prime
-from .config import PRACTICAL_MAX_N
 from .errors import ConsistencyError, common_value
 
+PRACTICAL_MAX_N = 10
 CLOSED_FORM_MAX_N = 512
 CHARACTER_KERNEL_INVALID = "character kernel invalid; see kernel validation"
 

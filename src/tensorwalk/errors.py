@@ -42,10 +42,6 @@ def common_value(values: dict, where: str):
     return first
 
 
-class SizeLimitError(ValueError):
-    """Requested size exceeds the documented practical bound."""
-
-
 class UnsupportedFieldError(ValueError):
     """Field arithmetic requested for a modulus that is not prime."""
 

@@ -23,7 +23,6 @@ from .combinat import (
     is_prime,
     partition_counts,
 )
-from .config import check_n
 from .errors import ConsistencyError, common_value
 from .interpolation import separation_from_spectrum
 from .occupancy import occupancy_exact
@@ -61,7 +60,8 @@ def build_kernel_characters(n: int) -> TransitionKernel:
     The most recent kernel is kept, so every check at one n shares a
     single build.
     """
-    check_n(n)
+    if n < 1:
+        raise ValueError("need n >= 1")
     eta = character_table(n).fixed_points
     states = enumerate_partitions(n)
     rows = []
@@ -86,7 +86,8 @@ class BoxWalk:
     """
 
     def __init__(self, n: int):
-        check_n(n)
+        if n < 1:
+            raise ValueError("need n >= 1")
         self.states = tuple(enumerate_partitions(n))
         self.dims = tuple(count_syt(lam) for lam in self.states)
         below = {mu: j for j, mu in enumerate(enumerate_partitions(n - 1))}

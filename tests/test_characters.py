@@ -14,7 +14,7 @@ from tensorwalk.characters import (
     tensor_multiplicity,
 )
 from tensorwalk.combinat import Partition, count_syt, enumerate_partitions
-from tensorwalk.errors import ConsistencyError, SizeLimitError
+from tensorwalk.errors import ConsistencyError
 
 from oracles import (
     fixed_point_census,
@@ -69,22 +69,16 @@ class TestConjugacyClasses:
             assert c.fixed_points == c.cycle_type.count(1)
             assert c.sign == (-1) ** (5 - len(c.cycle_type))
 
-    def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
-            conjugacy_classes(11)
-        with pytest.raises(SizeLimitError):
-            character_table(0)
-
     def test_centralizer_not_dividing_raises(self, monkeypatch):
         # the 3-cycles' centralizer 3 (1! + 1) = 6 does not divide 3! + 1 = 7
         monkeypatch.setattr(characters, "factorial", lambda m: math.factorial(m) + 1)
         with pytest.raises(ConsistencyError, match=r"order 6 does not divide 3! at \[3\]"):
             conjugacy_classes(3)
 
-    def test_size_limit_ignores_environment(self, monkeypatch):
-        monkeypatch.setenv("TENSORWALK_MAX_N", "11")
-        with pytest.raises(SizeLimitError):
-            character_table(11)
+    def test_empty_group(self):
+        # S_0 has one element, hence one class and the one-entry table
+        assert [c.class_size for c in conjugacy_classes(0)] == [1]
+        assert character_table(0).values == ((1,),)
 
 
 # classical tables, frozen with classes in lexicographic descending cycle

