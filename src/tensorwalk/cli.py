@@ -336,9 +336,9 @@ def _checked(parse, ok, rule: str):
 
 
 def _file_path(path: str) -> bool:
-    """Whether `open(path, "w")` can take `path`: its directory exists, and
-    it is not a directory itself."""
-    return os.path.isdir(os.path.dirname(path) or os.curdir) and not os.path.isdir(path)
+    """Whether `open(path, "w")` can take `path`: it is not empty, its
+    directory exists, and it is not a directory itself."""
+    return path != "" and os.path.isdir(os.path.dirname(path) or ".") and not os.path.isdir(path)
 
 
 def _list_of(item):

@@ -693,13 +693,16 @@ class TestArgumentsCheckedBeforeWork:
             (("sn-sep", "--n", "11", "--rmax", "2", "--with-tv"), "--with-tv needs n <= 10"),
             (("sn-sep", "--n", "11", "--rmax", "2", "--out", "missing/curve.csv"),
              "need a file path in an existing directory, got missing/curve.csv"),
+            (("sn-sep", "--n", "3", "--rmax", "1", "--out", ""),
+             "need a file path in an existing directory, got \n"),
             (("occupancy", "--a", "1", "--r", "2", "--n", "3", "--out", "missing/x.json"),
              "need a file path in an existing directory, got missing/x.json"),
             (("spectrum", "--n", "4", "--out", "."),
              "need a file path in an existing directory, got ."),
         ],
         ids=["occupancy-n0", "profile-n2", "profile-n128", "profile-c1e6", "sn-sep-with-tv",
-             "sn-sep-out-missing-directory", "occupancy-out-missing-directory",
+             "sn-sep-out-missing-directory", "sn-sep-out-empty",
+             "occupancy-out-missing-directory",
              "spectrum-out-directory"],
     )
     def test_rejected_before_any_computation(
