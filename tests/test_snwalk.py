@@ -139,6 +139,8 @@ class TestBoxWalk:
         walk = BoxWalk(20)
         for r in range(11):
             assert sum(f * m for f, m in zip(walk.dims, walk.multiplicities(r))) == 20**r
+
+
 class TestSpectrum:
     def test_s4_multiplicities(self):
         entries = spectrum_sn(4).entries
