@@ -16,7 +16,10 @@ failure messages). `crosscheck --n 4 --q 3` was re-recorded again at commit
 fc4c86a53e4975df94a339923cbe133cc98f685f, when its two GL family-count
 lines were deleted. `sn-sep --n 11 --rmax 12`, the first n above the
 command line's four-route limit, was recorded at commit
-5d23b571e6532bfd7f20583990a2cdb7700fbc5f.
+5d23b571e6532bfd7f20583990a2cdb7700fbc5f. `profile --n 128 --c=0,0.008`,
+which reads r = 622 and then r = 623 (a step of one right after a jump in
+the stepped closed-form pass), was recorded at commit
+1ae70e67f472eafdbb80369b8c31b5b0bf425961.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -72,6 +75,8 @@ GOLDEN = [
      "56cb308bc7da8759dbd27f680ff3cbeba7201534b22554054dd05a6a172c07e3"),
     ("profile --n 128 --c=0",
      "d1623d85ec6acb663a25d2521f307561604f850fc63145251cf5466450d0d80e"),
+    ("profile --n 128 --c=0,0.008",
+     "bac5805aa55996dfcb892a5c673723c5267ff23779a47073a174fb845fe0d0c0"),
     ("profile --n 128,256,512 --c=-1,0,1,2",
      "fa5efaa4b0113f90137a87c08daff1b8922630121cd10e71aa9b40be4497bd63"),
     ("gl-sep --n 24 --q 2 --rmax 48",
