@@ -186,15 +186,8 @@ class SeparationCurve:
             )
         self.records.append(CurveRecord(r, value, route))
 
-    def routes(self) -> list[str]:
-        seen = []
-        for rec in self.records:
-            if rec.route not in seen:
-                seen.append(rec.route)
-        return seen
-
     def monotonicity_violations(self) -> list[tuple[str, int, int]]:
-        """(route, r_prev, r) triples where the value increased with r.
+        """(route, r_prev, r) triples where the value increased with r, in ascending r.
 
         Non-increase holds in every case computed here but is not asserted
         hard; callers warn about the violations instead of failing. Each
@@ -202,16 +195,14 @@ class SeparationCurve:
         and so keep the exact order whenever they differ; the exact values are
         compared only when the floats are equal.
         """
-        out = []
-        for route in self.routes():
-            recs = sorted(
-                (rec for rec in self.records if rec.route == route),
-                key=lambda rec: rec.r,
-            )
-            pairs = [(rec.float_value, rec) for rec in recs]
-            for (before, prev), (after, cur) in zip(pairs, pairs[1:]):
+        out, last = [], {}  # last: route -> (float value, record) at its latest r
+        for cur in sorted(self.records, key=lambda rec: rec.r):
+            after = cur.float_value
+            if cur.route in last:
+                before, prev = last[cur.route]
                 if after > before or (after == before and cur.value > prev.value):
-                    out.append((route, prev.r, cur.r))
+                    out.append((cur.route, prev.r, cur.r))
+            last[cur.route] = after, cur
         return out
 
     def warn_if_not_monotone(self) -> None:

@@ -248,8 +248,10 @@ def _sn_checks(n: int, r_max: int):
     tensor_r_max = min(r_max, 12)
 
     def tensor_powers():
-        for lam in enumerate_partitions(n):
-            for r in range(tensor_r_max + 1):
+        # r outside, so the box walk steps up once instead of once per shape
+        shapes = enumerate_partitions(n)
+        for r in range(tensor_r_max + 1):
+            for lam in shapes:
                 snwalk.tensor_power_check(n, r, lam)
 
     checks = [
@@ -410,6 +412,8 @@ def _occupancy_rule(args):
         return f"need a <= n, got a = {args.a} > n = {args.n}"
     if args.q is None and args.n < 1:
         return f"need n >= 1 without --q, got {args.n}"
+    if args.q is None and args.n > 2**63:  # numpy draws box labels as int64
+        return f"need n <= 2^63 without --q, got {args.n}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -82,7 +82,8 @@ class BoxWalk:
     step is a down pass onto the partitions of n - 1 and an up pass back.
     The r-step kernel mass at lam from the trivial start is then
     dims[lam] mult_r(lam) / n^r, and no `Fraction` is formed until a route
-    reads one.
+    reads one. Every curve walks r upward, so only the latest (r, mult_r) is
+    kept: a later r steps on from it and an earlier r restarts from r = 0.
     """
 
     def __init__(self, n: int):
@@ -97,7 +98,8 @@ class BoxWalk:
         self._below_count = len(below)
         self._state_index = {lam: i for i, lam in enumerate(self.states)}
         # The 0-th tensor power is the trivial representation, the first state.
-        self._multiplicities = [tuple(int(i == 0) for i in range(len(self.states)))]
+        self._start = tuple(int(i == 0) for i in range(len(self.states)))
+        self._latest = 0, self._start
 
     def index(self, lam: Partition) -> int:
         return self._state_index[lam]
@@ -112,18 +114,19 @@ class BoxWalk:
         return tuple(sum(down[j] for j in below) for below in self.removals)
 
     def multiplicities(self, r: int) -> tuple[int, ...]:
-        """mult_r: each state's multiplicity in the r-th tensor power (cached)."""
+        """mult_r: each state's multiplicity in the r-th tensor power."""
         if r < 0:
             raise ValueError("negative power")
-        known = self._multiplicities
-        while len(known) <= r:
-            known.append(self.step(known[-1]))
-        return known[r]
+        latest, mult = self._latest if self._latest[0] <= r else (0, self._start)
+        for _ in range(r - latest):
+            mult = self.step(mult)
+        self._latest = r, mult
+        return mult
 
 
 @lru_cache(maxsize=1)
 def box_walk(n: int) -> BoxWalk:
-    """The box walk at n; the most recent one is kept with its cached steps."""
+    """The box walk at n; the most recent one is kept with its latest step."""
     return BoxWalk(n)
 
 
@@ -249,10 +252,9 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     n^r, reduced once per r; fixed-precision evaluation of this sum cancels
     catastrophically, the exact route does not. Its terms are the small
     signed coefficients comb(n, i)(n - i - 1)(-1)^(n - i) times i^r. A step
-    of one multiplies the terms carried from the last r by i, one
-    big-by-small multiply per term; any longer step evaluates the sum afresh
-    by `_power_sum` and carries nothing. A step of one that finds no terms
-    carried rebuilds them first.
+    of one from carried terms multiplies each by i, one big-by-small
+    multiply per term; any other step, a step of one right after a jump
+    included, evaluates the sum afresh by `_power_sum` and carries nothing.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -267,9 +269,7 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
         if r < previous:
             raise ValueError(f"r must not decrease, got {r} after {previous}")
         step = r - previous
-        if step == 1:
-            if terms is None:
-                terms = [c * pow(i, previous) for i, c in enumerate(coefficients)]
+        if step == 1 and terms is not None:
             terms = list(map(mul, terms, range(n - 1)))
             total = sum(terms)
         elif step:

@@ -348,6 +348,14 @@ class TestSeparationCurve:
         falling.add(2, down, "closed_form")
         assert falling.monotonicity_violations() == []
 
+    def test_violations_come_in_ascending_r_across_routes(self):
+        curve = SeparationCurve(n=3)
+        # each route falls but for one rise, at r = 3 and r = 1 respectively
+        for route, rise in {"closed_form": 3, "spectral": 1}.items():
+            for r in range(4):
+                curve.add(r, Fraction(1, 2) if r == rise else Fraction(1, 4 + r), route)
+        assert curve.monotonicity_violations() == [("spectral", 0, 1), ("closed_form", 2, 3)]
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(

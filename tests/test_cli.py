@@ -687,6 +687,7 @@ class TestArgumentsCheckedBeforeWork:
         "argv,message",
         [
             (("occupancy", "--a", "0", "--r", "2", "--n", "0"), "need n >= 1"),
+            (("occupancy", "--a", "1", "--r", "2", "--n", str(10**20)), "need n <= 2^63"),
             (("profile", "--n", "2", "--c=-5"), "need r >= 0"),
             (("profile", "--n", "128", "--c=-100"), "need r >= 0"),
             (("profile", "--n", "512", "--c=1e6"), "need r <= 2 ceil(n ln n) = 6390"),
@@ -700,7 +701,7 @@ class TestArgumentsCheckedBeforeWork:
             (("spectrum", "--n", "4", "--out", "."),
              "need a file path in an existing directory, got ."),
         ],
-        ids=["occupancy-n0", "profile-n2", "profile-n128", "profile-c1e6", "sn-sep-with-tv",
+        ids=["occupancy-n0", "occupancy-n1e20", "profile-n2", "profile-n128", "profile-c1e6", "sn-sep-with-tv",
              "sn-sep-out-missing-directory", "sn-sep-out-empty",
              "occupancy-out-missing-directory",
              "spectrum-out-directory"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -123,12 +124,29 @@ class TestBoxWalk:
         for lam in enumerate_partitions(n):
             assert tensor_power_check(n, r, lam), (n, r, lam)
 
-    def test_steps_are_cached_and_read_only(self):
+    def test_latest_step_is_kept_and_read_only(self):
         walk = BoxWalk(5)
         third = walk.multiplicities(3)
         assert walk.multiplicities(3) is third
         assert isinstance(third, tuple)
         assert walk.multiplicities(0) == (1,) + (0,) * (len(walk.states) - 1)
+
+    def test_earlier_power_restarts_from_the_start(self):
+        walk = BoxWalk(5)
+        walk.multiplicities(9)
+        assert walk.multiplicities(5) == BoxWalk(5).multiplicities(5)
+
+    def test_memory_stays_flat_along_a_curve(self):
+        # only the latest step is kept, so a long curve holds one vector
+        walk = BoxWalk(15)
+        tracemalloc.start()
+        try:
+            for r in range(121):
+                walk.multiplicities(r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError, match="negative"):
@@ -350,6 +368,12 @@ class TestSteppedClosedForm:
         rs = sorted([0, 0, 1, 2, 2, 5, n - 1, n, 3 * n, 3 * n, 5 * n + 7])
         expected = [sn_separation_by_fresh_powers(n, r) for r in rs]
         assert list(separation_closed_forms(n, rs)) == expected
+
+    def test_step_of_one_after_a_jump_matches_fresh_powers(self):
+        # `profile --n 128 --c=0,0.008` reads r = 622 and then r = 623
+        rs = [0, 622, 623]
+        expected = [sn_separation_by_fresh_powers(128, r) for r in rs]
+        assert list(separation_closed_forms(128, rs)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
