@@ -19,7 +19,10 @@ command line's four-route limit, was recorded at commit
 5d23b571e6532bfd7f20583990a2cdb7700fbc5f. `profile --n 128 --c=0,0.008`,
 which reads r = 622 and then r = 623 (a step of one right after a jump in
 the stepped closed-form pass), was recorded at commit
-1ae70e67f472eafdbb80369b8c31b5b0bf425961.
+1ae70e67f472eafdbb80369b8c31b5b0bf425961. `sn-sep --n 60 --rmax 300`
+(n = 2^2 * 3 * 5, so n^r has three primes) and `gl-sep --n 6 --q 9 --rmax 20`
+(a prime-power q) were recorded at commit
+70a5522bcffad69df275e577e962b26848712e3e.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -55,12 +58,16 @@ GOLDEN = [
      "d302b81fa94822c51bb845ec0a0445d402233e325fc85d7b07b821065e95f79a"),
     ("sn-sep --n 40 --rmax 200",
      "de9c323b6bf81aae78d24501ad798e35ce3f03ee7eb166bf6c703b76b23668b0"),
+    ("sn-sep --n 60 --rmax 300",
+     "dde36bfd3128dfc14c5fdb2061b52a3ab78779d2c06b6e861c093903542be029"),
     ("gl-sep --n 6 --q 3 --rmax 20",
      "6b56eaada182d1c945beb8d06c58845ac10781deaf766a18edac632ca4a7dd0f"),
     ("gl-sep --n 6 --q 3 --rmax 20 --format json",
      "a8664da270484dc81bdc4143254b923f1c83b2c149232653385d84d2d98aff78"),
     ("gl-sep --n 16 --q 7 --rmax 32",
      "35248d42c33d4ec8edca8c8faea807cad698dcd6d31d643f44022cf9180eb958"),
+    ("gl-sep --n 6 --q 9 --rmax 20",
+     "61458a162bff20304574861953faf52cf5566f9536552d8b1bb1036dd8c72fc9"),
     ("crosscheck --n 7",
      "65b8be0553c99110419d2095b0f676994afe755761f7a206fafdcc9bd08d0dac"),
     ("crosscheck --n 8 --rmax 24",
