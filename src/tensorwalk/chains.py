@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import numbers
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -25,6 +26,51 @@ def format_exact(value: Fraction) -> str:
     finally:
         if previous:
             sys.set_int_max_str_digits(previous)
+
+
+class _LowestTerms:
+    """A numerator and a positive denominator already in lowest terms.
+
+    Registered as a `numbers.Rational`, so `Fraction(x)` copies the two
+    fields through its documented Rational path without a gcd.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def reduced_over_power(numerator: int, base: int, exponent: int) -> Fraction:
+    """numerator / base**exponent in lowest terms, reduced from a small residue.
+
+    Equal to `Fraction(numerator, base**exponent)`. Every prime of the
+    denominator divides `base`, so gcd(numerator, base**exponent) equals
+    g = gcd(numerator mod base**k, base**k) for any k <= exponent with
+    numerator / g coprime to `base`. k starts where base**k has about 1024
+    bits and doubles while that fails, so the gcd runs on numbers of about
+    a thousand bits, not on the whole numerator; the reduced pair is handed
+    to `Fraction` through its public Rational copy, which does not reduce
+    again. Once k passes half the exponent, where the residue saves less
+    than it costs, `Fraction` reduces by the full gcd itself; small values
+    start there.
+    """
+    if base < 2 or exponent < 0:
+        raise ValueError("need base >= 2 and exponent >= 0")
+    k = max(1, 1024 // base.bit_length())
+    while 2 * k <= exponent:
+        modulus = base**k
+        divisor = math.gcd(numerator % modulus, modulus)
+        quotient = numerator // divisor
+        if math.gcd(quotient % base, base) == 1:
+            denominator = base ** (exponent - k) * (modulus // divisor)
+            return Fraction(_LowestTerms(quotient, denominator))
+        k *= 2
+    return Fraction(numerator, base**exponent)
 
 
 def format_float(value: float) -> str:

@@ -7,7 +7,7 @@ raises ConsistencyError instead of being truncated.
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, isqrt
 
 from .errors import ConsistencyError
 from .linalg import det_bareiss
@@ -230,3 +230,15 @@ def prime_factors(q: int) -> dict[int, int]:
 def is_prime(q: int) -> bool:
     """Primality by trial division (see `prime_factors`); below 2 nothing is prime."""
     return q >= 2 and prime_factors(q) == {q: 1}
+
+
+def primes_up_to(m: int) -> list[int]:
+    """The primes p <= m in ascending order, by one sieve of Eratosthenes."""
+    if m < 2:
+        return []
+    sieve = bytearray([1]) * (m + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    return [p for p, flag in enumerate(sieve) if flag]

@@ -19,7 +19,7 @@ from functools import cache
 from itertools import pairwise
 from math import comb
 
-from .chains import Spectrum
+from .chains import Spectrum, reduced_over_power
 from .combinat import prime_factors, q_binomial
 from .errors import ConsistencyError, ExcludedCaseError, common_value
 from .interpolation import separation_from_spectrum
@@ -60,7 +60,8 @@ def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
     """Alternating q-series for the separation distance after r steps.
 
     The terms of `_alternating_terms`, positive at odd b, are summed as
-    integers over the common denominator q^(rn) and reduced once.
+    integers over the common denominator q^(rn) and reduced once by
+    `reduced_over_power`, from a residue of about a thousand bits.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -69,7 +70,7 @@ def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
         raise ValueError("need r >= 0")
     terms = enumerate(_alternating_terms(n, q, r), 1)
     numerator = sum(term if b % 2 == 1 else -term for b, term in terms)
-    return Fraction(numerator, q ** (r * n))
+    return reduced_over_power(numerator, q, r * n)
 
 
 def span_probability(n: int, q: int, r: int) -> Fraction:

@@ -75,9 +75,9 @@ def separation_from_spectrum(eigenvalues, r: int) -> Fraction:
     if r < 0:
         raise ValueError("need r >= 0")
     ratios = tuple((v.numerator, v.denominator) for v in eigenvalues)
-    scale, weight_denominator, terms = _spectral_weights(ratios)
+    scale, weight_lcm, terms = _spectral_weights(ratios)
     total = sum(weight * lam**r for lam, weight in terms)
-    return Fraction(total, weight_denominator * scale**r)
+    return Fraction(total, weight_lcm * scale**r)
 
 
 @cache
@@ -108,12 +108,12 @@ def _spectral_weights(
         Fraction(complements // (scale - x), prod(x - y for y in scaled if y != x))
         for x in scaled
     ]
-    weight_denominator = lcm(*(w.denominator for w in weights))
+    weight_lcm = lcm(*(w.denominator for w in weights))
     terms = tuple(
-        (x, w.numerator * (weight_denominator // w.denominator))
+        (x, w.numerator * (weight_lcm // w.denominator))
         for x, w in zip(scaled, weights)
     )
-    return scale, weight_denominator, terms
+    return scale, weight_lcm, terms
 
 
 def _bfs_distances_to(kernel: TransitionKernel, target: int) -> list[int | None]:

@@ -177,24 +177,44 @@ def _count_matches(
     `statistic` maps a (k, *shape) chunk to k values and may change the
     chunk. The generator stays in this thread, so the stream does not
     depend on the counting. One worker thread counts chunk k while this
-    thread draws chunk k + 1; at most one chunk waits for the worker, and
-    the worker is joined before this returns, also when `statistic` raises.
+    thread draws chunk k + 1: each chunk is handed over through a one-slot
+    queue, and chunk k + 2 is drawn only once chunk k is counted. The worker
+    is joined before this returns, and an error of `statistic` is raised
+    here.
     """
+    import queue
+    import threading
+
     import numpy as np
-    from concurrent.futures import ThreadPoolExecutor
 
-    def count(chunk) -> int:
-        return int(np.count_nonzero(statistic(chunk) == a))
+    chunks, counts = queue.Queue(maxsize=1), queue.SimpleQueue()
 
+    def count() -> None:
+        while (chunk := chunks.get()) is not None:
+            try:
+                counts.put(int(np.count_nonzero(statistic(chunk) == a)))
+            except BaseException as error:
+                # `collect` raises it; a worker that died instead would hang `collect`.
+                counts.put(error)
+
+    def collect() -> int:
+        result = counts.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    worker = threading.Thread(target=count)
+    worker.start()
     successes = 0
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        counting = None
-        for chunk in _draws(seed, samples, high, shape):
-            waiting = worker.submit(count, chunk)
-            if counting is not None:
-                successes += counting.result()
-            counting = waiting
-        successes += counting.result()
+    try:
+        for k, chunk in enumerate(_draws(seed, samples, high, shape)):
+            chunks.put(chunk)
+            if k:
+                successes += collect()
+        successes += collect()
+    finally:
+        chunks.put(None)
+        worker.join()
     return McEstimate(successes=successes, samples=samples)
 
 

@@ -12,7 +12,7 @@ from functools import cache, lru_cache
 from math import comb, exp, factorial
 from operator import mul
 
-from .chains import Spectrum, TransitionKernel
+from .chains import Spectrum, TransitionKernel, reduced_over_power
 from .characters import character_table, tensor_multiplicity
 from .combinat import (
     Partition,
@@ -20,8 +20,8 @@ from .combinat import (
     count_skew_syt_row,
     count_syt,
     enumerate_partitions,
-    is_prime,
     partition_counts,
+    primes_up_to,
 )
 from .errors import ConsistencyError, common_value
 from .interpolation import separation_from_spectrum
@@ -228,7 +228,7 @@ def _power_sum(coefficients: list[int], r: int) -> int:
     Only the few nodes with children multiply two big integers.
     """
     top = len(coefficients) - 1
-    primes = [p for p in range(2, top + 1) if is_prime(p)]
+    primes = primes_up_to(top)
     powers = {p: pow(p, r) for p in primes[1:]}
 
     def horner(m: int, first: int) -> int:
@@ -249,8 +249,9 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     """Separation distance after each r of the ascending `rs`, in one pass.
 
     The distance is one alternating integer sum over the common denominator
-    n^r, reduced once per r; fixed-precision evaluation of this sum cancels
-    catastrophically, the exact route does not. Its terms are the small
+    n^r, reduced once per r by `reduced_over_power`, whose gcd runs on a
+    residue of about a thousand bits; fixed-precision evaluation of this sum
+    cancels catastrophically, the exact route does not. Its terms are the small
     signed coefficients comb(n, i)(n - i - 1)(-1)^(n - i) times i^r. A step
     of one from carried terms multiplies each by i, one big-by-small
     multiply per term; any other step, a step of one right after a jump
@@ -261,7 +262,6 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     coefficients = [comb(n, i) * (n - i - 1) * (-1) ** (n - i) for i in range(n - 1)]
     terms = coefficients
     total = sum(terms)
-    denominator = 1
     previous = 0
     for r in rs:
         if r < 0:
@@ -275,9 +275,8 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
         elif step:
             terms = None
             total = _power_sum(coefficients, r)
-        denominator *= pow(n, step)
         previous = r
-        yield Fraction(total, denominator)
+        yield reduced_over_power(total, n, r)
 
 
 def separation_closed_form(n: int, r: int) -> Fraction:

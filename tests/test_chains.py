@@ -15,6 +15,7 @@ from tensorwalk.chains import (
     TransitionKernel,
     format_exact,
     format_float,
+    reduced_over_power,
 )
 from tensorwalk.errors import ConsistencyError
 from tensorwalk.cli import main
@@ -264,6 +265,73 @@ class TestFormatting:
     def test_python_without_digit_limit(self, monkeypatch):
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
         assert format_exact(Fraction(-7, 3)) == "-7/3"
+
+
+# Several primes (60, 200, 210) and prime powers (4, 8, 9, 512).
+REDUCTION_BASES = (2, 3, 4, 8, 9, 60, 200, 210, 512)
+
+
+@st.composite
+def over_power(draw):
+    """(numerator, base, exponent), with exponents past the first residue of
+    every base. Numerators are any integer or, more often, a multiple of a
+    high power of the base, so the residue has to widen, up to the full
+    exponent."""
+    base = draw(st.sampled_from(REDUCTION_BASES))
+    exponent = draw(st.integers(min_value=0, max_value=1200))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(st.integers(min_value=-(10**400), max_value=10**400)), base, exponent
+    shift = draw(st.sampled_from([0, exponent // 2, max(exponent - 1, 0), exponent, exponent + 3]))
+    unit = draw(st.integers(min_value=-(base**3), max_value=base**3))
+    numerator = unit * base**shift + draw(st.sampled_from([0, 0, 1, -1, base**exponent]))
+    return numerator, base, exponent
+
+
+class TestReducedOverPower:
+    """`reduced_over_power` against the standard library's full-size gcd."""
+
+    @staticmethod
+    def assert_same(numerator, base, exponent):
+        got = reduced_over_power(numerator, base, exponent)
+        expected = Fraction(numerator, base**exponent)
+        assert type(got) is Fraction
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+        assert hash(got) == hash(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(over_power())
+    def test_matches_fraction(self, case):
+        self.assert_same(*case)
+
+    @pytest.mark.parametrize("base", REDUCTION_BASES)
+    def test_zero_negative_and_exponent_zero(self, base):
+        for numerator in (0, 1, -1, -base, 7 * base**5, -(base**700)):
+            for exponent in (0, 1, 5, 699, 700, 701, 1100):
+                self.assert_same(numerator, base, exponent)
+
+    @pytest.mark.parametrize("base", REDUCTION_BASES)
+    def test_multiples_of_all_but_one_power_widen_to_the_full_exponent(self, base):
+        exponent = 1100
+        for unit in (1, -1, base - 1, base + 1, base**2 - 1):
+            self.assert_same(unit * base ** (exponent - 1), base, exponent)
+        assert reduced_over_power(base ** (exponent - 1), base, exponent) == Fraction(1, base)
+        assert reduced_over_power(base**exponent, base, exponent) == 1
+
+    @pytest.mark.parametrize("base,two_power", [(60, 4), (200, 8), (210, 2)])
+    def test_residue_with_a_whole_prime_power_still_widens(self, base, two_power):
+        # With b = 2^a c, c odd, the numerator 2^(ak) + b^k leaves the residue
+        # 2^(ak) mod b^k, whose quotient by the gcd is 1, while the numerator
+        # over that gcd, 1 + c^k, is even: only the quotient of the whole
+        # numerator shows that k is too small.
+        odd = base // two_power
+        for k in range(1, 300):
+            self.assert_same(two_power**k * (1 + odd**k), base, 1200)
+
+    @pytest.mark.parametrize("base,exponent", [(1, 3), (0, 3), (-2, 3), (2, -1)])
+    def test_rejects_bad_base_or_exponent(self, base, exponent):
+        with pytest.raises(ValueError):
+            reduced_over_power(1, base, exponent)
 
 
 def digit_limit():

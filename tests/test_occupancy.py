@@ -1,8 +1,12 @@
 import copy
+import json
 import math
+import subprocess
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,3 +431,31 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="second chunk"):
             _count_matches(SEED, 5, 4, (6,), statistic, 0)
         assert threading.active_count() == threads
+
+    def test_counting_thread_loads_no_worker_pool(self):
+        """After one draw of each kind, a fresh interpreter has loaded neither
+        `concurrent.futures` nor `logging`. It runs isolated and without `site`
+        (`-I -S`), so no `.pth` file preloads them; `src/` and the test
+        interpreter's path go on `sys.path` by hand, so numpy stays importable."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = [src] + [entry for entry in sys.path if entry]
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", DRAW_PROBE, json.dumps(path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"loaded": ["numpy"], "threads": 1}
+
+
+DRAW_PROBE = """
+import json, sys, threading
+sys.path[:0] = json.loads(sys.argv[1])
+from tensorwalk.occupancy import occupancy_mc, qspan_mc
+occupancy_mc(2, 3, 4, 100, 1)
+qspan_mc(2, 3, 3, 2, 100, 1)
+watched = ("concurrent.futures", "logging", "numpy")
+print(json.dumps({
+    "loaded": [name for name in watched if name in sys.modules],
+    "threads": threading.active_count(),
+}))
+"""

@@ -327,6 +327,16 @@ class TestSeparation:
                 assert separation_closed_form(n, r) == 1
             assert separation_closed_form(n, n - 1) < 1
 
+    @pytest.mark.parametrize("n", [60, 200, 512])
+    def test_saturated_prefix_then_strict_drop_in_one_stepped_pass(self, n):
+        # Each value of the prefix is n^r / n^r, so its reduction widens the
+        # residue up to the full exponent on every row.
+        values = list(separation_closed_forms(n, range(n + 1)))
+        assert all((v.numerator, v.denominator) == (1, 1) for v in values[: n - 1])
+        assert values[n - 1] < 1 and values[n] < values[n - 1]
+        for r in (n - 1, n):
+            assert values[r] == sn_separation_by_fresh_powers(n, r)
+
     def test_matches_occupancy_complement(self):
         for n in range(2, 9):
             for r in range(0, 2 * n):
