@@ -61,7 +61,8 @@ def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
 
     The terms of `_alternating_terms`, positive at odd b, are summed as
     integers over the common denominator q^(rn) and reduced once by
-    `reduced_over_power`, from a residue of about a thousand bits.
+    `reduced_over_power`, which takes the gcd from a residue of about a
+    thousand bits where q^(rn) is larger.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -249,13 +249,14 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     """Separation distance after each r of the ascending `rs`, in one pass.
 
     The distance is one alternating integer sum over the common denominator
-    n^r, reduced once per r by `reduced_over_power`, whose gcd runs on a
-    residue of about a thousand bits; fixed-precision evaluation of this sum
-    cancels catastrophically, the exact route does not. Its terms are the small
-    signed coefficients comb(n, i)(n - i - 1)(-1)^(n - i) times i^r. A step
-    of one from carried terms multiplies each by i, one big-by-small
-    multiply per term; any other step, a step of one right after a jump
-    included, evaluates the sum afresh by `_power_sum` and carries nothing.
+    n^r, reduced once per r by `reduced_over_power`, which takes the gcd from
+    a residue of about a thousand bits where n^r is larger; fixed-precision
+    evaluation of this sum cancels catastrophically, the exact route does
+    not. Its terms are the small signed coefficients
+    comb(n, i)(n - i - 1)(-1)^(n - i) times i^r. A step of one from carried
+    terms multiplies each by i, one big-by-small multiply per term; any
+    other step, a step of one right after a jump included, evaluates the
+    sum afresh by `_power_sum` and carries nothing.
     """
     if n < 2:
         raise ValueError("need n >= 2")
