@@ -22,7 +22,10 @@ the stepped closed-form pass), was recorded at commit
 1ae70e67f472eafdbb80369b8c31b5b0bf425961. `sn-sep --n 60 --rmax 300`
 (n = 2^2 * 3 * 5, so n^r has three primes) and `gl-sep --n 6 --q 9 --rmax 20`
 (a prime-power q) were recorded at commit
-70a5522bcffad69df275e577e962b26848712e3e.
+70a5522bcffad69df275e577e962b26848712e3e. The q-span `occupancy` records
+at q = 31 with n = 40, whose elimination runs long enough to reduce the
+stack mid-run, and at q = 181, where every column reduces it, were recorded
+at commit d03500c948dba5cf14412998cfff66c969a2bc04.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -98,6 +101,10 @@ GOLDEN = [
      "56bebd15ba03a87c0826e4ab5f87745ec3ab128dd85864c61f620d35dd52dd61"),
     ("occupancy --a 5 --r 6 --n 5 --q 191 --samples 2000 --seed 2",
      "add54cd7cbda16c59b596cbea91b1ace5fc8ddd966e1629840162805aa4ed612"),
+    ("occupancy --a 40 --r 40 --n 40 --q 31 --samples 300 --seed 4",
+     "f95b28085b321c8b438b6618f87f8b62e356c5c2481f2c8907858f275ddc13d4"),
+    ("occupancy --a 5 --r 7 --n 6 --q 181 --samples 2000 --seed 6",
+     "195a52a4003ca810a5bb247a46bcc79cd1f12b443e99ee71eaf406ecb2c0d2bb"),
 ]
 
 
