@@ -3,7 +3,8 @@
 The exact routes return Fractions and never load numpy. Each Monte Carlo run
 takes one seed, which fixes its whole draw sequence, so a run is
 reproducible bit for bit. numpy loads on the first draw. The draws come in
-chunks of 2^18 values (one row, if a row is larger): the calling thread draws
+chunks of 2^18 values (one row, if a row is larger), drawn as int32 below
+2^31 and int64 above, which give the same stream: the calling thread draws
 chunk k + 1 while one worker thread counts chunk k, so up to two narrow chunks
 are alive at once.
 """
@@ -39,10 +40,11 @@ def _draws(seed: int, samples: int, high: int, shape: tuple[int, ...]):
     Yields arrays of shape (chunk, *shape) until `samples` rows are drawn,
     each with at most `_CHUNK_ELEMENTS` values unless one row is larger.
     Chunking does not change the values: the chunks, concatenated, equal one
-    draw of shape (samples, *shape). The values are drawn as int64, which
-    fixes the stream, and handed on in the narrowest dtype that holds
-    high - 1, so only that narrow chunk outlives the draw. The spawn key
-    (0,) keeps every recorded run reproducible.
+    draw of shape (samples, *shape). The values are drawn as int32 up to
+    high = 2^31, which below 2^32 gives the stream of an int64 draw in half
+    the memory, and as int64 above. They are handed on in the narrowest dtype
+    that holds high - 1, so only that narrow chunk outlives the draw. The
+    spawn key (0,) keeps every recorded run reproducible.
 
     numpy is imported here, on the first draw. `_count_matches` counts each
     chunk on a worker thread while the next is drawn, so up to two chunks of
@@ -53,10 +55,11 @@ def _draws(seed: int, samples: int, high: int, shape: tuple[int, ...]):
     seq = np.random.SeedSequence(seed, spawn_key=(0,))
     rng = np.random.Generator(np.random.PCG64(seq))
     rows = max(1, _CHUNK_ELEMENTS // max(1, math.prod(shape)))
+    drawn = np.int32 if high <= 2**31 else np.int64
     dtype = _int_dtype(high - 1)
     for start in range(0, samples, rows):
         size = (min(rows, samples - start), *shape)
-        yield rng.integers(0, high, size=size).astype(dtype, copy=False)
+        yield rng.integers(0, high, size=size, dtype=drawn).astype(dtype, copy=False)
 
 
 class McEstimate(namedtuple("McEstimate", "successes samples")):
@@ -227,10 +230,12 @@ def _distinct_counts(rows):
 
 
 def _inverse_mod(x, q: int):
-    """x^(q-2) mod q elementwise: the inverse of each x that q does not divide."""
+    """x^(q-2) mod q elementwise for x in [0, q): the inverse of each nonzero
+    x, and 0 for 0. The dtype of x must hold (q - 1)^2."""
     import numpy as np
 
-    out = np.ones_like(x)
+    # Mod 2 each x is its own inverse; starting from x keeps 0 at 0 there.
+    out = np.ones_like(x) if q > 2 else x.copy()
     e = q - 2
     while e:
         if e & 1:
@@ -247,28 +252,45 @@ def _batch_rank_mod(mats, q: int):
     each column, the first row not yet used as a pivot with a nonzero entry
     becomes the pivot, and every row sheds its multiple of it (a row once
     used is never read again, so clearing it too costs nothing). Entries must
-    lie in [0, q), as the draws do, and every update reduces mod q, so it
-    runs in the narrowest dtype that holds (q - 1)^2 (see `_int_dtype`).
-    `mats` is left unchanged.
+    lie in [0, q), as the draws do.
+
+    Only what is read is reduced mod q: the pivot column, and the pivot row's
+    later entries, scaled by the pivot's inverse. An update subtracts a
+    product of two residues without reducing, so it moves an entry by at
+    most (q - 1)^2. The stack is held in the narrowest dtype that holds
+    (q - 1)^2 (see `_int_dtype`), with room for (max - (q - 1)) // (q - 1)^2
+    pending updates; before one more could overflow, the rest of the stack
+    is reduced once. Python ints never need it. `mats` is left unchanged.
     """
     import numpy as np
 
     k, r, n = mats.shape
     if r == 0:
         return np.zeros(k, dtype=np.int64)
+    dtype = _int_dtype((q - 1) ** 2)
     # Column-major per matrix, with the stack last: m[col, row] is a vector.
-    m = np.array(mats.transpose(2, 1, 0), dtype=_int_dtype((q - 1) ** 2), order="C")
+    m = np.array(mats.transpose(2, 1, 0), dtype=dtype, order="C")
+    if dtype is object:
+        budget = math.inf
+    else:
+        budget = (np.iinfo(dtype).max - (q - 1)) // (q - 1) ** 2
+    pending = 0
     unused = np.ones((r, k), dtype=bool)
     stack = np.arange(k)
     for col in range(n):
-        column = m[col]
+        column = m[col] % q
         candidate = unused & (column != 0)
         found = candidate.any(axis=0)
         pivot_row = candidate.argmax(axis=0)
         unused[pivot_row, stack] &= ~found
-        factor = column * _inverse_mod(column[pivot_row, stack], q) % q
-        for j in range(col + 1, n):
-            m[j] = (m[j] - factor * m[j, pivot_row, stack]) % q
+        inverse = _inverse_mod(column[pivot_row, stack], q)
+        scaled = m[col + 1 :, pivot_row, stack] % q * inverse % q
+        if pending == budget:
+            m[col + 1 :] %= q
+            pending = 0
+        pending += 1
+        for j, factor in enumerate(scaled, col + 1):
+            m[j] -= column * factor
     return r - np.count_nonzero(unused, axis=0)
 
 

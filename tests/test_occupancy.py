@@ -21,6 +21,7 @@ from tensorwalk.occupancy import (
     _count_matches,
     _draws,
     _int_dtype,
+    _inverse_mod,
     occupancy_chain_power,
     occupancy_exact,
     occupancy_mc,
@@ -262,13 +263,29 @@ class TestBatchRankMod:
 
     @pytest.mark.parametrize(
         "q,r,n",
-        [(2147483647, 5, 2), (2147483647, 6, 5), (4294967311, 5, 4), (4294967311, 3, 6)],
-        ids=["2^31-1-narrow", "2^31-1-wide", "above-2^32-narrow", "above-2^32-wide"],
+        [
+            (2147483647, 5, 2),
+            (2147483647, 6, 5),
+            (4294967311, 5, 4),
+            (4294967311, 3, 6),
+            (31, 45, 40),
+            (181, 7, 6),
+        ],
+        ids=[
+            "2^31-1-narrow",
+            "2^31-1-wide",
+            "above-2^32-narrow",
+            "above-2^32-wide",
+            "31-budget-36-of-39",
+            "181-budget-1",
+        ],
     )
     def test_large_primes_are_exact(self, q, r, n):
-        """Entries near q overflow int64 unless the elimination reduces them in
-        time or runs on Python ints. The last row of each matrix is a
-        combination of the first two."""
+        """Entries near q overflow their dtype unless the elimination reduces
+        them in time or runs on Python ints. At q = 2^31 - 1 int64 has room
+        for 2 pending updates, at q = 31 int16 for 36 of the 39 eliminations
+        and at q = 181 for 1. The last row of each matrix is a combination of
+        the first two."""
         rng = np.random.default_rng(SEED)
         mats = rng.integers(q - 4, q, size=(40, r, n))
         mats[::2] = rng.integers(0, q, size=mats[::2].shape)
@@ -305,20 +322,44 @@ class TestIntDtype:
 
 class TestBatchRankWidths:
     @pytest.mark.parametrize(
-        "q,dtype", [(181, np.int16), (191, np.int32), (46337, np.int32), (46349, np.int64)]
+        "q,r,n,dtype",
+        [
+            (31, 45, 40, np.int16),
+            (181, 4, 5, np.int16),
+            (191, 4, 5, np.int32),
+            (46337, 4, 5, np.int32),
+            (46349, 4, 5, np.int64),
+        ],
+        ids=["31-int16", "181-int16", "191-int32", "46337-int32", "46349-int64"],
     )
-    def test_each_side_of_a_width_switch(self, q, dtype):
-        """Entries near q drive every product toward (q - 1)^2, the most the
-        elimination's dtype must hold; the last row of each matrix is a
-        combination of the first two."""
+    def test_each_side_of_a_width_switch(self, q, r, n, dtype):
+        """Entries near q drive every pending update toward (q - 1)^2. The
+        elimination's dtype must hold one such update per elimination up to
+        its budget, (max - (q - 1)) // (q - 1)^2, and the stack is reduced
+        before one more: at q = 31 after 36 of its 39 eliminations, and at
+        q = 181 and 46337 before every column after the first. The last row
+        of each matrix is a combination of the first two."""
         assert _int_dtype((q - 1) ** 2) is dtype
         rng = np.random.default_rng(SEED)
-        mats = rng.integers(q - 4, q, size=(40, 4, 5))
+        mats = rng.integers(q - 4, q, size=(40, r, n))
         mats[::2] = rng.integers(0, q, size=mats[::2].shape)
         mats[:, -1] = (2 * mats[:, 0] + (q - 1) * mats[:, 1]) % q
         ranks = _batch_rank_mod(mats, q)
         assert ranks.tolist() == [rank_mod(mat, q) for mat in mats.tolist()]
-        assert max(ranks) == 3
+        assert max(ranks) == min(r - 1, n)
+
+
+class TestInverseMod:
+    @pytest.mark.parametrize("q", [2, 3, 181, 191, 46337, 2**31 - 1])
+    def test_inverts_every_unit_and_keeps_zero(self, q):
+        """On the elimination's dtype for q, each x in 1..q - 1 times its
+        inverse is 1 mod q, and 0 maps to 0."""
+        dtype = _int_dtype((q - 1) ** 2)
+        x = np.unique(np.linspace(1, q - 1, 60).astype(np.int64)).astype(dtype)
+        inverse = _inverse_mod(x, q)
+        assert inverse.dtype == dtype
+        assert all(a * b % q == 1 for a, b in zip(x.tolist(), inverse.tolist()))
+        assert _inverse_mod(np.zeros(3, dtype=dtype), q).tolist() == [0, 0, 0]
 
 
 class TestOccupancyCount:
@@ -354,9 +395,20 @@ def _one_draw(seed, samples, high, shape):
 class TestDraws:
     @pytest.mark.parametrize(
         "shape,high",
-        [((267,), 64), ((1420,), 256), ((10, 8), 2), ((8, 6), 3), ((3, 0), 5)],
+        [
+            ((267,), 64),
+            ((1420,), 256),
+            ((10, 8), 2),
+            ((8, 6), 3),
+            ((3, 0), 5),
+            ((4,), 2**31 - 1),
+            ((4,), 2**31),
+            ((4,), 2**31 + 1),
+        ],
     )
     def test_chunks_concatenate_to_one_draw(self, shape, high):
+        """The draws, int32 up to high = 2^31 and int64 above, equal one int64
+        draw of the same seed."""
         samples = 5 * _CHUNK_ELEMENTS // (2 * max(1, math.prod(shape))) + 1
         chunks = list(_draws(SEED, samples, high, shape))
         whole = _one_draw(SEED, samples, high, shape)
