@@ -24,8 +24,9 @@ the stepped closed-form pass), was recorded at commit
 (a prime-power q) were recorded at commit
 70a5522bcffad69df275e577e962b26848712e3e. The q-span `occupancy` records
 at q = 31 with n = 40, whose elimination runs long enough to reduce the
-stack mid-run, and at q = 181, where every column reduces it, were recorded
-at commit d03500c948dba5cf14412998cfff66c969a2bc04.
+stack mid-run, and at q = 181, where it is reduced before every column
+after the first, were recorded at commit
+d03500c948dba5cf14412998cfff66c969a2bc04.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
