@@ -26,7 +26,10 @@ the stepped closed-form pass), was recorded at commit
 at q = 31 with n = 40, whose elimination runs long enough to reduce the
 stack mid-run, and at q = 181, where it is reduced before every column
 after the first, were recorded at commit
-d03500c948dba5cf14412998cfff66c969a2bc04.
+d03500c948dba5cf14412998cfff66c969a2bc04. `sn-sep --n 128 --rmax 622`
+and its `--format json`, a closed-form curve long enough to be split
+between two processes and the closed-form JSON output, were recorded at
+commit cda830e01579327832db676ae6e630251abfe3e8.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -64,6 +67,10 @@ GOLDEN = [
      "de9c323b6bf81aae78d24501ad798e35ce3f03ee7eb166bf6c703b76b23668b0"),
     ("sn-sep --n 60 --rmax 300",
      "dde36bfd3128dfc14c5fdb2061b52a3ab78779d2c06b6e861c093903542be029"),
+    ("sn-sep --n 128 --rmax 622",
+     "0be14a4878e329b1d857b878b4cef5d86fc69e834b44b950a3bfa729edf6b687"),
+    ("sn-sep --n 128 --rmax 622 --format json",
+     "f3d1ab7e563c94430b16f2f955a73f849505f4ae5af4a776f285948e772b9524"),
     ("gl-sep --n 6 --q 3 --rmax 20",
      "6b56eaada182d1c945beb8d06c58845ac10781deaf766a18edac632ca4a7dd0f"),
     ("gl-sep --n 6 --q 3 --rmax 20 --format json",
