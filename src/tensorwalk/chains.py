@@ -7,6 +7,7 @@ import numbers
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConsistencyError
 from .linalg import identity_matrix, mat_mul
@@ -45,7 +46,24 @@ class _LowestTerms:
 numbers.Rational.register(_LowestTerms)
 
 
-def reduced_over_power(numerator: int, base: int, exponent: int) -> Fraction:
+def lowest_terms(numerator: int, denominator: int) -> Fraction:
+    """The `Fraction` numerator / denominator, taking no gcd.
+
+    For a pair already in lowest terms with a positive denominator, such as
+    the `numerator` and `denominator` of another `Fraction`.
+    """
+    return Fraction(_LowestTerms(numerator, denominator))
+
+
+@lru_cache(maxsize=32)
+def _power(base: int, exponent: int) -> int:
+    """base**exponent, kept for the few moduli `reduced_over_power` tries."""
+    return base**exponent
+
+
+def reduced_over_power(
+    numerator: int, base: int, exponent: int, power: int | None = None
+) -> Fraction:
     """numerator / base**exponent in lowest terms, reduced from a small residue.
 
     Equal to `Fraction(numerator, base**exponent)`. Every prime of the
@@ -54,23 +72,30 @@ def reduced_over_power(numerator: int, base: int, exponent: int) -> Fraction:
     numerator / g coprime to `base`. k starts where base**k has about 1024
     bits and doubles while that fails, so the gcd runs on numbers of about
     a thousand bits, not on the whole numerator; the reduced pair is handed
-    to `Fraction` through its public Rational copy, which does not reduce
-    again. Once k passes half the exponent, where the residue saves less
-    than it costs, `Fraction` reduces by the full gcd itself; small values
-    start there.
+    to `Fraction` by `lowest_terms`, which does not reduce again. Once k
+    passes half the exponent, where the residue saves less than it costs,
+    `Fraction` reduces by the full gcd itself; small values start there.
+
+    `power`, if given, must be base**exponent: a caller stepping through
+    exponents carries it, one big-by-small multiply per step, and the
+    reduced denominator is then power / g. Without it the denominator is
+    built as base**(exponent - k) (base**k / g).
     """
     if base < 2 or exponent < 0:
         raise ValueError("need base >= 2 and exponent >= 0")
     k = max(1, 1024 // base.bit_length())
     while 2 * k <= exponent:
-        modulus = base**k
+        modulus = _power(base, k)
         divisor = math.gcd(numerator % modulus, modulus)
         quotient = numerator // divisor
         if math.gcd(quotient % base, base) == 1:
-            denominator = base ** (exponent - k) * (modulus // divisor)
-            return Fraction(_LowestTerms(quotient, denominator))
+            if power is None:
+                denominator = base ** (exponent - k) * (modulus // divisor)
+            else:
+                denominator = power // divisor
+            return lowest_terms(quotient, denominator)
         k *= 2
-    return Fraction(numerator, base**exponent)
+    return Fraction(numerator, base**exponent if power is None else power)
 
 
 def format_float(value: float) -> str:

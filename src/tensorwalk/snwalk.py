@@ -253,16 +253,19 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     a residue of about a thousand bits where n^r is larger; fixed-precision
     evaluation of this sum cancels catastrophically, the exact route does
     not. Its terms are the small signed coefficients
-    comb(n, i)(n - i - 1)(-1)^(n - i) times i^r. A step of one from carried
-    terms multiplies each by i, one big-by-small multiply per term; any
-    other step, a step of one right after a jump included, evaluates the
-    sum afresh by `_power_sum` and carries nothing.
+    comb(n, i)(n - i - 1)(-1)^(n - i) times i^r. A step of one multiplies
+    each carried term by i and the carried n^r by n, one big-by-small
+    multiply each. Any other step is a jump: it evaluates the sum afresh by
+    `_power_sum` and n^r by one `pow`, and carries no terms. A step of one
+    right after a jump makes the terms at its r with one `pow` each and
+    carries them from there on.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     coefficients = [comb(n, i) * (n - i - 1) * (-1) ** (n - i) for i in range(n - 1)]
     terms = coefficients
     total = sum(terms)
+    power = 1
     previous = 0
     for r in rs:
         if r < 0:
@@ -270,14 +273,19 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
         if r < previous:
             raise ValueError(f"r must not decrease, got {r} after {previous}")
         step = r - previous
-        if step == 1 and terms is not None:
-            terms = list(map(mul, terms, range(n - 1)))
+        if step == 1:
+            if terms is None:
+                terms = [c * pow(i, r) for i, c in enumerate(coefficients)]
+            else:
+                terms = list(map(mul, terms, range(n - 1)))
             total = sum(terms)
+            power *= n
         elif step:
             terms = None
             total = _power_sum(coefficients, r)
+            power = n**r
         previous = r
-        yield reduced_over_power(total, n, r)
+        yield reduced_over_power(total, n, r, power)
 
 
 def separation_closed_form(n: int, r: int) -> Fraction:

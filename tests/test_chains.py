@@ -15,6 +15,7 @@ from tensorwalk.chains import (
     TransitionKernel,
     format_exact,
     format_float,
+    lowest_terms,
     reduced_over_power,
 )
 from tensorwalk.errors import ConsistencyError
@@ -292,12 +293,16 @@ class TestReducedOverPower:
 
     @staticmethod
     def assert_same(numerator, base, exponent):
-        got = reduced_over_power(numerator, base, exponent)
+        """Built afresh and from a carried base**exponent, the same fraction."""
         expected = Fraction(numerator, base**exponent)
-        assert type(got) is Fraction
-        assert type(got.numerator) is int and type(got.denominator) is int
-        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
-        assert hash(got) == hash(expected)
+        for got in (
+            reduced_over_power(numerator, base, exponent),
+            reduced_over_power(numerator, base, exponent, base**exponent),
+        ):
+            assert type(got) is Fraction
+            assert type(got.numerator) is int and type(got.denominator) is int
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+            assert hash(got) == hash(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(over_power())
@@ -332,6 +337,13 @@ class TestReducedOverPower:
     def test_rejects_bad_base_or_exponent(self, base, exponent):
         with pytest.raises(ValueError):
             reduced_over_power(1, base, exponent)
+
+
+def test_lowest_terms_takes_the_pair_as_given():
+    value = lowest_terms(-(3**40), 2**70)
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (-(3**40), 2**70)
+    assert value == Fraction(-(3**40), 2**70)
 
 
 def digit_limit():

@@ -402,6 +402,18 @@ class TestSteppedClosedForm:
         expected = [sn_separation_by_fresh_powers(n, r) for r in rs]
         assert list(separation_closed_forms(n, rs)) == expected
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_a_range_from_r0_is_the_tail_of_the_range_from_0(self, data):
+        """A pass that starts at r0 jumps there, then carries its terms and
+        n^r from the first step of one on, as the upper half of a split
+        `sn-sep` curve does."""
+        n = data.draw(st.sampled_from(JUMP_NS) | st.integers(min_value=2, max_value=60))
+        r1 = data.draw(st.integers(min_value=0, max_value=5 * n))
+        r0 = data.draw(st.integers(min_value=0, max_value=r1))
+        whole = list(separation_closed_forms(n, range(r1)))
+        assert list(separation_closed_forms(n, range(r0, r1))) == whole[r0:]
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 2"):
             list(separation_closed_forms(1, [0]))
