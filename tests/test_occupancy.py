@@ -299,6 +299,41 @@ class TestBatchRankMod:
         assert np.array_equal(mats, before)
 
 
+def drifting_stack(q: int, n: int):
+    """Two n x n matrices whose elimination moves one entry by (q - 1)^2 at
+    every column.
+
+    Rows 0..n-2 are upper unitriangular with q - 1 above the diagonal, so
+    row i is the pivot of column i and every later column sheds q - 1 times
+    it. The last row holds (j - 1) mod q in column j < n - 1: each shedding
+    lowers its residues by (q - 1)^2 = 1 mod q, so it reads q - 1 at every
+    column, and its last column moves by (q - 1)^2 n - 1 times without a
+    reduction. That entry's residue is then 0 in the first matrix (rank
+    n - 1) and 1 in the second (rank n).
+    """
+    rows = [[0] * i + [1] + [q - 1] * (n - 1 - i) for i in range(n - 1)]
+    last = [(j - 1) % q for j in range(n - 1)]
+    return np.array(
+        [rows + [last + [(n - 1) % q]], rows + [last + [n % q]]], dtype=np.int64
+    )
+
+
+class TestOverflowBudget:
+    @pytest.mark.parametrize(
+        "q,n,dtype",
+        [(31, 40, np.int16), (2147483647, 6, np.int64)],
+        ids=["31-int16-budget-36-of-39", "2^31-1-int64-budget-2-of-5"],
+    )
+    def test_every_update_at_its_largest(self, q, n, dtype):
+        """Each of the n - 1 updates of the last column is (q - 1)^2, more
+        than the dtype holds without reducing the stack in between."""
+        assert _int_dtype((q - 1) ** 2) is dtype
+        assert (np.iinfo(dtype).max - (q - 1)) // (q - 1) ** 2 < n - 1
+        mats = drifting_stack(q, n)
+        ranks = _batch_rank_mod(mats, q)
+        assert ranks.tolist() == [rank_mod(mat, q) for mat in mats.tolist()] == [n - 1, n]
+
+
 class TestIntDtype:
     @pytest.mark.parametrize(
         "largest,dtype",
