@@ -9,13 +9,14 @@ error and propagates. Output is deterministic for a fixed flag set
 
 import argparse
 import json
+import marshal
 import math
 import os
 import sys
 from collections import Counter
 
 from . import glwalk, interpolation, occupancy, snwalk
-from .chains import SeparationCurve, format_exact, format_float
+from .chains import SeparationCurve, format_exact, format_float, lowest_terms
 from .characters import (
     character_table,
     fixed_point_character_sum,
@@ -27,6 +28,14 @@ from .errors import ConsistencyError, common_value
 PRACTICAL_MAX_N = 10
 CLOSED_FORM_MAX_N = 512
 CHARACTER_KERNEL_INVALID = "character kernel invalid; see kernel validation"
+# Estimated work of a second process, in bits of closed-form terms stepped
+# (see `_term_bits`), below which its fork costs more than it saves. On a
+# 2-vCPU VM the fork and exit cost about 2.5 ms, and `sn-sep` broke even
+# near n = 60 to 100 (rmax = 5n, second halves of 5 to 21 million bits).
+SECOND_PROCESS_MIN_WORK = 20_000_000
+# A jump to a far r costs about as much as this many steps at that r
+# (measured 5.6 at n = 128, 8.2 at n = 256 and 10.8 at n = 512).
+JUMP_STEPS = 8
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -42,6 +51,106 @@ def _emit_curve(curve: SeparationCurve, fmt: str, out: str | None) -> None:
     _write_output(curve.to_csv() if fmt == "csv" else curve.to_json(), out)
 
 
+def _second_process_pays(work: float) -> bool:
+    """Whether to hand work of this estimated cost to a forked process.
+
+    Only if it is at least SECOND_PROCESS_MIN_WORK, `os.fork` exists, two
+    CPUs are ours, and this process has one OS thread: a thread holding a
+    lock at the fork (numpy's BLAS pool starts some) could leave the child
+    deadlocked.
+    """
+    if work < SECOND_PROCESS_MIN_WORK:
+        return False
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _send_frame(pipe, value) -> None:
+    data = marshal.dumps(value)
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+
+
+def _receive_frame(pipe):
+    header = pipe.read(8)
+    size = int.from_bytes(header, "little")
+    data = pipe.read(size)
+    if len(header) < 8 or len(data) < size:
+        raise RuntimeError("the second process ended before sending its result")
+    return marshal.loads(data)
+
+
+def _run_second(second, pipe) -> None:
+    """Child side: run `second` and send its list of items, one frame each,
+    after a status frame; or send why it failed."""
+    try:
+        items = second()
+    except ConsistencyError as exc:
+        _send_frame(pipe, ("consistency", str(exc)))
+    except Exception:
+        import traceback
+
+        _send_frame(pipe, ("error", traceback.format_exc()))
+    else:
+        _send_frame(pipe, ("ok", len(items)))
+        for item in items:
+            _send_frame(pipe, item)
+    pipe.flush()
+
+
+def _in_two_processes(first, second) -> tuple:
+    """(first(), second()), with `second` run in a forked process.
+
+    Callers ask `_second_process_pays` first. `second` must return a list
+    of values `marshal` can carry. The child sends them back over a pipe as
+    length-prefixed `marshal` frames, read one at a time once `first` is
+    done. A `ConsistencyError` in the child is raised again here with its
+    message; any other error in the child raises `RuntimeError` with its
+    traceback, and a child that dies fails the call the same way. The child
+    is always reaped, and killed first if `first` or the transfer fails.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the caller
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                _run_second(second, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            mine = first()
+            kind, detail = _receive_frame(pipe)
+            if kind == "consistency":
+                raise ConsistencyError(detail)
+            if kind == "error":
+                raise RuntimeError(f"the second process failed:\n{detail}")
+            theirs = [_receive_frame(pipe) for _ in range(detail)]
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    return mine, theirs
+
+
+def _term_bits(n: int, r: int) -> float:
+    """Bits of the n - 1 closed-form terms at step r: the unit of work estimates."""
+    return (n - 1) * r * math.log2(n)
+
+
 def cmd_sn_sep(args) -> int:
     n, r_max = args.n, args.rmax
     curve = SeparationCurve(n=n)
@@ -52,7 +161,20 @@ def cmd_sn_sep(args) -> int:
             if args.with_tv:
                 curve.add(r, snwalk.tv_exact(n, r), "total_variation")
     else:
-        values = snwalk.separation_closed_forms(n, range(r_max + 1))
+        # A step costs about its r, so the rows past (r_max + 1) / sqrt(2)
+        # carry half the stepped work; a second process takes them.
+        split = round((r_max + 1) / math.sqrt(2))
+        if _second_process_pays(_term_bits(n, r_max + 1) * (r_max + 1 - split) / 2):
+            lower, upper = _in_two_processes(
+                lambda: list(snwalk.separation_closed_forms(n, range(split))),
+                lambda: [
+                    (value.numerator, value.denominator)
+                    for value in snwalk.separation_closed_forms(n, range(split, r_max + 1))
+                ],
+            )
+            values = [*lower, *(lowest_terms(*pair) for pair in upper)]
+        else:
+            values = snwalk.separation_closed_forms(n, range(r_max + 1))
         for r, value in enumerate(values):
             curve.add(r, value, "closed_form")
     _emit_curve(curve, args.format, args.out)
@@ -74,24 +196,45 @@ def _profile_step(n: int, c: float) -> int:
     return math.ceil(n * math.log(n) + c * n)
 
 
+def _separation_floats(points) -> list[float]:
+    """float(s) at each (n, r) of `points`, sorted; one stepped pass per n."""
+    values = []
+    for n in sorted({n for n, _ in points}):
+        values += map(float, snwalk.separation_closed_forms(n, [r for m, r in points if m == n]))
+    return values
+
+
 def cmd_profile(args) -> int:
     n_list, c_list = args.n_list, args.c_list
+    # Each distinct (n, r), dearest first, goes to the process with less
+    # work; the points lie far apart, so each costs about one jump.
+    points = sorted({(n, _profile_step(n, c)) for n in n_list for c in c_list})
+    shares, work = ([], []), [0.0, 0.0]
+    for point in sorted(points, key=lambda p: _term_bits(*p), reverse=True):
+        side = work[1] < work[0]
+        shares[side].append(point)
+        work[side] += JUMP_STEPS * _term_bits(*point)
+    if _second_process_pays(work[1]):
+        mine, theirs = sorted(shares[0]), sorted(shares[1])
+        first, second = _in_two_processes(
+            lambda: _separation_floats(mine), lambda: _separation_floats(theirs)
+        )
+        exact_float = dict(zip(mine + theirs, first + second))
+    else:
+        exact_float = dict(zip(points, _separation_floats(points)))
     rows = []
     for n in n_list:
-        r_list = [_profile_step(n, c) for c in c_list]
-        # One stepped pass over the distinct r in ascending order serves every c.
-        ascending = sorted(set(r_list))
-        exact_at = dict(zip(ascending, snwalk.separation_closed_forms(n, ascending)))
-        for c, r in zip(c_list, r_list):
-            exact = exact_at[r]
+        for c in c_list:
+            r = _profile_step(n, c)
+            s_float = exact_float[n, r]
             limit = snwalk.separation_profile(c)
-            scaled = abs(float(exact) - limit) * n / math.log(n)
+            scaled = abs(s_float - limit) * n / math.log(n)
             rows.append(
                 {
                     "n": n,
                     "c": c,
                     "r": r,
-                    "s_float": float(exact),
+                    "s_float": s_float,
                     "profile": limit,
                     "scaled_diff": scaled,
                 }

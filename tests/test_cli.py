@@ -905,3 +905,164 @@ def test_import_loads_no_unneeded_stdlib():
     """`import tensorwalk.cli` loads argparse, json, fractions and the package,
     and none of dataclasses, logging, inspect, typing or __future__."""
     assert import_probe_report()["import"] == []
+
+
+SECOND_PROCESS_PROBE = """
+import json, os, sys, time
+src, cpus, setup, argv = json.loads(sys.argv[1])
+sys.path.insert(0, src)
+from tensorwalk import cli, snwalk
+from tensorwalk.errors import ConsistencyError
+
+os.sched_getaffinity = lambda pid: set(range(cpus))
+forks = []
+fork = os.fork
+
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = counted_fork
+report = {}
+start = time.monotonic()
+try:
+    exec(setup)
+    report["result"] = cli.main(argv) if argv is not None else run()
+except Exception as exc:
+    report["error"] = [type(exc).__name__, str(exc)]
+report["seconds"] = time.monotonic() - start
+report["forks"] = len(forks)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    report["child_left"] = True
+except ChildProcessError:
+    report["child_left"] = False
+print(json.dumps(report))
+"""
+
+# Makes every closed-form pass that starts above r = 0, the upper half of a
+# split `sn-sep` curve, raise `kind`.
+FAULT = """
+def faulty(n, rs, real=snwalk.separation_closed_forms):
+    rs = list(rs)
+    if rs and rs[0] > 0:
+        raise {kind}(f"injected at n={{n}} r={{rs[0]}}")
+    return real(n, rs)
+
+snwalk.separation_closed_forms = faulty
+"""
+
+
+def second_process_probe(*, cpus=2, setup="", argv=None):
+    """Runs `cli.main(argv)`, or `run()` from `setup`, in a fresh isolated
+    interpreter that has one OS thread and sees `cpus` CPUs. Returns the
+    finished process and its report: the result or the error, the seconds,
+    the forks made and whether a child was left unreaped."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", SECOND_PROCESS_PROBE,
+         json.dumps([src, cpus, setup, argv])],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc, json.loads(proc.stdout.splitlines()[-1])
+
+
+def one_process_run(monkeypatch, capsys, argv):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    return run_cli(capsys, *argv)
+
+
+class TestSecondProcess:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "sn-sep --n 128 --rmax 622",
+            "sn-sep --n 200 --rmax 700 --format json",
+            "profile --n 128,256,512 --c=-1,0,1,2",
+            "profile --n 256 --c=0,0.004,1 --format json",
+        ],
+    )
+    def test_same_bytes_as_one_process(self, monkeypatch, capsys, tmp_path, command):
+        out = tmp_path / "two.out"
+        _, report = second_process_probe(argv=command.split() + ["--out", str(out)])
+        assert report["result"] == 0
+        assert (report["forks"], report["child_left"]) == (1, False)
+        code, one, err = one_process_run(monkeypatch, capsys, command.split())
+        assert (code, err) == (0, "")
+        assert out.read_text() == one
+
+    @pytest.mark.parametrize(
+        "command",
+        ["sn-sep --n 11 --rmax 12", "sn-sep --n 60 --rmax 300", "profile --n 128 --c=0"],
+    )
+    def test_small_commands_stay_in_one_process(self, command):
+        _, report = second_process_probe(argv=command.split() + ["--out", os.devnull])
+        assert (report["result"], report["forks"]) == (0, 0)
+
+    def test_one_cpu_or_a_second_thread_keeps_one_process(self):
+        argv = ["sn-sep", "--n", "128", "--rmax", "622", "--out", os.devnull]
+        _, report = second_process_probe(cpus=1, argv=argv)
+        assert (report["result"], report["forks"]) == (0, 0)
+        thread = (
+            "import threading\n"
+            "done = threading.Event()\n"
+            "threading.Thread(target=done.wait, daemon=True).start()\n"
+        )
+        _, report = second_process_probe(setup=thread, argv=argv)
+        assert (report["result"], report["forks"]) == (0, 0)
+
+    def test_consistency_error_in_the_child_exits_1_with_its_message(self):
+        argv = ["sn-sep", "--n", "128", "--rmax", "622", "--out", os.devnull]
+        proc, report = second_process_probe(
+            setup=FAULT.format(kind="ConsistencyError"), argv=argv
+        )
+        assert (report["result"], report["forks"], report["child_left"]) == (1, 1, False)
+        assert proc.stderr == "consistency failure: injected at n=128 r=441\n"
+
+    def test_other_error_in_the_child_propagates(self):
+        argv = ["sn-sep", "--n", "128", "--rmax", "622", "--out", os.devnull]
+        _, report = second_process_probe(setup=FAULT.format(kind="RuntimeError"), argv=argv)
+        assert (report["forks"], report["child_left"]) == (1, False)
+        kind, message = report["error"]
+        assert kind == "RuntimeError"
+        assert message.startswith("the second process failed:\nTraceback")
+        assert message.endswith("RuntimeError: injected at n=128 r=441\n")
+
+    def test_a_child_that_dies_fails_the_call(self):
+        setup = "def run():\n    return cli._in_two_processes(list, lambda: os._exit(3))\n"
+        _, report = second_process_probe(setup=setup)
+        assert report["error"] == [
+            "RuntimeError", "the second process ended before sending its result"
+        ]
+        assert (report["forks"], report["child_left"]) == (1, False)
+
+    def test_an_error_in_the_first_half_kills_the_child(self):
+        setup = (
+            "def run():\n"
+            "    return cli._in_two_processes(\n"
+            "        lambda: 1 / 0, lambda: time.sleep(60) or []\n"
+            "    )\n"
+        )
+        _, report = second_process_probe(setup=setup)
+        assert report["error"][0] == "ZeroDivisionError"
+        assert (report["forks"], report["child_left"]) == (1, False)
+        assert report["seconds"] < 30
+
+    def test_results_of_both_halves(self):
+        setup = (
+            "def run():\n"
+            "    return cli._in_two_processes(\n"
+            "        lambda: [os.getpid()], lambda: [os.getpid(), 2**5000, (1, 2.5)]\n"
+            "    )\n"
+        )
+        _, report = second_process_probe(setup=setup)
+        (mine,), (theirs, big, pair) = report["result"]
+        assert mine != theirs
+        assert (big, pair) == (2**5000, [1, 2.5])
+        assert (report["forks"], report["child_left"]) == (1, False)
+
