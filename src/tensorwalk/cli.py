@@ -39,11 +39,14 @@ JUMP_STEPS = 8
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
-            handle.write(text)
+    handle = sys.stdout if path is None else open(path, "w")
+    try:
+        # In slices, so a multi-megabyte output is never encoded whole.
+        for start in range(0, len(text), 1 << 16):
+            handle.write(text[start : start + (1 << 16)])
+    finally:
+        if path is not None:
+            handle.close()
 
 
 def _emit_curve(curve: SeparationCurve, fmt: str, out: str | None) -> None:
