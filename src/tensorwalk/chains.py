@@ -77,25 +77,22 @@ def reduced_over_power(
     `Fraction` reduces by the full gcd itself; small values start there.
 
     `power`, if given, must be base**exponent: a caller stepping through
-    exponents carries it, one big-by-small multiply per step, and the
-    reduced denominator is then power / g. Without it the denominator is
-    built as base**(exponent - k) (base**k / g).
+    exponents carries it, one big-by-small multiply per step, instead of
+    having it built here.
     """
     if base < 2 or exponent < 0:
         raise ValueError("need base >= 2 and exponent >= 0")
+    if power is None:
+        power = base**exponent
     k = max(1, 1024 // base.bit_length())
     while 2 * k <= exponent:
         modulus = _power(base, k)
         divisor = math.gcd(numerator % modulus, modulus)
         quotient = numerator // divisor
         if math.gcd(quotient % base, base) == 1:
-            if power is None:
-                denominator = base ** (exponent - k) * (modulus // divisor)
-            else:
-                denominator = power // divisor
-            return lowest_terms(quotient, denominator)
+            return lowest_terms(quotient, power // divisor)
         k *= 2
-    return Fraction(numerator, base**exponent if power is None else power)
+    return Fraction(numerator, power)
 
 
 def format_float(value: float) -> str:

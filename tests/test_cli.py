@@ -972,11 +972,6 @@ def second_process_probe(*, cpus=2, setup="", argv=None):
     return proc, json.loads(proc.stdout.splitlines()[-1])
 
 
-def one_process_run(monkeypatch, capsys, argv):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    return run_cli(capsys, *argv)
-
-
 class TestSecondProcess:
     @pytest.mark.parametrize(
         "command",
@@ -992,7 +987,8 @@ class TestSecondProcess:
         _, report = second_process_probe(argv=command.split() + ["--out", str(out)])
         assert report["result"] == 0
         assert (report["forks"], report["child_left"]) == (1, False)
-        code, one, err = one_process_run(monkeypatch, capsys, command.split())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, one, err = run_cli(capsys, *command.split())
         assert (code, err) == (0, "")
         assert out.read_text() == one
 
