@@ -1,13 +1,14 @@
 """Chain-level containers: exact kernels, spectra, separation curves."""
 
-import io
 import json
 import math
 import numbers
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .errors import ConsistencyError
 from .linalg import identity_matrix, mat_mul
@@ -230,12 +231,11 @@ class Spectrum(namedtuple("Spectrum", "entries")):
         return sum(ms)
 
 
-class CurveRecord(namedtuple("CurveRecord", "r value route")):
-    __slots__ = ()
+class CurveRecord(namedtuple("CurveRecord", "r value route text float_value")):
+    """One curve row; `text` and `float_value` are `format_exact(value)` and
+    `float(value)`, rendered once when the row is added."""
 
-    @property
-    def float_value(self) -> float:
-        return float(self.value)
+    __slots__ = ()
 
 
 class SeparationCurve:
@@ -246,13 +246,22 @@ class SeparationCurve:
         self.q = q
         self.records = []
 
-    def add(self, r: int, value: Fraction, route: str) -> None:
+    def add(
+        self, r: int, value: Fraction, route: str, text: str | None = None,
+        float_value: float | None = None,
+    ) -> None:
+        """Check and keep one row. `text` and `float_value`, if given, must be
+        `format_exact(value)` and `float(value)`: a caller that rendered them
+        elsewhere (another process) passes them in instead of having them
+        rendered here."""
         value = Fraction(value)
         if not 0 <= value <= 1:
             raise ConsistencyError(
                 f"distance value out of [0,1]: r={r} route={route} value={value}"
             )
-        self.records.append(CurveRecord(r, value, route))
+        if text is None:
+            text, float_value = format_exact(value), float(value)
+        self.records.append(CurveRecord(r, value, route, text, float_value))
 
     def monotonicity_violations(self) -> list[tuple[str, int, int]]:
         """(route, r_prev, r) triples where the value increased with r, in ascending r.
@@ -263,14 +272,14 @@ class SeparationCurve:
         and so keep the exact order whenever they differ; the exact values are
         compared only when the floats are equal.
         """
-        out, last = [], {}  # last: route -> (float value, record) at its latest r
+        out, last = [], {}  # last: route -> its record at its latest r
         for cur in sorted(self.records, key=lambda rec: rec.r):
-            after = cur.float_value
             if cur.route in last:
-                before, prev = last[cur.route]
+                prev = last[cur.route]
+                before, after = prev.float_value, cur.float_value
                 if after > before or (after == before and cur.value > prev.value):
                     out.append((cur.route, prev.r, cur.r))
-            last[cur.route] = after, cur
+            last[cur.route] = cur
         return out
 
     def warn_if_not_monotone(self) -> None:
@@ -281,33 +290,44 @@ class SeparationCurve:
                 f"r={r_prev}->{r_cur}\n"
             )
 
-    def to_csv(self) -> str:
-        """One header and one row per record, sorted by (r, route).
+    def _sorted_records(self) -> list:
+        return sorted(self.records, key=lambda x: (x.r, x.route))
+
+    def csv_lines(self) -> Iterator[str]:
+        """One header line and one line per record, sorted by (r, route).
 
         Every cell is an integer, a "num/den" fraction, a float or a route
         name, so no cell needs CSV quoting and each row is written as is.
         """
-        buf = io.StringIO()
         q_header, q_cell = ("", "") if self.q is None else ("q,", f"{self.q},")
-        buf.write(f"r,{q_header}s_exact,s_float,route\n")
-        for rec in sorted(self.records, key=lambda x: (x.r, x.route)):
-            buf.write(
-                f"{rec.r},{q_cell}{format_exact(rec.value)},"
-                f"{format_float(rec.float_value)},{rec.route}\n"
-            )
-        return buf.getvalue()
+        yield f"r,{q_header}s_exact,s_float,route\n"
+        for rec in self._sorted_records():
+            yield f"{rec.r},{q_cell}{rec.text},{format_float(rec.float_value)},{rec.route}\n"
 
-    def to_json(self) -> str:
+    def json_chunks(self) -> Iterator[str]:
+        """The curve as indented JSON and a final newline, in pieces.
+
+        `JSONEncoder(indent=2).iterencode` gives the pieces of exactly what
+        `json.dumps(obj, indent=2)` returns, so no multi-megabyte string is
+        built for a long curve.
+        """
         obj: dict = {"n": self.n}
         if self.q is not None:
             obj["q"] = self.q
         obj["records"] = [
-            {
-                "r": rec.r,
-                "s_exact": format_exact(rec.value),
-                "s_float": rec.float_value,
-                "route": rec.route,
-            }
-            for rec in sorted(self.records, key=lambda x: (x.r, x.route))
+            {"r": rec.r, "s_exact": rec.text, "s_float": rec.float_value, "route": rec.route}
+            for rec in self._sorted_records()
         ]
-        return json.dumps(obj, indent=2) + "\n"
+        pieces = json.JSONEncoder(indent=2).iterencode(obj)
+        # joined 256 pieces (about a dozen records) at a time: one write each
+        while chunk := "".join(islice(pieces, 256)):
+            yield chunk
+        yield "\n"
+
+    def to_csv(self) -> str:
+        """`csv_lines` joined into one string."""
+        return "".join(self.csv_lines())
+
+    def to_json(self) -> str:
+        """`json_chunks` joined into one string."""
+        return "".join(self.json_chunks())

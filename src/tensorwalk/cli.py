@@ -29,21 +29,24 @@ PRACTICAL_MAX_N = 10
 CLOSED_FORM_MAX_N = 512
 CHARACTER_KERNEL_INVALID = "character kernel invalid; see kernel validation"
 # Estimated work of a second process, in bits of closed-form terms stepped
-# (see `_term_bits`), below which its fork costs more than it saves. On a
-# 2-vCPU VM the fork and exit cost about 2.5 ms, and `sn-sep` broke even
-# near n = 60 to 100 (rmax = 5n, second halves of 5 to 21 million bits).
+# (see `_row_cost`), below which its fork costs more than it saves. On a
+# 2-vCPU VM the fork and exit cost about 2.5 ms, and `sn-sep --rmax 5n`
+# gained 4 % at n = 80 (a second share of 30 million bits), 18 % at n = 100.
 SECOND_PROCESS_MIN_WORK = 20_000_000
+# `format_exact` of a row of b-bit numbers costs as much as stepping about
+# b^2 / FORMAT_BITS bits (CPython 3.11's int-to-str is quadratic; measured
+# 35 to 56 over the curves to ceil(n ln n) at n = 128, 200 and 512).
+FORMAT_BITS = 45
 # A jump to a far r costs about as much as this many steps at that r
 # (measured 5.6 at n = 128, 8.2 at n = 256 and 10.8 at n = 512).
 JUMP_STEPS = 8
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(chunks, path: str | None) -> None:
+    """Write the strings of `chunks` in turn to `path`, or to stdout."""
     handle = sys.stdout if path is None else open(path, "w")
     try:
-        # In slices, so a multi-megabyte output is never encoded whole.
-        for start in range(0, len(text), 1 << 16):
-            handle.write(text[start : start + (1 << 16)])
+        handle.writelines(chunks)
     finally:
         if path is not None:
             handle.close()
@@ -51,7 +54,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _emit_curve(curve: SeparationCurve, fmt: str, out: str | None) -> None:
     curve.warn_if_not_monotone()
-    _write_output(curve.to_csv() if fmt == "csv" else curve.to_json(), out)
+    _write_output(curve.csv_lines() if fmt == "csv" else curve.json_chunks(), out)
 
 
 def _second_process_pays(work: float) -> bool:
@@ -62,11 +65,9 @@ def _second_process_pays(work: float) -> bool:
     lock at the fork (numpy's BLAS pool starts some) could leave the child
     deadlocked.
     """
-    if work < SECOND_PROCESS_MIN_WORK:
+    if work < SECOND_PROCESS_MIN_WORK or not hasattr(os, "fork"):
         return False
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return False
-    if len(os.sched_getaffinity(0)) < 2:
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return False
     try:
         return len(os.listdir("/proc/self/task")) == 1
@@ -140,9 +141,7 @@ def _in_two_processes(first, second) -> tuple:
                 raise RuntimeError(f"the second process failed:\n{detail}")
             theirs = [_receive_frame(pipe) for _ in range(detail)]
     except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
+        os.kill(pid, 9)  # SIGKILL
         raise
     finally:
         os.waitpid(pid, 0)
@@ -152,6 +151,34 @@ def _in_two_processes(first, second) -> tuple:
 def _term_bits(n: int, r: int) -> float:
     """Bits of the n - 1 closed-form terms at step r: the unit of work estimates."""
     return (n - 1) * r * math.log2(n)
+
+
+def _row_cost(n: int, r: int) -> float:
+    """Estimated work of closed-form row r: stepping its terms, then formatting it."""
+    return _term_bits(n, r) + (r * math.log2(n)) ** 2 / FORMAT_BITS
+
+
+def _split_row(n: int, r_max: int) -> tuple[int, float]:
+    """Where a second process starts on the rows 0..r_max, and its work.
+
+    It takes rows from the top while its work, their `_row_cost`s plus the
+    jump to its first row, stays below that of the rows left below.
+    """
+    costs = [_row_cost(n, r) for r in range(r_max + 1)]
+    split, upper, lower = r_max + 1, 0.0, sum(costs)
+    while split and upper + 2 * costs[split - 1] + JUMP_STEPS * _term_bits(n, split - 1) <= lower:
+        split -= 1
+        upper, lower = upper + costs[split], lower - costs[split]
+    return split, upper + JUMP_STEPS * _term_bits(n, split)
+
+
+def _closed_form_rows(n: int, rs) -> list[tuple]:
+    """(numerator, denominator, `format_exact` text, float) of the separation
+    at each r of the ascending `rs`, for `SeparationCurve.add`."""
+    return [
+        (value.numerator, value.denominator, format_exact(value), float(value))
+        for value in snwalk.separation_closed_forms(n, rs)
+    ]
 
 
 def cmd_sn_sep(args) -> int:
@@ -164,22 +191,19 @@ def cmd_sn_sep(args) -> int:
             if args.with_tv:
                 curve.add(r, snwalk.tv_exact(n, r), "total_variation")
     else:
-        # A step costs about its r, so the rows past (r_max + 1) / sqrt(2)
-        # carry half the stepped work; a second process takes them.
-        split = round((r_max + 1) / math.sqrt(2))
-        if _second_process_pays(_term_bits(n, r_max + 1) * (r_max + 1 - split) / 2):
+        # Each process formats the rows it computes; the parent's own are
+        # done before it reads the child's.
+        split, work = _split_row(n, r_max)
+        if _second_process_pays(work):
             lower, upper = _in_two_processes(
-                lambda: list(snwalk.separation_closed_forms(n, range(split))),
-                lambda: [
-                    (value.numerator, value.denominator)
-                    for value in snwalk.separation_closed_forms(n, range(split, r_max + 1))
-                ],
+                lambda: _closed_form_rows(n, range(split)),
+                lambda: _closed_form_rows(n, range(split, r_max + 1)),
             )
-            values = [*lower, *(lowest_terms(*pair) for pair in upper)]
+            rows = lower + upper
         else:
-            values = snwalk.separation_closed_forms(n, range(r_max + 1))
-        for r, value in enumerate(values):
-            curve.add(r, value, "closed_form")
+            rows = _closed_form_rows(n, range(r_max + 1))
+        for r, (numerator, denominator, *rendered) in enumerate(rows):
+            curve.add(r, lowest_terms(numerator, denominator), "closed_form", *rendered)
     _emit_curve(curve, args.format, args.out)
     return 0
 
@@ -225,34 +249,20 @@ def cmd_profile(args) -> int:
         exact_float = dict(zip(mine + theirs, first + second))
     else:
         exact_float = dict(zip(points, _separation_floats(points)))
-    rows = []
+    rows = []  # (n, c, r, s_float, profile, scaled_diff)
     for n in n_list:
         for c in c_list:
             r = _profile_step(n, c)
-            s_float = exact_float[n, r]
-            limit = snwalk.separation_profile(c)
-            scaled = abs(s_float - limit) * n / math.log(n)
-            rows.append(
-                {
-                    "n": n,
-                    "c": c,
-                    "r": r,
-                    "s_float": s_float,
-                    "profile": limit,
-                    "scaled_diff": scaled,
-                }
-            )
+            s_float, limit = exact_float[n, r], snwalk.separation_profile(c)
+            rows.append((n, c, r, s_float, limit, abs(s_float - limit) * n / math.log(n)))
+    keys = ("n", "c", "r", "s_float", "profile", "scaled_diff")
     if args.format == "json":
-        _write_output(json.dumps(rows, indent=2) + "\n", args.out)
+        text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
     else:
-        lines = ["n,c,r,s_float,profile,scaled_diff"]
-        for row in rows:
-            lines.append(
-                f"{row['n']},{row['c']},{row['r']},"
-                f"{format_float(row['s_float'])},{format_float(row['profile'])},"
-                f"{format_float(row['scaled_diff'])}"
-            )
-        _write_output("\n".join(lines) + "\n", args.out)
+        text = ",".join(keys) + "\n" + "".join(
+            f"{n},{c},{r},{','.join(map(format_float, floats))}\n" for n, c, r, *floats in rows
+        )
+    _write_output([text], args.out)
     return 0
 
 
@@ -264,19 +274,12 @@ def cmd_occupancy(args) -> int:
     else:
         estimate = occupancy.qspan_mc(a, r, n, q, args.samples, args.seed)
         exact = occupancy.qspan_exact(a, r, n, q)
-    record = {"a": a, "r": r, "n": n}
-    if q is not None:
-        record["q"] = q
+    record = {"a": a, "r": r, "n": n, **({} if q is None else {"q": q})}
     record.update(
-        {
-            "exact": format_exact(exact),
-            "estimate": estimate.estimate,
-            "stderr": estimate.stderr,
-            "samples": estimate.samples,
-            "seed": args.seed,
-        }
+        exact=format_exact(exact), estimate=estimate.estimate, stderr=estimate.stderr,
+        samples=estimate.samples, seed=args.seed,
     )
-    _write_output(json.dumps(record) + "\n", args.out)
+    _write_output([json.dumps(record), "\n"], args.out)
     return 0
 
 
@@ -285,27 +288,23 @@ def cmd_spectrum(args) -> int:
         spectrum = snwalk.spectrum_sn(args.n)
     else:
         spectrum = glwalk.gl_spectrum(args.n, args.q)
-    lines = ["eigenvalue_exact,eigenvalue_float,multiplicity"]
-    for value, mult in spectrum.entries:
-        lines.append(
-            f"{format_exact(value)},{format_float(float(value))},"
-            f"{'' if mult is None else mult}"
-        )
-    _write_output("\n".join(lines) + "\n", args.out)
+    lines = ["eigenvalue_exact,eigenvalue_float,multiplicity"] + [
+        f"{format_exact(value)},{format_float(float(value))},{'' if mult is None else mult}"
+        for value, mult in spectrum.entries
+    ]
+    _write_output((line + "\n" for line in lines), args.out)
     return 0
 
 
 def _run_checks(checks) -> tuple[list[tuple[str, bool, str]], bool]:
     results = []
-    all_ok = True
     for name, thunk in checks:
         try:
             thunk()
             results.append((name, True, ""))
         except ConsistencyError as exc:  # report and keep going
             results.append((name, False, str(exc)))
-            all_ok = False
-    return results, all_ok
+    return results, all(ok for _, ok, _ in results)
 
 
 def _sn_checks(n: int, r_max: int):
@@ -466,7 +465,7 @@ def cmd_crosscheck(args) -> int:
             line = f"{status}  {name.ljust(width)}  {message}"
         lines.append(line)
     lines.append(f"{'ALL PASS' if all_ok else 'FAILURES PRESENT'} ({len(results)} checks)")
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output((line + "\n" for line in lines), args.out)
     return 0 if all_ok else 1
 
 

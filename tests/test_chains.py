@@ -492,6 +492,48 @@ class TestSeparationCurve:
         }
 
 
+class TestStreamedText:
+    """`csv_lines` and `json_chunks` give in pieces what one string would hold."""
+
+    @staticmethod
+    def curve(q):
+        curve = SeparationCurve(n=9, q=q)
+        for r in reversed(range(40)):
+            curve.add(r, Fraction(1, r + 1), "spectral")
+            curve.add(r, Fraction(1, r + 1), "closed_form")
+        curve.add(40, Fraction(10**4999 + 1, 10**5000), "closed_form")
+        return curve
+
+    @pytest.mark.parametrize("q", [None, 5])
+    def test_json_equals_one_dumps(self, q):
+        curve = self.curve(q)
+        obj = {"n": 9, **({} if q is None else {"q": q}), "records": [
+            {"r": rec.r, "s_exact": format_exact(rec.value), "s_float": float(rec.value),
+             "route": rec.route}
+            for rec in sorted(curve.records, key=lambda rec: (rec.r, rec.route))
+        ]}
+        chunks = list(curve.json_chunks())
+        text = "".join(chunks)
+        assert text == curve.to_json() == json.dumps(obj, indent=2) + "\n"
+        # several short pieces; only the one holding the long value is long
+        assert len(chunks) > 3 and sorted(map(len, chunks))[-2] < 4_000
+
+    @pytest.mark.parametrize("q", [None, 5])
+    def test_csv_lines_are_its_rows(self, q):
+        curve = self.curve(q)
+        lines = list(curve.csv_lines())
+        assert len(lines) == 1 + len(curve.records)
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        assert "".join(lines) == curve.to_csv()
+
+    def test_text_passed_to_add_is_kept(self):
+        curve = SeparationCurve(n=3)
+        curve.add(1, Fraction(1, 3), "closed_form", "1/3", 1 / 3)
+        curve.add(2, Fraction(1, 9), "closed_form")
+        assert [rec.text for rec in curve.records] == ["1/3", "1/9"]
+        assert [rec.float_value for rec in curve.records] == [1 / 3, 1 / 9]
+
+
 class TestCsvRows:
     """`to_csv` writes rows directly; `csv.writer` must agree byte for byte."""
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorwalk import glwalk, interpolation, occupancy, snwalk
+from tensorwalk import cli, glwalk, interpolation, occupancy, snwalk
 from tensorwalk.chains import Spectrum, TransitionKernel, format_exact, format_float
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition
@@ -802,13 +802,13 @@ def test_route_disagreement_carries_its_fields(capsys, monkeypatch):
     assert (code, out, err) == (1, "", f"consistency failure: {message}\n")
 
 
-def run_python(*args):
+def run_python(*args, text=True):
     """A fresh interpreter with `src/` on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=text, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -837,6 +837,26 @@ class TestProcessExitStatus:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "usage: tensorwalk" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "sn-sep --n 128 --rmax 622",
+        "sn-sep --n 200 --rmax 300 --format json",
+        "sn-sep --n 6 --rmax 4 --with-tv --format json",
+        "gl-sep --n 4 --q 3 --rmax 8",
+        "profile --n 64,128 --c=0,1",
+        "crosscheck --n 4",
+        "spectrum --n 6",
+    ],
+)
+def test_stdout_and_out_get_the_same_bytes(tmp_path, command):
+    out = tmp_path / "command.out"
+    to_stdout = run_python("-m", "tensorwalk.cli", *command.split(), text=False)
+    to_file = run_python("-m", "tensorwalk.cli", *command.split(), "--out", str(out), text=False)
+    assert (to_stdout.returncode, to_file.returncode, to_file.stdout) == (0, 0, b"")
+    assert to_stdout.stdout == out.read_bytes()
 
 
 IMPORT_PROBE = """
@@ -956,6 +976,20 @@ def faulty(n, rs, real=snwalk.separation_closed_forms):
 snwalk.separation_closed_forms = faulty
 """
 
+# Makes the closed-form value at r = {split}, the second process's first row
+# of a split `sn-sep` curve, exactly 1, so the curve rises there.
+RISE = """
+from fractions import Fraction
+
+
+def rising(n, rs, real=snwalk.separation_closed_forms):
+    rs = list(rs)
+    for r, value in zip(rs, real(n, rs)):
+        yield Fraction(1) if r == {split} else value
+
+snwalk.separation_closed_forms = rising
+"""
+
 
 def second_process_probe(*, cpus=2, setup="", argv=None):
     """Runs `cli.main(argv)`, or `run()` from `setup`, in a fresh isolated
@@ -977,7 +1011,9 @@ class TestSecondProcess:
         "command",
         [
             "sn-sep --n 128 --rmax 622",
+            "sn-sep --n 128 --rmax 622 --format json",
             "sn-sep --n 200 --rmax 700 --format json",
+            "sn-sep --n 512 --rmax 400",
             "profile --n 128,256,512 --c=-1,0,1,2",
             "profile --n 256 --c=0,0.004,1 --format json",
         ],
@@ -1018,7 +1054,8 @@ class TestSecondProcess:
             setup=FAULT.format(kind="ConsistencyError"), argv=argv
         )
         assert (report["result"], report["forks"], report["child_left"]) == (1, 1, False)
-        assert proc.stderr == "consistency failure: injected at n=128 r=441\n"
+        split, _ = cli._split_row(128, 622)
+        assert proc.stderr == f"consistency failure: injected at n=128 r={split}\n"
 
     def test_other_error_in_the_child_propagates(self):
         argv = ["sn-sep", "--n", "128", "--rmax", "622", "--out", os.devnull]
@@ -1027,7 +1064,33 @@ class TestSecondProcess:
         kind, message = report["error"]
         assert kind == "RuntimeError"
         assert message.startswith("the second process failed:\nTraceback")
-        assert message.endswith("RuntimeError: injected at n=128 r=441\n")
+        split, _ = cli._split_row(128, 622)
+        assert message.endswith(f"RuntimeError: injected at n=128 r={split}\n")
+
+    def test_a_rise_at_the_split_warns_as_in_one_process(self):
+        argv = ["sn-sep", "--n", "128", "--rmax", "622", "--out", os.devnull]
+        split, _ = cli._split_row(128, 622)
+        setup = RISE.format(split=split)
+        two, report = second_process_probe(setup=setup, argv=argv)
+        assert (report["result"], report["forks"]) == (0, 1)
+        one, report = second_process_probe(cpus=1, setup=setup, argv=argv)
+        assert (report["result"], report["forks"]) == (0, 0)
+        warning = (
+            "WARNING distance increased with step count: "
+            f"route=closed_form r={split - 1}->{split}\n"
+        )
+        assert two.stderr == one.stderr == warning
+
+    def test_split_balances_the_estimated_work(self):
+        # each process gets about half of the rows' estimated cost, the jump
+        # to the second process's first row counted on its side
+        for n, r_max in ((128, 622), (200, 1060), (512, 3300)):
+            split, work = cli._split_row(n, r_max)
+            lower = sum(cli._row_cost(n, r) for r in range(split))
+            upper = sum(cli._row_cost(n, r) for r in range(split, r_max + 1))
+            assert work == pytest.approx(upper + cli.JUMP_STEPS * cli._term_bits(n, split))
+            assert work <= lower < work + 2 * cli._row_cost(n, split)
+            assert 0.7 < split / (r_max + 1) < 0.8
 
     def test_a_child_that_dies_fails_the_call(self):
         setup = "def run():\n    return cli._in_two_processes(list, lambda: os._exit(3))\n"
