@@ -8,6 +8,7 @@ error and propagates. Output is deterministic for a fixed flag set
 """
 
 import argparse
+import functools
 import json
 import marshal
 import math
@@ -561,6 +562,7 @@ def _occupancy_rule(args):
         return f"need n <= 2^63 without --q, got {args.n}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensorwalk",
@@ -580,8 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_path = _checked(str, _file_path, "need a file path in an existing directory")
 
     def add_out(p):
-        p.add_argument("--out", type=out_path, default=None,
-                       help="output path (default stdout)")
+        p.add_argument("--out", type=out_path, default=None, help="output path (default stdout)")
 
     def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -645,9 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,12 +1,8 @@
 """Occupancy engines: exact balls-in-boxes and random-vector span laws.
 
-The exact routes return Fractions and never load numpy. Each Monte Carlo run
-takes one seed, which fixes its whole draw sequence, so a run is
-reproducible bit for bit. numpy loads on the first draw. The draws come in
-chunks of 2^18 values (one row, if a row is larger), drawn as int32 below
-2^31 and int64 above, which give the same stream: the calling thread draws
-chunk k + 1 while one worker thread counts chunk k, so up to two narrow chunks
-are alive at once.
+The exact routes return Fractions and never load numpy. One seed fixes the
+whole draw sequence of a Monte Carlo run, so a run is reproducible bit for
+bit, however many CPUs draw it. numpy loads on the first draw.
 """
 
 import math
@@ -21,11 +17,8 @@ _CHUNK_ELEMENTS = 1 << 18
 
 
 def _int_dtype(largest: int):
-    """Narrowest signed integer dtype of at least 16 bits that holds `largest`.
-
-    Past int64 it is `object`, so numpy works on Python ints. Narrower types
-    are not used: numpy's sort of int8 and uint8 is far slower than of int16.
-    """
+    """Narrowest signed integer dtype of at least 16 bits that holds `largest`, or
+    `object` (Python ints) past int64. numpy sorts int8 far slower than int16."""
     import numpy as np
 
     for dtype in (np.int16, np.int32, np.int64):
@@ -34,27 +27,22 @@ def _int_dtype(largest: int):
     return object
 
 
-def _draws(seed: int, samples: int, high: int, shape: tuple[int, ...]):
-    """The seeded draws of one run: uniform ints below `high`, in chunks.
+def _draws(source, samples: int, high: int, shape: tuple[int, ...], parts: int = 1):
+    """The seeded draws of a run, or of a part of one: uniform ints below `high`.
 
-    Yields arrays of shape (chunk, *shape) until `samples` rows are drawn,
-    each with at most `_CHUNK_ELEMENTS` values unless one row is larger.
-    Chunking does not change the values: the chunks, concatenated, equal one
-    draw of shape (samples, *shape). The values are drawn as int32 up to
-    high = 2^31, which below 2^32 gives the stream of an int64 draw in half
-    the memory, and as int64 above. They are handed on in the narrowest dtype
-    that holds high - 1, so only that narrow chunk outlives the draw. The
-    spawn key (0,) keeps every recorded run reproducible.
-
-    numpy is imported here, on the first draw. `_count_matches` counts each
-    chunk on a worker thread while the next is drawn, so up to two chunks of
-    at most 2^18 values are alive at once.
+    `source` is the run's seed (spawn key (0,), as every recorded run used)
+    or a `PCG64` set where the part starts, left where the draws end. Yields
+    (chunk, *shape) arrays of at most `_CHUNK_ELEMENTS // parts` values (one
+    row, if larger) until `samples` rows are drawn, equal to one draw when
+    joined: int32 up to high = 2^31 (the int64 stream in half the memory),
+    int64 above, handed on in the narrowest dtype that holds high - 1.
     """
     import numpy as np
 
-    seq = np.random.SeedSequence(seed, spawn_key=(0,))
-    rng = np.random.Generator(np.random.PCG64(seq))
-    rows = max(1, _CHUNK_ELEMENTS // max(1, math.prod(shape)))
+    if not isinstance(source, np.random.PCG64):
+        source = np.random.PCG64(np.random.SeedSequence(source, spawn_key=(0,)))
+    rng = np.random.Generator(source)
+    rows = max(1, _CHUNK_ELEMENTS // parts // max(1, math.prod(shape)))
     drawn = np.int32 if high <= 2**31 else np.int64
     dtype = _int_dtype(high - 1)
     for start in range(0, samples, rows):
@@ -77,10 +65,8 @@ class McEstimate(namedtuple("McEstimate", "successes samples")):
         return math.sqrt(p * (1.0 - p) / self.samples)
 
     def within(self, exact, sigmas: float = 4.0) -> bool:
-        """True when the estimate is within `sigmas` standard errors of exact.
-
-        A zero standard error (all successes or none) demands exact match.
-        """
+        """True when the estimate is within `sigmas` standard errors of exact;
+        a zero standard error (all successes or none) demands exact match."""
         err = self.stderr
         if err == 0.0:
             return self.estimate == float(exact)
@@ -130,9 +116,8 @@ def _pure_birth_power(n: int, r: int, hold_at) -> list[Fraction]:
 def occupancy_chain_power(n: int, r: int) -> list[Fraction]:
     """Distribution of the occupied-box count as a pure-birth chain power.
 
-    The count of occupied boxes holds with probability a/n and steps up
-    otherwise; starting from 0, the r-step law must match `occupancy_exact`
-    entry for entry.
+    The count a holds with probability a/n and steps up otherwise; from 0,
+    the r-step law must match `occupancy_exact` entry for entry.
     """
     return _pure_birth_power(n, r, lambda a: Fraction(a, n))
 
@@ -177,47 +162,64 @@ def _count_matches(
 ) -> McEstimate:
     """Rows of the seeded draws (see `_draws`) whose `statistic` equals a.
 
-    `statistic` maps a (k, *shape) chunk to k values and may change the
-    chunk. The generator stays in this thread, so the stream does not
-    depend on the counting. One worker thread counts chunk k while this
-    thread draws chunk k + 1: each chunk is handed over through a one-slot
-    queue, and chunk k + 2 is drawn only once chunk k is counted. The worker
-    is joined before this returns, and an error of `statistic` is raised
-    here.
+    `statistic` maps a (k, *shape) chunk to k values and may change it. The
+    rows are split into contiguous parts, one per CPU and at most one per
+    chunk; a thread per part draws and counts its chunks in order, while the
+    calling thread (which signal handlers interrupt) waits or runs a lone
+    part. numpy takes a value below 2^32 from half a 64-bit PCG64 output, low
+    half first, and a larger one from a whole output, but Lemire's method
+    rejects one now and then. So a part starts where the stream is if none
+    before it was rejected, and is kept only if the part before ended there;
+    the rest is split again from the true state, so the count is one draw's.
     """
-    import queue
+    import os
     import threading
 
     import numpy as np
 
-    chunks, counts = queue.Queue(maxsize=1), queue.SimpleQueue()
+    def start(state, halves: int):
+        bitgen = np.random.PCG64()
+        bitgen.state = state
+        if halves:  # a buffered half comes first, and `advance` drops it
+            halves -= state["has_uint32"]
+            bitgen.advance(halves // 2)
+            if halves % 2:
+                np.random.Generator(bitgen).integers(1 << 32, dtype=np.uint32)
+        return bitgen
 
-    def count() -> None:
-        while (chunk := chunks.get()) is not None:
-            try:
-                counts.put(int(np.count_nonzero(statistic(chunk) == a)))
-            except BaseException as error:
-                # `collect` raises it; a worker that died instead would hang `collect`.
-                counts.put(error)
+    def where(state) -> tuple:
+        return state["state"], state["has_uint32"], state["has_uint32"] and state["uinteger"]
 
-    def collect() -> int:
-        result = counts.get()
-        if isinstance(result, BaseException):
-            raise result
-        return result
+    def count(j: int) -> None:
+        try:
+            chunks = _draws(gens[j], bounds[j + 1] - bounds[j], high, shape, parts)
+            counts[j] = sum(int(np.count_nonzero(statistic(c) == a)) for c in chunks)
+        except BaseException as error:
+            errors.append(error)
 
-    worker = threading.Thread(target=count)
-    worker.start()
-    successes = 0
-    try:
-        for k, chunk in enumerate(_draws(seed, samples, high, shape)):
-            chunks.put(chunk)
-            if k:
-                successes += collect()
-        successes += collect()
-    finally:
-        chunks.put(None)
-        worker.join()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    row_halves = math.prod(shape) * (0 if high == 1 else 1 if high <= 2**32 else 2)
+    chunk_rows = max(1, _CHUNK_ELEMENTS // max(1, math.prod(shape)))
+    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).state
+    successes = done = 0
+    while done < samples:
+        parts = min(cpus, -(-(samples - done) // chunk_rows))
+        bounds = [done + (samples - done) * j // parts for j in range(parts + 1)]
+        gens = [start(state, (row - done) * row_halves) for row in bounds[:-1]]
+        starts, counts, errors = [where(b.state) for b in gens], [0] * parts, []
+        if parts == 1:
+            count(0)
+        else:
+            threads = [threading.Thread(target=count, args=(j,)) for j in range(parts)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+        kept = next((j for j in range(1, parts) if where(gens[j - 1].state) != starts[j]), parts)
+        successes += sum(counts[:kept])
+        done, state = bounds[kept], gens[kept - 1].state
     return McEstimate(successes=successes, samples=samples)
 
 
@@ -249,18 +251,16 @@ def _batch_rank_mod(mats, q: int):
     """Rank over the prime field F_q of each matrix in a (k, r, n) stack.
 
     Forward elimination on the whole stack at once, pivoting per matrix: in
-    each column, the first row not yet used as a pivot with a nonzero entry
-    becomes the pivot, and every row sheds its multiple of it (a row once
-    used is never read again, so clearing it too costs nothing). Entries must
-    lie in [0, q), as the draws do.
-
-    Only what is read is reduced mod q: the pivot column, and the pivot row's
-    later entries, scaled by the pivot's inverse. An update subtracts a
-    product of two residues without reducing, so it moves an entry by at
-    most (q - 1)^2. The stack is held in the narrowest dtype that holds
+    each column the first row not yet a pivot with a nonzero entry becomes
+    the pivot, and every row sheds its multiple of it (a used row is never
+    read again, so clearing it too costs nothing). Entries must lie in
+    [0, q). Only what is read is reduced mod q: the pivot column, and the
+    pivot row's later entries, scaled by the pivot's inverse. An update
+    subtracts a product of two residues, moving an entry by at most
+    (q - 1)^2, so the stack is held in the narrowest dtype that holds
     (q - 1)^2 (see `_int_dtype`), with room for (max - (q - 1)) // (q - 1)^2
     pending updates; before one more could overflow, the rest of the stack
-    is reduced once. Python ints never need it. `mats` is left unchanged.
+    is reduced once (never with Python ints). `mats` is left unchanged.
     """
     import numpy as np
 

@@ -802,6 +802,32 @@ def test_route_disagreement_carries_its_fields(capsys, monkeypatch):
     assert (code, out, err) == (1, "", f"consistency failure: {message}\n")
 
 
+class TestParserCache:
+    """`main` builds its parser once per process; argparse keeps no state
+    between `parse_args` calls, so the cached parser answers as a fresh one."""
+
+    SEQUENCE = [
+        ["sn-sep", "--n", "1000", "--rmax", "2"],
+        ["sn-sep", "--n", "5", "--rmax", "2"],
+        ["--help"],
+        ["occupancy", "--help"],
+        ["gl-sep", "--n", "2", "--q", "3", "--rmax", "2", "--format", "json"],
+        ["spectrum", "--n", "5"],
+        ["gl-sep", "--n", "1", "--q", "2", "--rmax", "2"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_same_bytes_and_exit_codes_as_fresh_parsers(self, capsys, monkeypatch):
+        cached = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0, 0, 2]
+        assert all(out for code, out, _ in cached if code == 0)
+
+
 def run_python(*args, text=True):
     """A fresh interpreter with `src/` on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")

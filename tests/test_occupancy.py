@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -427,6 +428,23 @@ def _one_draw(seed, samples, high, shape):
     )
 
 
+def _cpus(monkeypatch, count):
+    """Make `os.sched_getaffinity` report `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _mod4_sums(rows):
+    return (rows % 4).sum(axis=1)
+
+
+def _position(state):
+    """Where a PCG64 state is in its stream: a stale `uinteger` does not count."""
+    return (
+        state["state"]["state"], state["state"]["inc"], state["has_uint32"],
+        state["uinteger"] if state["has_uint32"] else None,
+    )
+
+
 class TestDraws:
     @pytest.mark.parametrize(
         "shape,high",
@@ -453,8 +471,76 @@ class TestDraws:
         assert np.array_equal(np.concatenate(chunks), whole)
 
 
+class TestStreamSplit:
+    """A run split into parts counts the rows of one sequential draw."""
+
+    SAMPLES, SHAPE = 41, (5,)  # odd values per row, so parts start on half words
+
+    def _run(self, monkeypatch, high, parts):
+        """(start, end, chunks) of each `_draws` call of one run on `parts`
+        CPUs, and the run's successes."""
+        _cpus(monkeypatch, parts)
+        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 40)
+        calls, draws = [], _draws
+
+        def recorded(source, *args):
+            start, chunks = _position(source.state), list(draws(source, *args))
+            calls.append((start, _position(source.state), chunks))
+            yield from chunks
+
+        monkeypatch.setattr(occupancy, "_draws", recorded)
+        estimate = _count_matches(SEED, self.SAMPLES, high, self.SHAPE, _mod4_sums, 2)
+        monkeypatch.setattr(occupancy, "_draws", draws)
+        return calls, estimate.successes
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "high",
+        [2, 3, 64, 200, 256, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**29, 2**32 + 3],
+    )
+    def test_kept_parts_concatenate_to_one_draw(self, monkeypatch, high, parts):
+        """Following each part's end to the part that starts there, from the
+        seed's start, gives one draw, and the count is that draw's."""
+        threads = threading.active_count()
+        calls, successes = self._run(monkeypatch, high, parts)
+        by_start = {start: (end, chunks) for start, end, chunks in calls}
+        assert len(by_start) == len(calls)
+        fresh = np.random.PCG64(np.random.SeedSequence(SEED, spawn_key=(0,)))
+        position, kept = _position(fresh.state), []
+        while sum(map(len, kept)) < self.SAMPLES:
+            position, chunks = by_start[position]
+            kept += chunks
+        whole = _one_draw(SEED, self.SAMPLES, high, self.SHAPE)
+        assert np.array_equal(np.concatenate(kept), whole)
+        assert successes == np.count_nonzero(_mod4_sums(whole) == 2)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_rows_after_a_rejection_are_drawn_again(self, monkeypatch, parts):
+        """At high = 3 * 2^29 a quarter of the 32-bit halves are rejected, so
+        every part misses its assumed start and the rest is split again."""
+        calls, successes = self._run(monkeypatch, 3 * 2**29, parts)
+        assert len(calls) > parts
+        assert successes == self._run(monkeypatch, 3 * 2**29, 1)[1]
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        two = [self._run(monkeypatch, high, 2)[1] for high in (200, 3 * 2**29)]
+        mc = occupancy_mc(3, 5, 4, self.SAMPLES, SEED), qspan_mc(3, 4, 3, 2, self.SAMPLES, SEED)
+
+        def no_start(thread):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        one = [self._run(monkeypatch, high, 1) for high in (200, 3 * 2**29)]
+        assert [len(calls) for calls, _ in one] == [1, 1]
+        assert [successes for _, successes in one] == two
+        assert mc == (
+            occupancy_mc(3, 5, 4, self.SAMPLES, SEED), qspan_mc(3, 4, 3, 2, self.SAMPLES, SEED)
+        )
+
+
 class TestPipeline:
-    """Each chunk is counted on one worker thread while the next is drawn."""
+    """Each part of a run is drawn and counted, chunk by chunk, on its own thread."""
 
     SAMPLES = 50
 
@@ -478,46 +564,50 @@ class TestPipeline:
             assert qspan_mc(a, r, n, q, self.SAMPLES, SEED).successes == ranks[a]
         assert threading.active_count() == threads
 
-    def test_one_worker_and_at_most_two_chunks_ahead(self, monkeypatch):
-        """The calling thread draws, one other thread counts, and no chunk is
-        drawn before the chunk two places ahead of it has started counting."""
-        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 6)
-        drawers, counters, drawn, ahead = set(), set(), [], []
+    def test_each_part_thread_holds_one_chunk_at_a_time(self, monkeypatch):
+        """With two CPUs, two threads other than the calling one each draw
+        chunks of at most `_CHUNK_ELEMENTS // 2` values and count each chunk
+        before they draw the next."""
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 12)
+        events = {}
         draws = occupancy._draws
 
         def watched_draws(*args):
             for chunk in draws(*args):
-                drawers.add(threading.get_ident())
-                drawn.append(chunk)
+                events.setdefault(threading.current_thread(), []).append(chunk.size)
                 yield chunk
 
         def statistic(chunk):
-            counters.add(threading.get_ident())
-            ahead.append(len(drawn) - len(ahead))
+            events[threading.current_thread()].append("counted")
             return np.zeros(len(chunk))
 
         monkeypatch.setattr(occupancy, "_draws", watched_draws)
         threads = threading.active_count()
         assert _count_matches(SEED, 30, 4, (6,), statistic, 0).successes == 30
-        assert drawers == {threading.get_ident()}
-        assert len(counters) == 1 and counters != drawers
-        assert len(ahead) == 30 and max(ahead) <= 2
+        assert len(events) == 2 and threading.current_thread() not in events
+        for sequence in events.values():
+            assert sequence[1::2] == ["counted"] * (len(sequence) // 2)
+            assert all(size <= 12 // 2 for size in sequence[::2])
+        assert sum(len(sequence) // 2 for sequence in events.values()) == 30
         assert threading.active_count() == threads
 
     def test_statistic_error_propagates(self, monkeypatch):
+        """An error of `statistic` on a chunk of either part is raised to the caller."""
+        _cpus(monkeypatch, 2)
         monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 6)
-        calls = []
-
-        def statistic(chunk):
-            calls.append(len(chunk))
-            if len(calls) == 2:
-                raise RuntimeError("second chunk")
-            return np.zeros(len(chunk))
-
+        whole = _one_draw(SEED, 10, 4, (6,))
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="second chunk"):
-            _count_matches(SEED, 5, 4, (6,), statistic, 0)
-        assert threading.active_count() == threads
+        for bad_row in (1, 7):
+
+            def statistic(chunk):
+                if np.array_equal(chunk, whole[bad_row : bad_row + 1]):
+                    raise RuntimeError(f"row {bad_row}")
+                return np.zeros(len(chunk))
+
+            with pytest.raises(RuntimeError, match=f"row {bad_row}"):
+                _count_matches(SEED, 10, 4, (6,), statistic, 0)
+            assert threading.active_count() == threads
 
     def test_counting_thread_loads_no_worker_pool(self):
         """After one draw of each kind, a fresh interpreter has loaded neither
