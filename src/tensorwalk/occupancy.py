@@ -2,7 +2,9 @@
 
 The exact routes return Fractions and never load numpy. One seed fixes the
 whole draw sequence of a Monte Carlo run, so a run is reproducible bit for
-bit, however many CPUs draw it. numpy loads on the first draw.
+bit, however many CPUs draw it. numpy loads on the first draw. A range of
+2^k values is read from raw PCG64 words (see `_draws`), and residues mod q
+come from floor division (`_mod`): numpy vectorises `//` by a scalar, not `%`.
 """
 
 import math
@@ -35,7 +37,12 @@ def _draws(source, samples: int, high: int, shape: tuple[int, ...], parts: int =
     (chunk, *shape) arrays of at most `_CHUNK_ELEMENTS // parts` values (one
     row, if larger) until `samples` rows are drawn, equal to one draw when
     joined: int32 up to high = 2^31 (the int64 stream in half the memory),
-    int64 above, handed on in the narrowest dtype that holds high - 1.
+    int64 above, handed on in the narrowest dtype that holds high - 1. At
+    high = 2^k Lemire's method cannot reject (its threshold, (2^32 - high)
+    mod high or the 64-bit analogue, is 0) and keeps the top k bits of each
+    32-bit half, or of each 64-bit word for k > 32. Those come straight from
+    `random_raw`: a half buffered in the state first, then low half before
+    high, and an odd count leaves its last high half buffered, as numpy does.
     """
     import numpy as np
 
@@ -45,9 +52,32 @@ def _draws(source, samples: int, high: int, shape: tuple[int, ...], parts: int =
     rows = max(1, _CHUNK_ELEMENTS // parts // max(1, math.prod(shape)))
     drawn = np.int32 if high <= 2**31 else np.int64
     dtype = _int_dtype(high - 1)
+    bits = high.bit_length() - 1
     for start in range(0, samples, rows):
         size = (min(rows, samples - start), *shape)
-        yield rng.integers(0, high, size=size, dtype=drawn).astype(dtype, copy=False)
+        if high != 1 << bits or not 0 < bits < 64:
+            yield rng.integers(0, high, size=size, dtype=drawn).astype(dtype, copy=False)
+            continue
+        out = np.empty(math.prod(size), dtype)
+        first = 0
+        if bits > 32:
+            units = source.random_raw(out.size)
+        else:
+            state = source.state
+            first = state["has_uint32"]
+            out[:first] = state["uinteger"] >> (32 - bits)
+            words = source.random_raw((out.size - first + 1) // 2)
+            units = words.view(np.uint32)[: out.size - first]
+            state = source.state
+            state["has_uint32"] = (state["has_uint32"] + out.size) % 2
+            if words.size:
+                state["uinteger"] = int(words[-1]) >> 32
+            source.state = state
+            del words
+        units >>= 8 * units.itemsize - bits
+        out[first:] = units
+        del units
+        yield out.reshape(size)
 
 
 class McEstimate(namedtuple("McEstimate", "successes samples")):
@@ -171,6 +201,7 @@ def _count_matches(
     rejects one now and then. So a part starts where the stream is if none
     before it was rejected, and is kept only if the part before ended there;
     the rest is split again from the true state, so the count is one draw's.
+    A run whose values would likely see a rejection is drawn as one part.
     """
     import os
     import threading
@@ -183,8 +214,9 @@ def _count_matches(
         if halves:  # a buffered half comes first, and `advance` drops it
             halves -= state["has_uint32"]
             bitgen.advance(halves // 2)
-            if halves % 2:
-                np.random.Generator(bitgen).integers(1 << 32, dtype=np.uint32)
+            if halves % 2:  # one half, as numpy takes it: the low one, the high one kept
+                word = int(bitgen.random_raw())
+                bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": word >> 32}
         return bitgen
 
     def where(state) -> tuple:
@@ -198,7 +230,10 @@ def _count_matches(
             errors.append(error)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    row_halves = math.prod(shape) * (0 if high == 1 else 1 if high <= 2**32 else 2)
+    bits = 32 if high <= 2**32 else 64
+    if ((1 << bits) - high) % high * samples * math.prod(shape) >= 1 << bits:
+        cpus = 1  # a rejection is likely, and every part after it would be drawn twice
+    row_halves = math.prod(shape) * (0 if high == 1 else bits // 32)
     chunk_rows = max(1, _CHUNK_ELEMENTS // max(1, math.prod(shape)))
     state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).state
     successes = done = 0
@@ -231,6 +266,12 @@ def _distinct_counts(rows):
     return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
 
 
+def _mod(x, q: int):
+    """x mod q elementwise for q > 0, as `%` gives it: numpy vectorises floor
+    division by a scalar but not `%`. Products that wrap cancel mod 2^bits."""
+    return x - x // q * q
+
+
 def _inverse_mod(x, q: int):
     """x^(q-2) mod q elementwise for x in [0, q): the inverse of each nonzero
     x, and 0 for 0. The dtype of x must hold (q - 1)^2."""
@@ -241,8 +282,8 @@ def _inverse_mod(x, q: int):
     e = q - 2
     while e:
         if e & 1:
-            out = out * x % q
-        x = x * x % q
+            out = _mod(out * x, q)
+        x = _mod(x * x, q)
         e >>= 1
     return out
 
@@ -278,15 +319,15 @@ def _batch_rank_mod(mats, q: int):
     unused = np.ones((r, k), dtype=bool)
     stack = np.arange(k)
     for col in range(n):
-        column = m[col] % q
+        column = _mod(m[col], q)
         candidate = unused & (column != 0)
         found = candidate.any(axis=0)
         pivot_row = candidate.argmax(axis=0)
         unused[pivot_row, stack] &= ~found
         inverse = _inverse_mod(column[pivot_row, stack], q)
-        scaled = m[col + 1 :, pivot_row, stack] % q * inverse % q
+        scaled = _mod(_mod(m[col + 1 :, pivot_row, stack], q) * inverse, q)
         if pending == budget:
-            m[col + 1 :] %= q
+            m[col + 1 :] = _mod(m[col + 1 :], q)
             pending = 0
         pending += 1
         for j, factor in enumerate(scaled, col + 1):

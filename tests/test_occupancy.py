@@ -23,6 +23,7 @@ from tensorwalk.occupancy import (
     _draws,
     _int_dtype,
     _inverse_mod,
+    _mod,
     occupancy_chain_power,
     occupancy_exact,
     occupancy_mc,
@@ -470,13 +471,81 @@ class TestDraws:
         assert all(len(chunk) <= _CHUNK_ELEMENTS for chunk in chunks)
         assert np.array_equal(np.concatenate(chunks), whole)
 
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
+    @pytest.mark.parametrize(
+        "shape", [(5,), (3,), (3, 0)], ids=["even-chunks", "odd-chunks", "empty-rows"]
+    )
+    @pytest.mark.parametrize(
+        "high", [2, 4, 64, 256, 2**15, 2**31, 2**32, 2**40, 2**63]
+    )
+    def test_powers_of_two_match_integers(self, monkeypatch, high, shape, buffered):
+        """A power-of-two high, drawn from raw words, equals `Generator.integers`
+        chunk by chunk and leaves the same state. Chunks hold 40 values and a
+        last one of 15 at shape (5,), and 39 each at (3,), so they end and
+        start on half words; a start may take a half buffered before it, and
+        empty rows leave it buffered."""
+        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 40)
+        raw, twin = (np.random.PCG64(np.random.SeedSequence(SEED, spawn_key=(0,))) for _ in "ab")
+        rng = np.random.Generator(twin)
+        if buffered:
+            for bitgen in (raw, twin):
+                np.random.Generator(bitgen).integers(1 << 32, dtype=np.uint32)
+        chunks = list(_draws(raw, 19, high, shape))
+        lengths = {(5,): [8, 8, 3], (3,): [13, 6], (3, 0): [19]}[shape]
+        assert [len(chunk) for chunk in chunks] == lengths
+        drawn = np.int32 if high <= 2**31 else np.int64
+        for chunk in chunks:
+            assert chunk.dtype == _int_dtype(high - 1)
+            assert np.array_equal(chunk, rng.integers(0, high, size=chunk.shape, dtype=drawn))
+        assert _position(raw.state) == _position(twin.state)
+
+    def test_powers_of_two_never_call_integers(self, monkeypatch):
+        """With `Generator.integers` raising, balls in boxes at n = 64 and the
+        span law at q = 2 still run, split over two CPUs at an odd half."""
+        class NoIntegers(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                raise AssertionError("Generator.integers was called")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 40)
+        runs = [(occupancy_mc, (4, 5, 64, 43, SEED)), (qspan_mc, (2, 3, 3, 2, 43, SEED))]
+        expected = [run(*args) for run, args in runs]
+        monkeypatch.setattr(np.random, "Generator", NoIntegers)
+        assert [run(*args) for run, args in runs] == expected
+
+
+class TestMod:
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, object])
+    def test_matches_percent_at_the_extremes(self, dtype):
+        """`_mod` equals `%` at the dtype's minimum, maximum and negative values,
+        for q = 2, 3, 181 and the largest q whose (q - 1)^2 each width up to
+        this one holds (object: one past int64's)."""
+        largest = [182, 46341, 3037000500, 3037000501]
+        widths = [np.int16, np.int32, np.int64, object]
+        assert [_int_dtype((q - 1) ** 2) for q in largest] == widths
+        assert [_int_dtype(q**2) for q in largest[:3]] == widths[1:]
+        if dtype is object:
+            lo, hi = -(2**80), 2**80
+        else:
+            lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+        values = [lo, lo + 1, -(2**15), -182, -181, -3, -2, -1, 0, 1, 2, 181, 182, hi - 1, hi]
+        x = np.array([v for v in values if lo <= v <= hi], dtype=dtype)
+        for q in [2, 3, 181] + largest[: widths.index(dtype) + 1]:
+            reduced = _mod(x, q)
+            assert reduced.dtype == x.dtype
+            assert reduced.tolist() == [v % q for v in x.tolist()]
+
 
 class TestStreamSplit:
     """A run split into parts counts the rows of one sequential draw."""
 
     SAMPLES, SHAPE = 41, (5,)  # odd values per row, so parts start on half words
+    # A 32-bit half is rejected with probability (2^24 + 2^18) / 2^32, 0.81 over
+    # the run's 205 values: the run is still split, and with SEED a rejection
+    # lands before a later part for 2, 3 and 4 CPUs.
+    REJECTING = 2**31 - 2**23 - 2**17
 
-    def _run(self, monkeypatch, high, parts):
+    def _run(self, monkeypatch, high, parts, samples=SAMPLES, shape=SHAPE):
         """(start, end, chunks) of each `_draws` call of one run on `parts`
         CPUs, and the run's successes."""
         _cpus(monkeypatch, parts)
@@ -489,14 +558,14 @@ class TestStreamSplit:
             yield from chunks
 
         monkeypatch.setattr(occupancy, "_draws", recorded)
-        estimate = _count_matches(SEED, self.SAMPLES, high, self.SHAPE, _mod4_sums, 2)
+        estimate = _count_matches(SEED, samples, high, shape, _mod4_sums, 2)
         monkeypatch.setattr(occupancy, "_draws", draws)
         return calls, estimate.successes
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "high",
-        [2, 3, 64, 200, 256, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**29, 2**32 + 3],
+        [2, 3, 64, 200, 256, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**29, 2**32 + 3, REJECTING],
     )
     def test_kept_parts_concatenate_to_one_draw(self, monkeypatch, high, parts):
         """Following each part's end to the part that starts there, from the
@@ -517,21 +586,31 @@ class TestStreamSplit:
 
     @pytest.mark.parametrize("parts", [2, 3, 4])
     def test_rows_after_a_rejection_are_drawn_again(self, monkeypatch, parts):
-        """At high = 3 * 2^29 a quarter of the 32-bit halves are rejected, so
-        every part misses its assumed start and the rest is split again."""
-        calls, successes = self._run(monkeypatch, 3 * 2**29, parts)
+        """A part after a rejection misses its assumed start, and the rest of
+        the run is split again."""
+        calls, successes = self._run(monkeypatch, self.REJECTING, parts)
         assert len(calls) > parts
-        assert successes == self._run(monkeypatch, 3 * 2**29, 1)[1]
+        assert successes == self._run(monkeypatch, self.REJECTING, 1)[1]
+
+    @pytest.mark.parametrize("parts", [2, 4])
+    @pytest.mark.parametrize("high", [2**31 - 2**23, 2**63 - 2**55])
+    def test_one_part_once_a_rejection_is_likely(self, monkeypatch, high, parts):
+        """A value is rejected with probability p = 2^-8 at both highs (32-bit
+        halves below, 64-bit words above): a run of 256 values, p times its
+        values = 1, is drawn as one part, and one of 252 values is split."""
+        assert len(self._run(monkeypatch, high, parts, 64, (4,))[0]) == 1
+        assert len(self._run(monkeypatch, high, parts, 63, (4,))[0]) >= parts
+        assert len(self._run(monkeypatch, 3 * 2**29, parts)[0]) == 1
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
-        two = [self._run(monkeypatch, high, 2)[1] for high in (200, 3 * 2**29)]
+        two = [self._run(monkeypatch, high, 2)[1] for high in (200, self.REJECTING)]
         mc = occupancy_mc(3, 5, 4, self.SAMPLES, SEED), qspan_mc(3, 4, 3, 2, self.SAMPLES, SEED)
 
         def no_start(thread):
             raise AssertionError("a thread started")
 
         monkeypatch.setattr(threading.Thread, "start", no_start)
-        one = [self._run(monkeypatch, high, 1) for high in (200, 3 * 2**29)]
+        one = [self._run(monkeypatch, high, 1) for high in (200, self.REJECTING)]
         assert [len(calls) for calls, _ in one] == [1, 1]
         assert [successes for _, successes in one] == two
         assert mc == (
@@ -610,10 +689,12 @@ class TestPipeline:
             assert threading.active_count() == threads
 
     def test_counting_thread_loads_no_worker_pool(self):
-        """After one draw of each kind, a fresh interpreter has loaded neither
-        `concurrent.futures` nor `logging`. It runs isolated and without `site`
-        (`-I -S`), so no `.pth` file preloads them; `src/` and the test
-        interpreter's path go on `sys.path` by hand, so numpy stays importable."""
+        """After one draw of each kind and a run of more than 2^18 values split
+        over two part threads, a fresh interpreter has loaded neither
+        `concurrent.futures` nor `logging`, and only its main thread is left.
+        It runs isolated and without `site` (`-I -S`), so no `.pth` file
+        preloads them; `src/` and the test interpreter's path go on `sys.path`
+        by hand, so numpy stays importable."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = [src] + [entry for entry in sys.path if entry]
         proc = subprocess.run(
@@ -621,18 +702,23 @@ class TestPipeline:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"loaded": ["numpy"], "threads": 1}
+        assert json.loads(proc.stdout) == {"loaded": ["numpy"], "started": 2, "threads": 1}
 
 
 DRAW_PROBE = """
-import json, sys, threading
+import json, os, sys, threading
 sys.path[:0] = json.loads(sys.argv[1])
 from tensorwalk.occupancy import occupancy_mc, qspan_mc
+os.sched_getaffinity = lambda pid: {0, 1}
+started, start = [], threading.Thread.start
+threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]
 occupancy_mc(2, 3, 4, 100, 1)
 qspan_mc(2, 3, 3, 2, 100, 1)
+occupancy_mc(60, 3, 64, 100_000, 1)
 watched = ("concurrent.futures", "logging", "numpy")
 print(json.dumps({
     "loaded": [name for name in watched if name in sys.modules],
+    "started": len(started),
     "threads": threading.active_count(),
 }))
 """
