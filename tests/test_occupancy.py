@@ -475,9 +475,7 @@ class TestDraws:
     @pytest.mark.parametrize(
         "shape", [(5,), (3,), (3, 0)], ids=["even-chunks", "odd-chunks", "empty-rows"]
     )
-    @pytest.mark.parametrize(
-        "high", [2, 4, 64, 256, 2**15, 2**31, 2**32, 2**40, 2**63]
-    )
+    @pytest.mark.parametrize("high", [2, 4, 64, 256, 2**15, 2**31, 2**32, 2**40, 2**63])
     def test_powers_of_two_match_integers(self, monkeypatch, high, shape, buffered):
         """A power-of-two high, drawn from raw words, equals `Generator.integers`
         chunk by chunk and leaves the same state. Chunks hold 40 values and a
@@ -597,7 +595,8 @@ class TestStreamSplit:
     def test_one_part_once_a_rejection_is_likely(self, monkeypatch, high, parts):
         """A value is rejected with probability p = 2^-8 at both highs (32-bit
         halves below, 64-bit words above): a run of 256 values, p times its
-        values = 1, is drawn as one part, and one of 252 values is split."""
+        values = 1, is drawn as one part, and one of 252 values is split. At
+        3 * 2^29, which rejects a quarter of the halves, 205 values run as one."""
         assert len(self._run(monkeypatch, high, parts, 64, (4,))[0]) == 1
         assert len(self._run(monkeypatch, high, parts, 63, (4,))[0]) >= parts
         assert len(self._run(monkeypatch, 3 * 2**29, parts)[0]) == 1
