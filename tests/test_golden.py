@@ -29,7 +29,11 @@ after the first, were recorded at commit
 d03500c948dba5cf14412998cfff66c969a2bc04. `sn-sep --n 128 --rmax 622`
 and its `--format json`, a closed-form curve long enough to be split
 between two processes and the closed-form JSON output, were recorded at
-commit cda830e01579327832db676ae6e630251abfe3e8.
+commit cda830e01579327832db676ae6e630251abfe3e8. `profile --n 512 --c=-5`,
+where the separation rounds to 1 far before the cutoff, and
+`profile --n 2,3,5 --c=-1,0,1`, which reads points before the support
+distance n - 1 and sums that run through every term, were recorded at
+commit 8dbe63fc418be59829714277e05c7229f79c3d55.
 A change that alters any byte of these outputs must say why and re-record
 them; refactors of the route code must leave every digest unchanged.
 """
@@ -97,6 +101,10 @@ GOLDEN = [
      "bac5805aa55996dfcb892a5c673723c5267ff23779a47073a174fb845fe0d0c0"),
     ("profile --n 128,256,512 --c=-1,0,1,2",
      "fa5efaa4b0113f90137a87c08daff1b8922630121cd10e71aa9b40be4497bd63"),
+    ("profile --n 512 --c=-5",
+     "d7ef89ade19cfa7254a7ed76e8c9d383a872ce4239d305fb79004259dbc85674"),
+    ("profile --n 2,3,5 --c=-1,0,1",
+     "24e8423b623ae4aad6197a8a4122eb92f76a8ab18fe5fe05416b8099c42faee1"),
     ("gl-sep --n 24 --q 2 --rmax 48",
      "d5d5aa1e682b6700549e8335da8512192f3df43005431f5aaa1992d52615a055"),
     ("occupancy --a 2 --r 2 --n 2 --samples 20000 --seed 7",
