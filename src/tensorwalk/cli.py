@@ -233,23 +233,15 @@ def _separation_floats(points) -> list[float]:
 
 
 def cmd_profile(args) -> int:
+    # Imported here, so `import tensorwalk.cli` does not compile it.
+    from .bracket import separation_float
+
     n_list, c_list = args.n_list, args.c_list
-    # Each distinct (n, r), dearest first, goes to the process with less
-    # work; the points lie far apart, so each costs about one jump.
     points = sorted({(n, _profile_step(n, c)) for n in n_list for c in c_list})
-    shares, work = ([], []), [0.0, 0.0]
-    for point in sorted(points, key=lambda p: _term_bits(*p), reverse=True):
-        side = work[1] < work[0]
-        shares[side].append(point)
-        work[side] += JUMP_STEPS * _term_bits(*point)
-    if _second_process_pays(work[1]):
-        mine, theirs = sorted(shares[0]), sorted(shares[1])
-        first, second = _in_two_processes(
-            lambda: _separation_floats(mine), lambda: _separation_floats(theirs)
-        )
-        exact_float = dict(zip(mine + theirs, first + second))
-    else:
-        exact_float = dict(zip(points, _separation_floats(points)))
+    exact_float = {point: separation_float(*point) for point in points}
+    # The exact sums read the points whose bracket pins no float.
+    unpinned = [point for point, value in exact_float.items() if value is None]
+    exact_float.update(zip(unpinned, _separation_floats(unpinned)))
     rows = []  # (n, c, r, s_float, profile, scaled_diff)
     for n in n_list:
         for c in c_list:

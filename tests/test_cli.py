@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorwalk import cli, glwalk, interpolation, occupancy, snwalk
+from tensorwalk import bracket, cli, glwalk, interpolation, occupancy, snwalk
 from tensorwalk.chains import Spectrum, TransitionKernel, format_exact, format_float
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition
@@ -229,6 +229,8 @@ class TestProfile:
         assert [float(r["c"]) for r in rows] == [-1.0, 0.0]
 
     def test_one_stepped_pass_per_n(self, capsys, monkeypatch):
+        # the bracket pins none of the points, so all take the exact sums
+        monkeypatch.setattr(bracket, "separation_float", lambda n, r: None)
         passes = []
         stepped = snwalk.separation_closed_forms
 
@@ -247,6 +249,20 @@ class TestProfile:
             r = math.ceil(n * math.log(n) + c * n)
             assert int(row["r"]) == r
             assert row["s_float"] == format_float(float(snwalk.separation_closed_form(n, r)))
+
+    def test_bracket_pins_every_benchmark_point(self, capsys, monkeypatch):
+        """The benchmark's grid prints the exact sums' bytes without reading them."""
+        argv = ("profile", "--n", "128,256,512", "--c=-1,0,1,2")
+        with monkeypatch.context() as patch:
+            patch.setattr(bracket, "separation_float", lambda n, r: None)
+            exact = run_cli(capsys, *argv)
+        assert exact[0] == 0
+
+        def no_exact_sums(n, rs):
+            raise AssertionError(f"exact sums read at n={n}")
+
+        monkeypatch.setattr(snwalk, "separation_closed_forms", no_exact_sums)
+        assert run_cli(capsys, *argv) == exact
 
     @pytest.mark.parametrize("offsets", ["--c=inf", "--c=nan"], ids=["inf", "nan"])
     def test_non_finite_offset_rejected(self, capsys, offsets):
@@ -907,8 +923,11 @@ print(json.dumps(report))
 UNNEEDED = (
     "__future__", "concurrent.futures", "dataclasses", "inspect", "logging", "numpy", "typing"
 )
+# Only `profile` reads the bracket module, so the import does not compile it.
+BRACKET = "tensorwalk.bracket"
+PROFILE_COMMAND = "profile --n 64 --c=0"
 EXACT_COMMANDS = (
-    "sn-sep --n 8 --rmax 5", "gl-sep --n 4 --q 2 --rmax 4", "profile --n 64 --c=0",
+    "sn-sep --n 8 --rmax 5", "gl-sep --n 4 --q 2 --rmax 4", PROFILE_COMMAND,
     "crosscheck --n 5", "spectrum --n 6",
 )
 DRAW_COMMAND = "occupancy --a 2 --r 3 --n 4 --samples 100"
@@ -916,7 +935,8 @@ DRAW_COMMAND = "occupancy --a 2 --r 3 --n 4 --samples 100"
 
 @functools.cache
 def import_probe_report():
-    """What the probe saw loaded after the import and after each command.
+    """What the probe saw loaded of UNNEEDED and BRACKET after the import and
+    after each command.
 
     The interpreter runs isolated and without `site` (`-I -S`), so no `.pth`
     file preloads a module the import would otherwise load. `src/` and the
@@ -928,7 +948,7 @@ def import_probe_report():
     commands = [c.split() for c in EXACT_COMMANDS + (DRAW_COMMAND,)]
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", IMPORT_PROBE,
-         json.dumps([path, commands, UNNEEDED])],
+         json.dumps([path, commands, UNNEEDED + (BRACKET,)])],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -939,18 +959,26 @@ def test_only_monte_carlo_loads_numpy():
     """numpy loads on the first Monte Carlo draw, so every other command, and
     the import itself, go without it. The draw's counting thread needs no
     worker pool."""
-    report = import_probe_report()
+    report = {c: set(loaded) - {BRACKET} for c, loaded in import_probe_report().items()}
     assert {c: report[c] for c in ("import",) + EXACT_COMMANDS} == {
-        "import": [], **{c: [] for c in EXACT_COMMANDS}
+        "import": set(), **{c: set() for c in EXACT_COMMANDS}
     }
     assert "numpy" in report[DRAW_COMMAND]
-    assert not {"concurrent.futures", "logging"} & set(report[DRAW_COMMAND])
+    assert not {"concurrent.futures", "logging"} & report[DRAW_COMMAND]
 
 
 def test_import_loads_no_unneeded_stdlib():
     """`import tensorwalk.cli` loads argparse, json, fractions and the package,
-    and none of dataclasses, logging, inspect, typing or __future__."""
+    and none of dataclasses, logging, inspect, typing or __future__, nor the
+    bracket module."""
     assert import_probe_report()["import"] == []
+
+
+def test_only_profile_loads_the_bracket():
+    report = import_probe_report()
+    before = ("import",) + EXACT_COMMANDS[: EXACT_COMMANDS.index(PROFILE_COMMAND)]
+    assert [c for c in before if BRACKET in report[c]] == []
+    assert BRACKET in report[PROFILE_COMMAND]
 
 
 SECOND_PROCESS_PROBE = """
@@ -1040,8 +1068,6 @@ class TestSecondProcess:
             "sn-sep --n 128 --rmax 622 --format json",
             "sn-sep --n 200 --rmax 700 --format json",
             "sn-sep --n 512 --rmax 400",
-            "profile --n 128,256,512 --c=-1,0,1,2",
-            "profile --n 256 --c=0,0.004,1 --format json",
         ],
     )
     def test_same_bytes_as_one_process(self, monkeypatch, capsys, tmp_path, command):
@@ -1056,7 +1082,13 @@ class TestSecondProcess:
 
     @pytest.mark.parametrize(
         "command",
-        ["sn-sep --n 11 --rmax 12", "sn-sep --n 60 --rmax 300", "profile --n 128 --c=0"],
+        [
+            "sn-sep --n 11 --rmax 12",
+            "sn-sep --n 60 --rmax 300",
+            "profile --n 128 --c=0",
+            "profile --n 128,256,512 --c=-1,0,1,2",
+            "profile --n 256 --c=0,0.004,1 --format json",
+        ],
     )
     def test_small_commands_stay_in_one_process(self, command):
         _, report = second_process_probe(argv=command.split() + ["--out", os.devnull])
