@@ -1,6 +1,5 @@
 """Chain-level containers: exact kernels, spectra, separation curves."""
 
-import json
 import math
 import numbers
 import sys
@@ -96,8 +95,71 @@ def reduced_over_power(
     return Fraction(numerator, power)
 
 
+def ascending_steps(rs) -> Iterator[tuple[int, int]]:
+    """(r, r minus the previous r) for each r of `rs`, the first step from r = 0.
+
+    Raises ValueError at a negative or a decreasing r.
+    """
+    previous = 0
+    for r in rs:
+        if r < 0:
+            raise ValueError("need r >= 0")
+        if r < previous:
+            raise ValueError(f"r must not decrease, got {r} after {previous}")
+        yield r, r - previous
+        previous = r
+
+
 def format_float(value: float) -> str:
     return f"{value:.17g}"
+
+
+def check_distance(r: int, value, route: str) -> None:
+    """Raise ConsistencyError unless the distance `value` lies in [0, 1]."""
+    if not 0 <= value <= 1:
+        raise ConsistencyError(
+            f"distance value out of [0,1]: r={r} route={route} value={value}"
+        )
+
+
+def warn_of_rises(violations) -> None:
+    """One "WARNING ..." line on stderr per (route, r_prev, r) of `violations`."""
+    for route, r_prev, r_cur in violations:
+        sys.stderr.write(
+            f"WARNING distance increased with step count: route={route} r={r_prev}->{r_cur}\n"
+        )
+
+
+# The text of a curve document, shared by `SeparationCurve` and the streamed
+# rows of `closedcurve`. Every cell is an integer, a "num/den" fraction, a
+# float or a route name, so no cell needs CSV quoting or JSON escaping, and
+# each row is written as is. The JSON is what `json.dumps(obj, indent=2)`
+# writes, `float.__repr__` included.
+
+
+def csv_head(q: int | None) -> str:
+    return f"r,{'' if q is None else 'q,'}s_exact,s_float,route\n"
+
+
+def csv_row(r: int, text: str, float_value: float, route: str, q: int | None = None) -> str:
+    q_cell = "" if q is None else f"{q},"
+    return f"{r},{q_cell}{text},{format_float(float_value)},{route}\n"
+
+
+def json_head(n: int, q: int | None) -> str:
+    q_line = "" if q is None else f'\n  "q": {q},'
+    return f'{{\n  "n": {n},{q_line}\n  "records": ['
+
+
+def json_row(r: int, text: str, float_value: float, route: str) -> str:
+    """One record, without the comma that follows the record before it."""
+    return (
+        f'\n    {{\n      "r": {r},\n      "s_exact": "{text}",\n'
+        f'      "s_float": {float_value!r},\n      "route": "{route}"\n    }}'
+    )
+
+
+JSON_TAIL = "\n  ]\n}\n"
 
 
 class TransitionKernel:
@@ -246,22 +308,11 @@ class SeparationCurve:
         self.q = q
         self.records = []
 
-    def add(
-        self, r: int, value: Fraction, route: str, text: str | None = None,
-        float_value: float | None = None,
-    ) -> None:
-        """Check and keep one row. `text` and `float_value`, if given, must be
-        `format_exact(value)` and `float(value)`: a caller that rendered them
-        elsewhere (another process) passes them in instead of having them
-        rendered here."""
+    def add(self, r: int, value: Fraction, route: str) -> None:
+        """Check and keep one row, with its `format_exact` text and float."""
         value = Fraction(value)
-        if not 0 <= value <= 1:
-            raise ConsistencyError(
-                f"distance value out of [0,1]: r={r} route={route} value={value}"
-            )
-        if text is None:
-            text, float_value = format_exact(value), float(value)
-        self.records.append(CurveRecord(r, value, route, text, float_value))
+        check_distance(r, value, route)
+        self.records.append(CurveRecord(r, value, route, format_exact(value), float(value)))
 
     def monotonicity_violations(self) -> list[tuple[str, int, int]]:
         """(route, r_prev, r) triples where the value increased with r, in ascending r.
@@ -284,45 +335,31 @@ class SeparationCurve:
 
     def warn_if_not_monotone(self) -> None:
         """One "WARNING ..." line on stderr per violation."""
-        for route, r_prev, r_cur in self.monotonicity_violations():
-            sys.stderr.write(
-                f"WARNING distance increased with step count: route={route} "
-                f"r={r_prev}->{r_cur}\n"
-            )
+        warn_of_rises(self.monotonicity_violations())
 
     def _sorted_records(self) -> list:
         return sorted(self.records, key=lambda x: (x.r, x.route))
 
     def csv_lines(self) -> Iterator[str]:
-        """One header line and one line per record, sorted by (r, route).
-
-        Every cell is an integer, a "num/den" fraction, a float or a route
-        name, so no cell needs CSV quoting and each row is written as is.
-        """
-        q_header, q_cell = ("", "") if self.q is None else ("q,", f"{self.q},")
-        yield f"r,{q_header}s_exact,s_float,route\n"
+        """One header line and one line per record, sorted by (r, route)."""
+        yield csv_head(self.q)
         for rec in self._sorted_records():
-            yield f"{rec.r},{q_cell}{rec.text},{format_float(rec.float_value)},{rec.route}\n"
+            yield csv_row(rec.r, rec.text, rec.float_value, rec.route, self.q)
 
     def json_chunks(self) -> Iterator[str]:
-        """The curve as indented JSON and a final newline, in pieces.
-
-        `JSONEncoder(indent=2).iterencode` gives the pieces of exactly what
-        `json.dumps(obj, indent=2)` returns, so no multi-megabyte string is
-        built for a long curve.
-        """
-        obj: dict = {"n": self.n}
-        if self.q is not None:
-            obj["q"] = self.q
-        obj["records"] = [
-            {"r": rec.r, "s_exact": rec.text, "s_float": rec.float_value, "route": rec.route}
+        """The curve as indented JSON and a final newline, in pieces, so no
+        multi-megabyte string is built for a long curve."""
+        yield json_head(self.n, self.q)
+        rows = (
+            json_row(rec.r, rec.text, rec.float_value, rec.route)
             for rec in self._sorted_records()
-        ]
-        pieces = json.JSONEncoder(indent=2).iterencode(obj)
-        # joined 256 pieces (about a dozen records) at a time: one write each
-        while chunk := "".join(islice(pieces, 256)):
-            yield chunk
-        yield "\n"
+        )
+        separator = ""
+        # a dozen records at a time: one write each
+        while batch := ",".join(islice(rows, 12)):
+            yield separator + batch
+            separator = ","
+        yield JSON_TAIL if separator else "]\n}\n"
 
     def to_csv(self) -> str:
         """`csv_lines` joined into one string."""

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 
 from . import glwalk, interpolation, occupancy, snwalk
-from .chains import SeparationCurve, format_exact, format_float, lowest_terms
+from .chains import SeparationCurve, format_exact, format_float
 from .characters import (
     character_table,
     fixed_point_character_sum,
@@ -173,47 +173,38 @@ def _split_row(n: int, r_max: int) -> tuple[int, float]:
     return split, upper + JUMP_STEPS * _term_bits(n, split)
 
 
-def _closed_form_rows(n: int, rs) -> list[tuple]:
-    """(numerator, denominator, `format_exact` text, float) of the separation
-    at each r of the ascending `rs`, for `SeparationCurve.add`."""
-    return [
-        (value.numerator, value.denominator, format_exact(value), float(value))
-        for value in snwalk.separation_closed_forms(n, rs)
-    ]
-
-
 def cmd_sn_sep(args) -> int:
-    n, r_max = args.n, args.rmax
-    curve = SeparationCurve(n=n)
-    if n <= PRACTICAL_MAX_N:
-        for r in range(r_max + 1):
-            for route, value in snwalk.separation_routes(n, r).items():
-                curve.add(r, value, route)
-            if args.with_tv:
-                curve.add(r, snwalk.tv_exact(n, r), "total_variation")
-    else:
-        # Each process formats the rows it computes; the parent's own are
-        # done before it reads the child's.
+    n, r_max, fmt = args.n, args.rmax, args.format
+    if n > PRACTICAL_MAX_N:
+        # Each process checks and renders the rows it computes. Imported
+        # here, so `import tensorwalk.cli` does not compile it.
+        from . import closedcurve
+
         split, work = _split_row(n, r_max)
         if _second_process_pays(work):
-            lower, upper = _in_two_processes(
-                lambda: _closed_form_rows(n, range(split)),
-                lambda: _closed_form_rows(n, range(split, r_max + 1)),
+            pieces = _in_two_processes(
+                lambda: closedcurve.piece(n, range(split), fmt),
+                lambda: closedcurve.piece(n, range(split, r_max + 1), fmt),
             )
-            rows = lower + upper
         else:
-            rows = _closed_form_rows(n, range(r_max + 1))
-        for r, (numerator, denominator, *rendered) in enumerate(rows):
-            curve.add(r, lowest_terms(numerator, denominator), "closed_form", *rendered)
-    _emit_curve(curve, args.format, args.out)
+            pieces = [closedcurve.piece(n, range(r_max + 1), fmt)]
+        _write_output(closedcurve.document(pieces, n, fmt), args.out)
+        return 0
+    curve = SeparationCurve(n=n)
+    for r in range(r_max + 1):
+        for route, value in snwalk.separation_routes(n, r).items():
+            curve.add(r, value, route)
+        if args.with_tv:
+            curve.add(r, snwalk.tv_exact(n, r), "total_variation")
+    _emit_curve(curve, fmt, args.out)
     return 0
 
 
 def cmd_gl_sep(args) -> int:
     n, q, r_max = args.n, args.q, args.rmax
     curve = SeparationCurve(n=n, q=q)
-    for r in range(r_max + 1):
-        for route, value in glwalk.gl_separation_routes(n, q, r).items():
+    for r, routes in enumerate(glwalk.gl_separations_by_route(n, q, range(r_max + 1))):
+        for route, value in routes.items():
             curve.add(r, value, route)
     _emit_curve(curve, args.format, args.out)
     return 0
@@ -416,12 +407,12 @@ def _sn_checks(n: int, r_max: int):
 
 def _gl_checks(n: int, q: int, r_max: int):
     def three_routes():
-        for r in range(r_max + 1):
-            glwalk.gl_separation_exact(n, q, r)
+        for _ in glwalk.gl_separations_by_route(n, q, range(r_max + 1)):
+            pass
 
     def early_saturation():
-        for r in range(n):
-            if glwalk.gl_separation_closed_form(n, q, r) != 1:
+        for r, value in enumerate(glwalk.gl_separation_closed_forms(n, q, range(n))):
+            if value != 1:
                 raise ConsistencyError(f"separation below 1 at r={r} < n")
 
     def bounds():

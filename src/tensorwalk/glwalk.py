@@ -18,11 +18,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import pairwise
 from math import comb
+from operator import mul
 
-from .chains import Spectrum, reduced_over_power
+from .chains import Spectrum, ascending_steps, reduced_over_power
 from .combinat import prime_factors, q_binomial
 from .errors import ConsistencyError, ExcludedCaseError, common_value
-from .interpolation import separation_from_spectrum
+from .interpolation import separations_from_spectrum
 
 
 def is_prime_power(q: int) -> bool:
@@ -56,22 +57,35 @@ def _alternating_terms(n: int, q: int, r: int) -> Iterator[int]:
         yield q ** (comb(b, 2) + r * (n - b)) * q_binomial(n, b, q)
 
 
-def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
-    """Alternating q-series for the separation distance after r steps.
+def gl_separation_closed_forms(n: int, q: int, rs) -> Iterator[Fraction]:
+    """Alternating q-series for the separation distance after each r of the
+    ascending `rs`, in one pass.
 
     The terms of `_alternating_terms`, positive at odd b, are summed as
-    integers over the common denominator q^(rn) and reduced once by
+    integers over the common denominator q^(rn) and reduced once per r by
     `reduced_over_power`, which takes the gcd from a residue of about a
-    thousand bits where q^(rn) is larger.
+    thousand bits where q^(rn) is larger. The pass carries q^(rn) and the
+    terms: a step of one multiplies q^(rn) by q^n and term b by q^(n-b),
+    and any other step makes them afresh at its r (see
+    `chains.ascending_steps`).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     _check_q(q)
-    if r < 0:
-        raise ValueError("need r >= 0")
-    terms = enumerate(_alternating_terms(n, q, r), 1)
-    numerator = sum(term if b % 2 == 1 else -term for b, term in terms)
-    return reduced_over_power(numerator, q, r * n)
+    factors = [q**e for e in range(n, -1, -1)]
+    carried = [1, *_alternating_terms(n, q, 0)]
+    for r, step in ascending_steps(rs):
+        if step == 1:
+            carried = list(map(mul, carried, factors))
+        elif step:
+            carried = [q ** (r * n), *_alternating_terms(n, q, r)]
+        power, *terms = carried
+        yield reduced_over_power(sum(terms[::2]) - sum(terms[1::2]), q, r * n, power)
+
+
+def gl_separation_closed_form(n: int, q: int, r: int) -> Fraction:
+    """Separation distance after r steps; see `gl_separation_closed_forms`."""
+    return next(gl_separation_closed_forms(n, q, [r]))
 
 
 def span_probability(n: int, q: int, r: int) -> Fraction:
@@ -86,25 +100,37 @@ def span_probability(n: int, q: int, r: int) -> Fraction:
     return Fraction(numerator, q ** (r * n))
 
 
-def gl_separation_routes(n: int, q: int, r: int) -> dict[str, Fraction]:
-    """Separation after r steps by three independent routes, checked equal.
+def gl_separations_by_route(n: int, q: int, rs) -> Iterator[dict[str, Fraction]]:
+    """Separation after each r of the ascending `rs` by three independent
+    routes, checked equal at every r.
 
     Keyed by route name: the closed form, one minus the probability that r
     uniform vectors span the whole space, and the eigenvalue-only route on
-    the q-ladder spectrum. The CLI prints each r's rows sorted by route
-    name, so `closed_form` comes first. The one-dimensional group over the
-    two-element field is excluded (its walk is trivial and the extremal
-    representation argument needs a second degree-one character).
+    the q-ladder spectrum. The closed form and the spectral route are
+    stepped passes over `rs`, each carrying its own state; the span
+    probability is its own product at each r. The CLI prints each r's rows
+    sorted by route name, so `closed_form` comes first. The one-dimensional
+    group over the two-element field is excluded (its walk is trivial and
+    the extremal representation argument needs a second degree-one
+    character).
     """
     if (n, q) == (1, 2):
         raise ExcludedCaseError("the walk on GL(1,2) is excluded")
-    routes = {
-        "closed_form": gl_separation_closed_form(n, q, r),
-        "span_probability": 1 - span_probability(n, q, r),
-        "spectral": separation_from_spectrum(gl_spectrum(n, q).eigenvalues, r),
-    }
-    common_value(routes, f"the GL separation, n={n} q={q} r={r}")
-    return routes
+    rs = tuple(rs)
+    spectral = separations_from_spectrum(gl_spectrum(n, q).eigenvalues, rs)
+    for r, closed_form, spectral_value in zip(rs, gl_separation_closed_forms(n, q, rs), spectral):
+        routes = {
+            "closed_form": closed_form,
+            "span_probability": 1 - span_probability(n, q, r),
+            "spectral": spectral_value,
+        }
+        common_value(routes, f"the GL separation, n={n} q={q} r={r}")
+        yield routes
+
+
+def gl_separation_routes(n: int, q: int, r: int) -> dict[str, Fraction]:
+    """Separation after r steps by three routes; see `gl_separations_by_route`."""
+    return next(gl_separations_by_route(n, q, [r]))
 
 
 def gl_separation_exact(n: int, q: int, r: int) -> Fraction:

@@ -11,11 +11,13 @@ in scope has a known exact spectrum.
 """
 
 from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from math import lcm, prod
+from operator import mul
 
-from .chains import TransitionKernel
+from .chains import TransitionKernel, ascending_steps
 from .errors import ConsistencyError
 
 
@@ -64,36 +66,54 @@ def interpolation_coefficients(eigenvalues, r: int) -> list[Fraction]:
     return gamma
 
 
+def separations_from_spectrum(eigenvalues, rs) -> Iterator[Fraction]:
+    """`separation_from_spectrum` at each r of the ascending `rs`, in one pass.
+
+    It carries the integer products (D w)(L lambda)^r and their denominator
+    D L^r (see `_spectral_weights`): a step of one multiplies each by its
+    L lambda or by L, and any other step makes them afresh at its r (see
+    `chains.ascending_steps`). Each r's sum is reduced once by `Fraction`.
+    """
+    ratios = tuple((v.numerator, v.denominator) for v in eigenvalues)
+    factors, weights = _spectral_weights(ratios)
+    carried = weights
+    for r, step in ascending_steps(rs):
+        if step == 1:
+            carried = list(map(mul, carried, factors))
+        elif step:
+            carried = [weight * factor**r for factor, weight in zip(factors, weights)]
+        *products, denominator = carried
+        yield Fraction(sum(products), denominator)
+
+
 def separation_from_spectrum(eigenvalues, r: int) -> Fraction:
     """Separation-style quantity from the distinct eigenvalues alone.
 
     For a reversible ergodic kernel and states x, y whose support distance
     equals the number of non-unit eigenvalues, this equals
     1 - K^r(x, y) / pi(y). The caller certifies that hypothesis. The
-    eigenvalues are exact rationals (`int` or `Fraction`).
+    eigenvalues are exact rationals (`int` or `Fraction`). One r of
+    `separations_from_spectrum`.
     """
-    if r < 0:
-        raise ValueError("need r >= 0")
-    ratios = tuple((v.numerator, v.denominator) for v in eigenvalues)
-    scale, weight_lcm, terms = _spectral_weights(ratios)
-    total = sum(weight * lam**r for lam, weight in terms)
-    return Fraction(total, weight_lcm * scale**r)
+    return next(separations_from_spectrum(eigenvalues, [r]))
 
 
 @cache
 def _spectral_weights(
     ratios: tuple[tuple[int, int], ...],
-) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """(L, D, pairs (L lambda, D w)) over the non-unit eigenvalues lambda.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The factors (L lambda_1, ..., L) and the weights (D w_1, ..., D) of
+    the non-unit eigenvalues lambda_i.
 
     `ratios` holds each eigenvalue as its reduced (numerator, denominator);
     they must be distinct and include 1. The weight w of lambda is the
     product over the other non-unit mu of (1-mu)/(lambda-mu) =
     (L - L mu)/(L lambda - L mu), with L the lcm of the eigenvalue
     denominators, so each weight is one integer ratio; D is the lcm of the
-    weight denominators. So the sum of w lambda^r is an integer sum over the
-    one denominator D L^r. Nothing here depends on r, so a curve over many r
-    validates and weighs its spectrum once; an invalid spectrum raises on
+    weight denominators. So the sum of w lambda^r is the integer sum of
+    (D w)(L lambda)^r over the one denominator D L^r, the product of the
+    last factor and weight. Nothing here depends on r, so a curve over many
+    r validates and weighs its spectrum once; an invalid spectrum raises on
     every call, as errors are not cached.
     """
     if len(set(ratios)) != len(ratios):
@@ -109,11 +129,8 @@ def _spectral_weights(
         for x in scaled
     ]
     weight_lcm = lcm(*(w.denominator for w in weights))
-    terms = tuple(
-        (x, w.numerator * (weight_lcm // w.denominator))
-        for x, w in zip(scaled, weights)
-    )
-    return scale, weight_lcm, terms
+    scaled_weights = (w.numerator * (weight_lcm // w.denominator) for w in weights)
+    return (*scaled, scale), (*scaled_weights, weight_lcm)
 
 
 def _bfs_distances_to(kernel: TransitionKernel, target: int) -> list[int | None]:

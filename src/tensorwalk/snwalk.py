@@ -12,7 +12,7 @@ from functools import cache, lru_cache
 from math import comb, exp, factorial
 from operator import mul
 
-from .chains import Spectrum, TransitionKernel, reduced_over_power
+from .chains import Spectrum, TransitionKernel, ascending_steps, reduced_over_power
 from .characters import character_table, tensor_multiplicity
 from .combinat import (
     Partition,
@@ -258,7 +258,8 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     multiply each. Any other step is a jump: it evaluates the sum afresh by
     `_power_sum` and n^r by one `pow`, and carries no terms. A step of one
     right after a jump makes the terms at its r with one `pow` each and
-    carries them from there on.
+    carries them from there on. A negative or decreasing r raises ValueError
+    (see `chains.ascending_steps`).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -266,13 +267,7 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
     terms = coefficients
     total = sum(terms)
     power = 1
-    previous = 0
-    for r in rs:
-        if r < 0:
-            raise ValueError("need r >= 0")
-        if r < previous:
-            raise ValueError(f"r must not decrease, got {r} after {previous}")
-        step = r - previous
+    for r, step in ascending_steps(rs):
         if step == 1:
             if terms is None:
                 terms = [c * pow(i, r) for i, c in enumerate(coefficients)]
@@ -284,7 +279,6 @@ def separation_closed_forms(n: int, rs) -> Iterator[Fraction]:
             terms = None
             total = _power_sum(coefficients, r)
             power = n**r
-        previous = r
         yield reduced_over_power(total, n, r, power)
 
 

@@ -519,19 +519,18 @@ class TestStreamedText:
         assert len(chunks) > 3 and sorted(map(len, chunks))[-2] < 4_000
 
     @pytest.mark.parametrize("q", [None, 5])
+    def test_empty_curve_json_equals_one_dumps(self, q):
+        curve = SeparationCurve(n=9, q=q)
+        obj = {"n": 9, **({} if q is None else {"q": q}), "records": []}
+        assert curve.to_json() == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("q", [None, 5])
     def test_csv_lines_are_its_rows(self, q):
         curve = self.curve(q)
         lines = list(curve.csv_lines())
         assert len(lines) == 1 + len(curve.records)
         assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
         assert "".join(lines) == curve.to_csv()
-
-    def test_text_passed_to_add_is_kept(self):
-        curve = SeparationCurve(n=3)
-        curve.add(1, Fraction(1, 3), "closed_form", "1/3", 1 / 3)
-        curve.add(2, Fraction(1, 9), "closed_form")
-        assert [rec.text for rec in curve.records] == ["1/3", "1/9"]
-        assert [rec.float_value for rec in curve.records] == [1 / 3, 1 / 9]
 
 
 class TestCsvRows:

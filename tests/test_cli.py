@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorwalk import bracket, cli, glwalk, interpolation, occupancy, snwalk
-from tensorwalk.chains import Spectrum, TransitionKernel, format_exact, format_float
+from tensorwalk.chains import (
+    SeparationCurve, Spectrum, TransitionKernel, format_exact, format_float,
+)
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition
 from tensorwalk.errors import ConsistencyError
@@ -191,15 +193,18 @@ class TestGlSep:
         assert "prime power" in err
 
     def test_spectral_route_once_per_step(self, capsys, monkeypatch):
+        # one stepped spectral pass, which yields each r's value once
         calls = []
-        original = interpolation.separation_from_spectrum
+        original = interpolation.separations_from_spectrum
 
-        def counting(eigenvalues, r):
-            calls.append(r)
-            return original(eigenvalues, r)
+        def counting(eigenvalues, rs):
+            rs = list(rs)
+            for r, value in zip(rs, original(eigenvalues, rs)):
+                calls.append(r)
+                yield value
 
-        for module in (interpolation, glwalk, snwalk):
-            monkeypatch.setattr(module, "separation_from_spectrum", counting)
+        for module in (interpolation, glwalk):
+            monkeypatch.setattr(module, "separations_from_spectrum", counting)
         code, _, _ = run_cli(capsys, "gl-sep", "--n", "3", "--q", "2", "--rmax", "4")
         assert code == 0
         assert calls == [0, 1, 2, 3, 4]
@@ -802,7 +807,7 @@ def test_every_argument_gets_an_exit_code(command, data):
 
 def test_route_disagreement_carries_its_fields(capsys, monkeypatch):
     # A closed form of 0 at r = 0, where every route gives 1.
-    monkeypatch.setattr(glwalk, "gl_separation_closed_form", lambda n, q, r: Fraction(0))
+    monkeypatch.setattr(glwalk, "gl_separation_closed_forms", lambda n, q, rs: iter([Fraction(0)]))
     with pytest.raises(ConsistencyError) as caught:
         glwalk.gl_separation_routes(3, 2, 0)
     exc = caught.value
@@ -923,19 +928,23 @@ print(json.dumps(report))
 UNNEEDED = (
     "__future__", "concurrent.futures", "dataclasses", "inspect", "logging", "numpy", "typing"
 )
-# Only `profile` reads the bracket module, so the import does not compile it.
+# Only `profile` reads the bracket module, and only the closed-form branch of
+# `sn-sep` the closed-curve module, so the import compiles neither.
 BRACKET = "tensorwalk.bracket"
+CLOSED_CURVE = "tensorwalk.closedcurve"
+LAZY = (BRACKET, CLOSED_CURVE)
 PROFILE_COMMAND = "profile --n 64 --c=0"
+CLOSED_FORM_COMMAND = "sn-sep --n 11 --rmax 3"
 EXACT_COMMANDS = (
-    "sn-sep --n 8 --rmax 5", "gl-sep --n 4 --q 2 --rmax 4", PROFILE_COMMAND,
-    "crosscheck --n 5", "spectrum --n 6",
+    "sn-sep --n 8 --rmax 5", "gl-sep --n 4 --q 2 --rmax 4", CLOSED_FORM_COMMAND,
+    PROFILE_COMMAND, "crosscheck --n 5", "spectrum --n 6",
 )
 DRAW_COMMAND = "occupancy --a 2 --r 3 --n 4 --samples 100"
 
 
 @functools.cache
 def import_probe_report():
-    """What the probe saw loaded of UNNEEDED and BRACKET after the import and
+    """What the probe saw loaded of UNNEEDED and LAZY after the import and
     after each command.
 
     The interpreter runs isolated and without `site` (`-I -S`), so no `.pth`
@@ -948,7 +957,7 @@ def import_probe_report():
     commands = [c.split() for c in EXACT_COMMANDS + (DRAW_COMMAND,)]
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", IMPORT_PROBE,
-         json.dumps([path, commands, UNNEEDED + (BRACKET,)])],
+         json.dumps([path, commands, UNNEEDED + LAZY])],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -959,7 +968,7 @@ def test_only_monte_carlo_loads_numpy():
     """numpy loads on the first Monte Carlo draw, so every other command, and
     the import itself, go without it. The draw's counting thread needs no
     worker pool."""
-    report = {c: set(loaded) - {BRACKET} for c, loaded in import_probe_report().items()}
+    report = {c: set(loaded) - set(LAZY) for c, loaded in import_probe_report().items()}
     assert {c: report[c] for c in ("import",) + EXACT_COMMANDS} == {
         "import": set(), **{c: set() for c in EXACT_COMMANDS}
     }
@@ -970,15 +979,23 @@ def test_only_monte_carlo_loads_numpy():
 def test_import_loads_no_unneeded_stdlib():
     """`import tensorwalk.cli` loads argparse, json, fractions and the package,
     and none of dataclasses, logging, inspect, typing or __future__, nor the
-    bracket module."""
+    bracket or closed-curve module."""
     assert import_probe_report()["import"] == []
 
 
-def test_only_profile_loads_the_bracket():
+def loaded_first_by(module: str) -> str | None:
+    """The first probe step, the import or a command, after which `module` was loaded."""
     report = import_probe_report()
-    before = ("import",) + EXACT_COMMANDS[: EXACT_COMMANDS.index(PROFILE_COMMAND)]
-    assert [c for c in before if BRACKET in report[c]] == []
-    assert BRACKET in report[PROFILE_COMMAND]
+    return next((c for c in ("import",) + EXACT_COMMANDS if module in report[c]), None)
+
+
+def test_only_profile_loads_the_bracket():
+    assert loaded_first_by(BRACKET) == PROFILE_COMMAND
+
+
+def test_only_closed_form_sn_sep_loads_the_closed_curve_module():
+    # the multi-route `sn-sep --n 8` before it leaves the module unloaded
+    assert loaded_first_by(CLOSED_CURVE) == CLOSED_FORM_COMMAND
 
 
 SECOND_PROCESS_PROBE = """
@@ -1183,3 +1200,98 @@ class TestSecondProcess:
         assert (big, pair) == (2**5000, [1, 2.5])
         assert (report["forks"], report["child_left"]) == (1, False)
 
+
+
+# Replaces the closed-form value at each r of {edits} (r -> kind) by: 1 ("one",
+# a rise of the floats), the row before plus or minus 10^-2000 ("up", "down":
+# the floats tie and the exact values decide), the row before ("same") or 3/2
+# ("over", out of range). "up" is the one rise among the ties.
+EDITS = """
+from fractions import Fraction
+
+TINY = Fraction(1, 10**2000)
+
+
+def edited(n, rs, real=snwalk.separation_closed_forms, edits={edits}):
+    rs = list(rs)
+    before = None
+    for r, value in zip(rs, real(n, rs)):
+        kind = edits.get(r)
+        if kind == "one":
+            value = Fraction(1)
+        elif kind == "up":
+            value = before + TINY
+        elif kind == "down":
+            value = before - TINY
+        elif kind == "same":
+            value = before
+        elif kind == "over":
+            value = Fraction(3, 2)
+        before = value
+        yield value
+
+snwalk.separation_closed_forms = edited
+"""
+
+
+class TestChecksAcrossTheSplit:
+    """Each process checks its own rows and the parent the pair at the split:
+    the WARNING lines, the bytes and a range failure are those of one process."""
+
+    N, R_MAX = 128, 622
+
+    def both(self, tmp_path, edits, fmt="csv"):
+        """(stderr, report, output) of the split run and of the one-CPU run."""
+        runs = []
+        for cpus in (2, 1):
+            out = tmp_path / f"cpus{cpus}.out"
+            argv = ["sn-sep", "--n", str(self.N), "--rmax", str(self.R_MAX),
+                    "--format", fmt, "--out", str(out)]
+            proc, report = second_process_probe(
+                cpus=cpus, setup=EDITS.format(edits=edits), argv=argv
+            )
+            assert report["forks"] == (1 if cpus == 2 else 0)
+            assert not report["child_left"]
+            runs.append((proc.stderr, report["result"], out.read_bytes() if out.exists() else None))
+        return runs
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rises_in_each_process_and_at_the_split(self, tmp_path, fmt):
+        split, _ = cli._split_row(self.N, self.R_MAX)
+        edits = {
+            200: "up", 300: "one", 350: "same", 351: "down",  # the parent's rows
+            split: "one",
+            split + 20: "one", split + 60: "up", split + 61: "same",  # the child's rows
+            split + 90: "down",
+        }
+        (two, code_two, bytes_two), (one, code_one, bytes_one) = self.both(tmp_path, edits, fmt)
+        rises = [(199, 200), (299, 300), (split - 1, split), (split + 19, split + 20),
+                 (split + 59, split + 60)]
+        assert two == one == "".join(
+            f"WARNING distance increased with step count: route=closed_form r={a}->{b}\n"
+            for a, b in rises
+        )
+        assert (code_two, code_one) == (0, 0)
+        assert bytes_two == bytes_one
+
+    def test_value_above_one_in_the_child(self, tmp_path):
+        split, _ = cli._split_row(self.N, self.R_MAX)
+        (two, code_two, _), (one, code_one, _) = self.both(tmp_path, {split + 10: "over"})
+        assert (code_two, code_one) == (1, 1)
+        assert two == one == (
+            f"consistency failure: distance value out of [0,1]: r={split + 10} "
+            "route=closed_form value=3/2\n"
+        )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [11, 40, 128])
+def test_closed_form_rows_render_as_a_separation_curve(capsys, n, fmt):
+    for r_max in (0, 1, 3 * n):
+        curve = SeparationCurve(n=n)
+        for r, value in enumerate(snwalk.separation_closed_forms(n, range(r_max + 1))):
+            curve.add(r, value, "closed_form")
+        argv = ["sn-sep", "--n", str(n), "--rmax", str(r_max), "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (curve.to_csv() if fmt == "csv" else curve.to_json())

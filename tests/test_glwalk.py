@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -8,13 +9,20 @@ from tensorwalk.glwalk import (
     check_separation_within_bounds,
     gl_separation_bounds,
     gl_separation_closed_form,
+    gl_separation_closed_forms,
     gl_separation_exact,
     gl_separation_limit,
+    gl_separations_by_route,
     gl_spectrum,
     is_prime_power,
 )
+from tensorwalk.interpolation import separations_from_spectrum
 
-from oracles import span_dim_by_enumeration
+from oracles import (
+    gaussian_binomial,
+    spectral_separation_by_fraction_terms,
+    span_dim_by_enumeration,
+)
 
 
 class TestSpectrum:
@@ -117,3 +125,62 @@ class TestLimit:
             abs(float(gl_separation_exact(n, 2, n)) - limit) for n in (4, 8, 12, 16)
         ]
         assert all(x > y for x, y in zip(gaps, gaps[1:]))
+
+
+# A repeated r, steps of one, a step of one right after a jump, and jumps.
+STEPPED_RS = [0, 0, 1, 2, 2, 3, 7, 8, 8, 9, 20, 21, 33]
+
+
+def closed_form_direct(n: int, q: int, r: int) -> Fraction:
+    """The alternating q-series at r, one Fraction per term."""
+    return sum(
+        (-1) ** (b + 1) * Fraction(q ** comb(b, 2) * gaussian_binomial(n, b, q), q ** (r * b))
+        for b in range(1, n + 1)
+    )
+
+
+def span_complement_direct(n: int, q: int, r: int) -> Fraction:
+    """One minus the full-rank product at r."""
+    return 1 - Fraction(prod(q**r - q**i for i in range(n)), q ** (r * n))
+
+
+class TestSteppedPasses:
+    """Each stepped pass against its route's formula evaluated at each r."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_each_route_matches_its_formula(self, q):
+        for n in range(1, 13):
+            if (n, q) == (1, 2):
+                continue
+            eigenvalues = gl_spectrum(n, q).eigenvalues
+            passes = zip(
+                STEPPED_RS,
+                gl_separation_closed_forms(n, q, STEPPED_RS),
+                separations_from_spectrum(eigenvalues, STEPPED_RS),
+                gl_separations_by_route(n, q, iter(STEPPED_RS)),
+                strict=True,
+            )
+            for r, closed_form, spectral, routes in passes:
+                direct = closed_form_direct(n, q, r)
+                assert closed_form == direct
+                assert spectral == spectral_separation_by_fraction_terms(eigenvalues, r)
+                assert routes == {
+                    "closed_form": direct,
+                    "span_probability": span_complement_direct(n, q, r),
+                    "spectral": direct,
+                }
+
+    def test_excluded_case(self):
+        with pytest.raises(ExcludedCaseError):
+            next(gl_separations_by_route(1, 2, [0]))
+
+    @pytest.mark.parametrize("rs", [[-1], [0, 3, 2], [4, 4, 1]])
+    def test_negative_or_decreasing_r_raises(self, rs):
+        passes = (
+            gl_separation_closed_forms(3, 2, rs),
+            separations_from_spectrum(gl_spectrum(3, 2).eigenvalues, rs),
+            gl_separations_by_route(3, 2, rs),
+        )
+        for values in passes:
+            with pytest.raises(ValueError, match="need r >= 0|must not decrease"):
+                list(values)

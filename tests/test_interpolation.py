@@ -9,6 +9,7 @@ from tensorwalk.glwalk import gl_spectrum
 from tensorwalk.interpolation import (
     interpolation_coefficients,
     separation_from_spectrum,
+    separations_from_spectrum,
     verify_distance,
 )
 from tensorwalk.occupancy import occupancy_exact
@@ -177,6 +178,24 @@ class TestSpectralIntegerSum:
         assert separation_from_spectrum(eigs, r) == spectral_separation_by_fraction_terms(
             eigs, r
         )
+
+
+class TestSteppedSpectralPass:
+    """`separations_from_spectrum` against the per-term Fraction sum at each r."""
+
+    RS = [0, 0, 1, 2, 5, 6, 7, 7, 19, 20, 40]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_symmetric_group_spectra(self, n):
+        eigs = spectrum_sn(n).eigenvalues
+        values = list(separations_from_spectrum(eigs, iter(self.RS)))
+        assert values == [spectral_separation_by_fraction_terms(eigs, r) for r in self.RS]
+
+    def test_negative_or_decreasing_r_raises(self):
+        eigs = spectrum_sn(4).eigenvalues
+        for rs in ([-2], [3, 1]):
+            with pytest.raises(ValueError):
+                list(separations_from_spectrum(eigs, rs))
 
 
 class TestVerifyDistance:
