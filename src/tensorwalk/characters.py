@@ -101,32 +101,6 @@ class CharacterTable:
     def dimension(self, lam: Partition) -> int:
         return self.value(lam, Partition([1] * self.n))
 
-    def check_row_orthogonality(self) -> None:
-        target = factorial(self.n)
-        for i, lam in enumerate(self.partitions):
-            for j, mu in enumerate(self.partitions):
-                total = sum(
-                    c.class_size * self.values[i][k] * self.values[j][k]
-                    for k, c in enumerate(self.classes)
-                )
-                expected = target if i == j else 0
-                if total != expected:
-                    raise ConsistencyError(
-                        f"row orthogonality fails for ({lam}, {mu}): {total}"
-                    )
-
-    def check_column_orthogonality(self) -> None:
-        order = factorial(self.n)
-        for j, cj in enumerate(self.classes):
-            for k, ck in enumerate(self.classes):
-                total = sum(row[j] * row[k] for row in self.values)
-                expected = order // cj.class_size if j == k else 0
-                if total != expected:
-                    raise ConsistencyError(
-                        "column orthogonality fails for "
-                        f"({cj.cycle_type}, {ck.cycle_type}): {total}"
-                    )
-
 
 @cache
 def character_table(n: int) -> CharacterTable:

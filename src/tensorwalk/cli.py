@@ -191,8 +191,8 @@ def cmd_sn_sep(args) -> int:
         _write_output(closedcurve.document(pieces, n, fmt), args.out)
         return 0
     curve = SeparationCurve(n=n)
-    for r in range(r_max + 1):
-        for route, value in snwalk.separation_routes(n, r).items():
+    for r, routes in enumerate(snwalk.separations_by_route(n, range(r_max + 1))):
+        for route, value in routes.items():
             curve.add(r, value, route)
         if args.with_tv:
             curve.add(r, snwalk.tv_exact(n, r), "total_variation")
@@ -337,8 +337,8 @@ def _sn_checks(n: int, r_max: int):
             raise ConsistencyError("spectrum multiplicities differ from the class census")
 
     def four_routes():
-        for r in range(r_max + 1):
-            snwalk.separation_routes(n, r)
+        for _ in snwalk.separations_by_route(n, range(r_max + 1)):
+            pass
 
     def extremality():
         snwalk.check_single_column_extremal(character_kernel(), r_max)

@@ -9,9 +9,12 @@ come from floor division (`_mod`): numpy vectorises `//` by a scalar, not `%`.
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from math import comb
+from operator import mul
 
+from .chains import ascending_steps
 from .combinat import is_prime, q_binomial
 from .errors import UnsupportedFieldError
 
@@ -103,22 +106,43 @@ class McEstimate(namedtuple("McEstimate", "successes samples")):
         return abs(self.estimate - float(exact)) <= sigmas * err
 
 
-def occupancy_exact(a: int, r: int, n: int) -> Fraction:
-    """Probability that r balls dropped into n boxes occupy exactly a boxes.
+def occupancy_probabilities(a: int, n: int, rs) -> Iterator[Fraction]:
+    """Probability that r balls dropped into n boxes occupy exactly a boxes,
+    at each r of the ascending `rs`, in one pass.
 
-    Inclusion-exclusion over the occupied set; 0^0 = 1 so that r = 0 gives
-    a point mass at a = 0.
+    Inclusion-exclusion over the occupied set: over the one denominator n^r
+    the k occupied boxes of the inner sum contribute the integer
+    (-1)^(a-k) C(n, a) C(a, k) k^r, so each r's sum reduces once. A step of
+    one multiplies each carried term by its k and n^r by n. Any other step
+    is a jump (see `chains.ascending_steps`): it sums the terms afresh, one
+    `pow` at a time, and keeps none, so a one-r call holds one term at a
+    time; a step of one right after a jump makes the terms at its r and
+    carries them from there on. 0^0 = 1, so r = 0 gives a point mass at
+    a = 0.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= a <= n:
         raise ValueError("need 0 <= a <= n")
-    if r < 0:
-        raise ValueError("need r >= 0")
-    # Over the one denominator n^r the k occupied boxes of the inner sum
-    # contribute the integer (-1)^(a-k) C(a, k) k^r, so the sum reduces once.
-    total = sum((-1) ** (a - k) * comb(a, k) * k**r for k in range(a + 1))
-    return Fraction(comb(n, a) * total, n**r)
+    coefficients = [(-1) ** (a - k) * comb(n, a) * comb(a, k) for k in range(a + 1)]
+    terms = coefficients
+    power = 1
+    for r, step in ascending_steps(rs):
+        # summed only where no terms are carried; a carried list is never empty
+        fresh = (c * pow(k, r) for k, c in enumerate(coefficients))
+        if step == 1:
+            terms = list(map(mul, terms, range(a + 1)) if terms else fresh)
+            power *= n
+        elif step:
+            terms = None
+            power = n**r
+        yield Fraction(sum(terms or fresh), power)
+
+
+def occupancy_exact(a: int, r: int, n: int) -> Fraction:
+    """Probability that r balls dropped into n boxes occupy exactly a boxes;
+    one r of `occupancy_probabilities`."""
+    return next(occupancy_probabilities(a, n, [r]))
 
 
 def _pure_birth_power(n: int, r: int, hold_at) -> list[Fraction]:

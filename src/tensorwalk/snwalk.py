@@ -24,8 +24,8 @@ from .combinat import (
     primes_up_to,
 )
 from .errors import ConsistencyError, common_value
-from .interpolation import separation_from_spectrum
-from .occupancy import occupancy_exact
+from .interpolation import separations_from_spectrum
+from .occupancy import occupancy_probabilities
 
 
 def trivial_shape(n: int) -> Partition:
@@ -178,17 +178,29 @@ def ratio_via_kernel(n: int, r: int, lam: Partition) -> Fraction:
     return Fraction(factorial(n) * walk.multiplicities(r)[i], n**r * walk.dims[i])
 
 
+def ratios_via_occupancy(n: int, lam: Partition, rs) -> Iterator[Fraction]:
+    """`ratio_via_occupancy` at each r of the ascending `rs`, in one pass.
+
+    The ratio is the sum over a of the occupancy law at a times the weight
+    (n - a)! f^{lam/(n-a)} / f^lam; the numerators of the weights are made
+    once. The skew count is 0 unless lam_1 >= n - a, so the law is one
+    stepped pass of `occupancy_probabilities` for each a that carries weight
+    (a = n always does), and a negative or decreasing r raises ValueError
+    there.
+    """
+    rs = tuple(rs)
+    weights, laws = zip(*(
+        (factorial(n - a) * skew, occupancy_probabilities(a, n, rs))
+        for a in range(n + 1)
+        if (skew := count_skew_syt_row(lam, n - a))
+    ))
+    for probabilities in zip(*laws):
+        yield sum(map(mul, probabilities, weights)) / count_syt(lam)
+
+
 def ratio_via_occupancy(n: int, r: int, lam: Partition) -> Fraction:
     """Nonnegative form of the ratio: occupancy law against skew tableau counts."""
-    d = count_syt(lam)
-    total = Fraction(0)
-    for a in range(n + 1):
-        # The skew count is 0 unless lam_1 >= n - a, so the occupancy law is
-        # computed only where it carries weight.
-        skew = count_skew_syt_row(lam, n - a)
-        if skew:
-            total += occupancy_exact(a, r, n) * Fraction(factorial(n - a) * skew, d)
-    return total
+    return next(ratios_via_occupancy(n, lam, [r]))
 
 
 def tensor_power_check(n: int, r: int, lam: Partition) -> bool:
@@ -287,25 +299,40 @@ def separation_closed_form(n: int, r: int) -> Fraction:
     return next(separation_closed_forms(n, [r]))
 
 
-def separation_routes(n: int, r: int) -> dict[str, Fraction]:
-    """Separation after r steps from the trivial start, by four independent routes.
+def separations_by_route(n: int, rs) -> Iterator[dict[str, Fraction]]:
+    """Separation after each r of the ascending `rs` from the trivial start,
+    by four independent routes, checked equal at every r.
 
-    Keyed by route name: the r-step row of the character kernel at the
-    single-column shape, the occupancy sum against skew tableau counts, the
-    alternating closed form, and the eigenvalue-only formula on the distinct
-    eigenvalues i/n of the walk. Raises ConsistencyError unless all four are
-    the same fraction. The CLI prints each r's rows sorted by route name, so
+    Keyed by route name: the r-step row of the box walk at the single-column
+    shape, the occupancy sum against skew tableau counts, the alternating
+    closed form, and the eigenvalue-only formula on the distinct eigenvalues
+    i/n of the walk. Each route carries its own state through the pass: the
+    box walk steps on from its latest r, and the other three are stepped
+    passes over `rs`. Raises ConsistencyError unless all four are the same
+    fraction. The CLI prints each r's rows sorted by route name, so
     `closed_form` comes first.
     """
+    rs = tuple(rs)
     sign = sign_shape(n)
-    routes = {
-        "kernel_power": 1 - ratio_via_kernel(n, r, sign),
-        "occupancy_tableaux": 1 - ratio_via_occupancy(n, r, sign),
-        "closed_form": separation_closed_form(n, r),
-        "spectral": separation_from_spectrum(spectrum_sn(n).eigenvalues, r),
-    }
-    common_value(routes, f"the S_n separation, n={n} r={r}")
-    return routes
+    for r, occupancy_ratio, closed_form, spectral in zip(
+        rs,
+        ratios_via_occupancy(n, sign, rs),
+        separation_closed_forms(n, rs),
+        separations_from_spectrum(spectrum_sn(n).eigenvalues, rs),
+    ):
+        routes = {
+            "kernel_power": 1 - ratio_via_kernel(n, r, sign),
+            "occupancy_tableaux": 1 - occupancy_ratio,
+            "closed_form": closed_form,
+            "spectral": spectral,
+        }
+        common_value(routes, f"the S_n separation, n={n} r={r}")
+        yield routes
+
+
+def separation_routes(n: int, r: int) -> dict[str, Fraction]:
+    """Separation after r steps by four routes; see `separations_by_route`."""
+    return next(separations_by_route(n, [r]))
 
 
 def check_single_column_extremal(kernel: TransitionKernel, r_max: int) -> None:

@@ -85,6 +85,26 @@ def count_row_skew_fillings(outer: tuple, m: int) -> int:
     return count_standard_fillings(outer, (m,))
 
 
+def check_row_orthogonality(values, class_sizes) -> None:
+    """Rows of a character table: the sum over classes of |C| chi(C) psi(C)
+    is the group order for chi = psi and 0 otherwise."""
+    order = sum(class_sizes)
+    for i, chi in enumerate(values):
+        for j, psi in enumerate(values):
+            total = sum(size * x * y for size, x, y in zip(class_sizes, chi, psi))
+            assert total == (order if i == j else 0), f"rows {i}, {j}: {total}"
+
+
+def check_column_orthogonality(values, class_sizes) -> None:
+    """Columns of a character table: the sum over characters of chi(C) chi(D)
+    is the centralizer order |G| / |C| for C = D and 0 otherwise."""
+    order = sum(class_sizes)
+    for j, size in enumerate(class_sizes):
+        for k in range(len(class_sizes)):
+            total = sum(row[j] * row[k] for row in values)
+            assert total == (order // size if j == k else 0), f"columns {j}, {k}: {total}"
+
+
 def fixed_point_sum_by_fraction_terms(lam, i: int) -> Fraction:
     """Character sum of shape `lam` over the permutations with exactly i
     fixed points, (n!/i!) sum_j (-1)^j/j! f^(lam/(n-i-j)), adding one

@@ -138,6 +138,40 @@ class TestSnSep:
         assert character_table.cache_info().misses == 0
         assert snwalk.build_kernel_characters.cache_info().misses == 0
 
+    def test_each_route_steps_once_per_r(self, capsys, monkeypatch):
+        # one pass over r: each stepped route yields each r once, and the box
+        # walk, read by the kernel route and by total variation, steps once per r
+        calls = {}
+        steps = []
+        step = snwalk.BoxWalk.step
+
+        def counting(name, original):
+            def stepped(*args):
+                *head, rs = args
+                rs = list(rs)
+                for r, value in zip(rs, original(*head, rs)):
+                    calls.setdefault(name, []).append(r)
+                    yield value
+
+            return stepped
+
+        def counting_step(walk, mult):
+            steps.append(walk)
+            return step(walk, mult)
+
+        for name in ("ratios_via_occupancy", "separation_closed_forms", "separations_from_spectrum"):
+            monkeypatch.setattr(snwalk, name, counting(name, getattr(snwalk, name)))
+        monkeypatch.setattr(snwalk.BoxWalk, "step", counting_step)
+        code, out, _ = run_cli(capsys, "sn-sep", "--n", "6", "--rmax", "10", "--with-tv")
+        assert code == 0
+        assert len(parse_csv(out)) == 5 * 11
+        assert calls == {
+            "ratios_via_occupancy": list(range(11)),
+            "separation_closed_forms": list(range(11)),
+            "separations_from_spectrum": list(range(11)),
+        }
+        assert len(steps) == 10
+
     def test_tv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sn-sep", "--n", "4", "--rmax", "2", "--with-tv")
         assert code == 0
@@ -639,7 +673,9 @@ class TestRouteDisagreement:
 
     @pytest.fixture
     def broken_sn_route(self, monkeypatch):
-        monkeypatch.setattr(snwalk, "ratio_via_occupancy", lambda n, r, lam: Fraction(7, 3))
+        monkeypatch.setattr(
+            snwalk, "ratios_via_occupancy", lambda n, lam, rs: (Fraction(7, 3) for _ in rs)
+        )
 
     @pytest.fixture
     def broken_gl_route(self, monkeypatch):
@@ -743,10 +779,10 @@ class TestArgumentsCheckedBeforeWork:
         assert err.startswith("usage: tensorwalk " + argv[0])
 
     def test_internal_error_is_not_a_usage_error(self, monkeypatch):
-        def broken(n, r):
+        def broken(n, rs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(snwalk, "separation_routes", broken)
+        monkeypatch.setattr(snwalk, "separations_by_route", broken)
         with pytest.raises(ValueError, match="boom"):
             main(["sn-sep", "--n", "4", "--rmax", "2"])
 

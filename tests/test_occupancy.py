@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +28,7 @@ from tensorwalk.occupancy import (
     occupancy_chain_power,
     occupancy_exact,
     occupancy_mc,
+    occupancy_probabilities,
     qspan_chain_power,
     qspan_exact,
     qspan_mc,
@@ -131,6 +133,54 @@ class TestQspanExact:
                     dist = qspan_chain_power(n, r, q)
                     for a in range(n + 1):
                         assert dist[a] == qspan_exact(a, r, n, q)
+
+
+@st.composite
+def stepped_law_cases(draw):
+    """(a, n, rs): ascending rs with repeats, steps of one and jumps,
+    sometimes from r = 0."""
+    n = draw(st.integers(1, 12))
+    gaps = draw(
+        st.lists(st.integers(0, 2) | st.integers(0, 40), min_size=1, max_size=8)
+    )
+    rs = [sum(gaps[: k + 1]) for k in range(len(gaps))]
+    if draw(st.booleans()):
+        rs = [0] + rs
+    return draw(st.integers(0, n)), n, rs
+
+
+class TestSteppedLaw:
+    @given(stepped_law_cases())
+    @example((0, 1, [0, 0, 1, 2]))
+    @example((0, 5, [0, 3, 3, 4]))
+    @example((12, 12, [0, 1, 12, 13, 40]))
+    def test_matches_each_r(self, case):
+        a, n, rs = case
+        stepped = list(occupancy_probabilities(a, n, iter(rs)))
+        assert stepped == [occupancy_exact(a, r, n) for r in rs]
+        assert stepped == [occupancy_by_fraction_terms(a, r, n) for r in rs]
+
+    def test_matches_enumeration(self):
+        rs = [0, 0, 1, 2, 2, 3, 5, 6]
+        for n in (1, 2, 3, 4):
+            for a in range(n + 1):
+                expected = [occupancy_by_enumeration(a, r, n) for r in rs]
+                assert list(occupancy_probabilities(a, n, rs)) == expected, (a, n)
+
+    @pytest.mark.parametrize("rs", [[-1], [0, 3, 2], [4, 4, 1]])
+    def test_negative_or_decreasing_r_raises(self, rs):
+        with pytest.raises(ValueError, match="need r >= 0|must not decrease"):
+            list(occupancy_probabilities(2, 5, rs))
+
+    def test_a_jump_holds_one_term_at_a_time(self):
+        # the 256 terms at r = 1420 take about 350 KiB together
+        tracemalloc.start()
+        try:
+            occupancy_exact(255, 1420, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 @st.composite

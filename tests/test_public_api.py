@@ -17,14 +17,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tensorwalk"
 
-TABLE_ORACLE = "checks the Murnaghan-Nakayama table in tests/test_characters.py"
-
 # Public functions and methods kept without a caller, each with its reason.
 UNREACHED = {
     "interpolation_coefficients": "waits for its crosscheck caller (ROADMAP item 12)",
     "gl_separation_limit": "waits for `profile --q` (ROADMAP item 6)",
-    "CharacterTable.check_row_orthogonality": TABLE_ORACLE,
-    "CharacterTable.check_column_orthogonality": TABLE_ORACLE,
+    "separation_routes": "the S_n route set at one r in the library API; commands step"
+    " `separations_by_route` over r",
 }
 
 

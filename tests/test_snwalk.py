@@ -11,7 +11,7 @@ from tensorwalk.chains import TransitionKernel
 from tensorwalk.characters import character_table
 from tensorwalk.combinat import Partition, count_skew_syt_row, count_syt, enumerate_partitions
 from tensorwalk.errors import ConsistencyError
-from tensorwalk.occupancy import occupancy_exact
+from tensorwalk.occupancy import occupancy_exact, occupancy_probabilities
 from tensorwalk.snwalk import (
     BoxWalk,
     box_walk,
@@ -241,11 +241,11 @@ class TestRatios:
         n, r = 9, 20
         calls = []
 
-        def counting(a, r, n):
+        def counting(a, n, rs):
             calls.append(a)
-            return occupancy_exact(a, r, n)
+            return occupancy_probabilities(a, n, rs)
 
-        monkeypatch.setattr(snwalk, "occupancy_exact", counting)
+        monkeypatch.setattr(snwalk, "occupancy_probabilities", counting)
         assert ratio_via_occupancy(n, r, sign_shape(n)) == ratio_via_kernel(
             n, r, sign_shape(n)
         )
@@ -430,6 +430,45 @@ class TestSteppedClosedForm:
         assert next(values) == separation_closed_form(5, 4)
         with pytest.raises(ValueError, match="decrease"):
             next(values)
+
+
+class TestSteppedRoutes:
+    """The one-pass route table against its one-r case at each r."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_pass_matches_each_r(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=10))
+        gaps = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=2) | st.integers(min_value=0, max_value=3 * n),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        rs = [sum(gaps[: k + 1]) for k in range(len(gaps))]
+        if data.draw(st.booleans()):
+            rs = [0] + rs
+        stepped = list(snwalk.separations_by_route(n, iter(rs)))
+        assert stepped == [separation_routes(n, r) for r in rs]
+
+    def test_occupancy_pass_matches_each_r_for_every_shape(self):
+        rs = [0, 0, 1, 2, 2, 3, 7, 8, 8, 9, 20, 21, 33]
+        for n in range(1, 8):
+            for lam in enumerate_partitions(n):
+                stepped = list(snwalk.ratios_via_occupancy(n, lam, iter(rs)))
+                assert stepped == [ratio_via_occupancy(n, r, lam) for r in rs], lam
+                assert stepped == [ratio_via_kernel(n, r, lam) for r in rs], lam
+
+    @pytest.mark.parametrize("rs", [[-1], [0, 3, 2], [4, 4, 1]])
+    def test_negative_or_decreasing_r_raises(self, rs):
+        passes = (
+            snwalk.ratios_via_occupancy(5, sign_shape(5), rs),
+            snwalk.separations_by_route(5, rs),
+        )
+        for values in passes:
+            with pytest.raises(ValueError, match="need r >= 0|must not decrease"):
+                list(values)
 
 
 class TestProfile:
