@@ -13,7 +13,9 @@ from .characters import (
     character_table,
     conjugacy_classes,
     fixed_point_character_sum,
+    fixed_point_character_sums,
     signed_fixed_point_sum,
+    tensor_multiplicities,
     tensor_multiplicity,
 )
 from .combinat import (

@@ -10,6 +10,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from operator import mul
 
 from .combinat import Partition, count_skew_syt_row, enumerate_partitions
 from .errors import ConsistencyError, common_value
@@ -113,32 +114,41 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n, partitions, classes, values)
 
 
-def fixed_point_character_sum(n: int, lam: Partition, i: int) -> int:
-    """Character sum over all permutations with exactly i fixed points.
+def fixed_point_character_sums(n: int, lam: Partition) -> list[int]:
+    """Character sums over the permutations with exactly i fixed points, for
+    i = 0..n.
 
-    Evaluated two independent ways, by classes and by the inclusion-exclusion
-    formula sum_j (-1)^j n!/(i! j!) f^(lam/(n-i-j)) in skew tableau counts,
-    both in integers, and the two must agree exactly.
+    Each is evaluated two independent ways, by classes and by the
+    inclusion-exclusion formula sum_j (-1)^j n!/(i! j!) f^(lam/(n-i-j)) in
+    skew tableau counts, both in integers, and the two must agree exactly.
+    One pass serves every i: the n + 1 skew counts f^(lam/k) and the class
+    sums grouped by fixed points are formed once.
     """
     if lam.size != n:
         raise ValueError("shape size must equal n")
+    table = character_table(n)
+    by_classes = [0] * (n + 1)
+    for size, fixed, chi in zip(table.class_sizes, table.fixed_points, table.row(lam)):
+        by_classes[fixed] += size * chi
+    skew = [count_skew_syt_row(lam, k) for k in range(n + 1)]
+    sums = []
+    for i in range(n + 1):
+        # n!/(i! j!) is an integer whenever i + j <= n.
+        by_formula = sum(
+            (-1) ** j * (factorial(n) // (factorial(i) * factorial(j))) * skew[n - i - j]
+            for j in range(n - i + 1)
+        )
+        routes = {"classes": by_classes[i], "formula": by_formula}
+        sums.append(common_value(routes, f"the fixed point character sum, n={n} lam={lam} i={i}"))
+    return sums
+
+
+def fixed_point_character_sum(n: int, lam: Partition, i: int) -> int:
+    """Character sum over all permutations with exactly i fixed points; one i
+    of `fixed_point_character_sums`."""
     if not 0 <= i <= n:
         raise ValueError("fixed point count out of range")
-    table = character_table(n)
-    by_classes = sum(
-        size * chi
-        for size, fixed, chi in zip(table.class_sizes, table.fixed_points, table.row(lam))
-        if fixed == i
-    )
-    # n!/(i! j!) is an integer whenever i + j <= n.
-    by_formula = sum(
-        (-1) ** j
-        * (factorial(n) // (factorial(i) * factorial(j)))
-        * count_skew_syt_row(lam, n - i - j)
-        for j in range(n - i + 1)
-    )
-    sums = {"classes": by_classes, "formula": by_formula}
-    return common_value(sums, f"the fixed point character sum, n={n} lam={lam} i={i}")
+    return fixed_point_character_sums(n, lam)[i]
 
 
 def signed_fixed_point_sum(n: int, i: int) -> int:
@@ -150,25 +160,32 @@ def signed_fixed_point_sum(n: int, i: int) -> int:
     return (-1) ** (n - i + 1) * comb(n, i) * (n - i - 1)
 
 
-def tensor_multiplicity(n: int, lam: Partition, eta_values, rho: Partition) -> int:
-    """Multiplicity of `rho` in the tensor product of `lam` with a character.
+def tensor_multiplicities(n: int, lam: Partition, eta_values, rhos) -> list[int]:
+    """Multiplicity of each of `rhos` in the tensor product of `lam` with a character.
 
     `eta_values` lists the integer character values of the tensoring factor,
-    aligned with `conjugacy_classes(n)`. The class-weighted triple product is
-    summed in integers and must be a nonnegative multiple of n!; anything
-    else raises.
+    aligned with `conjugacy_classes(n)`. The class weights |C| eta(C)
+    chi_lam(C) are formed once; each rho's weighted sum is taken in integers
+    and must be a nonnegative multiple of n!; anything else raises.
     """
     table = character_table(n)
-    total = sum(
-        size * eta * chi_lam * chi_rho
-        for size, eta, chi_lam, chi_rho in zip(
-            table.class_sizes, eta_values, table.row(lam), table.row(rho), strict=True
-        )
-    )
-    value, remainder = divmod(total, factorial(n))
-    if remainder or value < 0:
-        raise ConsistencyError(
-            f"tensor multiplicity not a nonnegative integer: "
-            f"lam={lam} rho={rho} value={Fraction(total, factorial(n))}"
-        )
-    return int(value)
+    if len(eta_values) != len(table.classes):
+        raise ValueError("need one character value per conjugacy class")
+    weights = list(map(mul, map(mul, table.class_sizes, eta_values), table.row(lam)))
+    multiplicities = []
+    for rho in rhos:
+        total = sum(map(mul, weights, table.row(rho)))
+        value, remainder = divmod(total, factorial(n))
+        if remainder or value < 0:
+            raise ConsistencyError(
+                f"tensor multiplicity not a nonnegative integer: "
+                f"lam={lam} rho={rho} value={Fraction(total, factorial(n))}"
+            )
+        multiplicities.append(value)
+    return multiplicities
+
+
+def tensor_multiplicity(n: int, lam: Partition, eta_values, rho: Partition) -> int:
+    """Multiplicity of `rho` in the tensor product of `lam` with a character;
+    one rho of `tensor_multiplicities`."""
+    return tensor_multiplicities(n, lam, eta_values, [rho])[0]

@@ -9,37 +9,35 @@ error and propagates. Output is deterministic for a fixed flag set
 
 import argparse
 import functools
-import json
 import marshal
 import math
 import os
 import sys
-from collections import Counter
 
-from . import glwalk, interpolation, occupancy, snwalk
+from . import glwalk, occupancy, snwalk
 from .chains import SeparationCurve, format_exact, format_float
-from .characters import (
-    character_table,
-    fixed_point_character_sum,
-    signed_fixed_point_sum,
-)
-from .combinat import enumerate_partitions, is_prime
-from .errors import ConsistencyError, common_value
+from .combinat import is_prime
+from .errors import ConsistencyError
 
 PRACTICAL_MAX_N = 10
 CLOSED_FORM_MAX_N = 512
-CHARACTER_KERNEL_INVALID = "character kernel invalid; see kernel validation"
 # Estimated work of a second process, in bits of closed-form terms stepped
 # (see `_row_cost`), below which its fork costs more than it saves. On a
 # 2-vCPU VM the fork and exit cost about 2.5 ms, and `sn-sep --rmax 5n`
-# gained 4 % at n = 80 (a second share of 30 million bits), 18 % at n = 100.
-SECOND_PROCESS_MIN_WORK = 20_000_000
+# lost about 20 % at n = 70 (a second share of 65 million bits), gained 4 %
+# at n = 80 (83 million) and 26 % at n = 100 (best of 9 fresh processes).
+SECOND_PROCESS_MIN_WORK = 75_000_000
 # `format_exact` of a row of b-bit numbers costs as much as stepping about
-# b^2 / FORMAT_BITS bits (CPython 3.11's int-to-str is quadratic; measured
-# 35 to 56 over the curves to ceil(n ln n) at n = 128, 200 and 512).
-FORMAT_BITS = 45
+# b^2 / FORMAT_BITS bits (CPython 3.11's int-to-str is quadratic), and the
+# rest of a row's own work (its reduction from a residue of about 1024 bits,
+# its float, its check and its text) about ROW_BITS bits. Fitted to where the
+# two processes' rows take equally long (CPU time in one process, the two
+# pieces alternating): 0.68 of the rows to ceil(n ln n) at n = 128, 0.73 at
+# n = 200, and 0.76 of 3301 rows at n = 512.
+FORMAT_BITS = 34
+ROW_BITS = 250_000
 # A jump to a far r costs about as much as this many steps at that r
-# (measured 5.6 at n = 128, 8.2 at n = 256 and 10.8 at n = 512).
+# (measured 6.4 at n = 128, 5.8 at n = 200 and 7.9 at n = 512).
 JUMP_STEPS = 8
 
 
@@ -155,8 +153,9 @@ def _term_bits(n: int, r: int) -> float:
 
 
 def _row_cost(n: int, r: int) -> float:
-    """Estimated work of closed-form row r: stepping its terms, then formatting it."""
-    return _term_bits(n, r) + (r * math.log2(n)) ** 2 / FORMAT_BITS
+    """Estimated work of closed-form row r: stepping its terms, then checking
+    and formatting it."""
+    return _term_bits(n, r) + ROW_BITS + (r * math.log2(n)) ** 2 / FORMAT_BITS
 
 
 def _split_row(n: int, r_max: int) -> tuple[int, float]:
@@ -210,6 +209,29 @@ def cmd_gl_sep(args) -> int:
     return 0
 
 
+def _json_fields(record: dict) -> list[str]:
+    """The `"key": value` pairs of `record` as `json.dumps` writes them. Every
+    value is an int, a finite float (written by `repr`, as `json` does) or a
+    string that needs no escaping, such as a "num/den" fraction."""
+    return [
+        f'"{key}": "{value}"' if isinstance(value, str) else f'"{key}": {value!r}'
+        for key, value in record.items()
+    ]
+
+
+def _json_line(record: dict) -> str:
+    """`json.dumps(record)` and a newline."""
+    return "{" + ", ".join(_json_fields(record)) + "}\n"
+
+
+def _json_list(records: list[dict]) -> str:
+    """`json.dumps(records, indent=2)` and a newline, for records that are
+    not empty in a list that is not empty."""
+    return "[\n" + ",\n".join(
+        "  {\n    " + ",\n    ".join(_json_fields(record)) + "\n  }" for record in records
+    ) + "\n]\n"
+
+
 def _profile_step(n: int, c: float) -> int:
     """The step count r = ceil(n ln n + c n) at which `profile` reads offset c."""
     return math.ceil(n * math.log(n) + c * n)
@@ -241,7 +263,7 @@ def cmd_profile(args) -> int:
             rows.append((n, c, r, s_float, limit, abs(s_float - limit) * n / math.log(n)))
     keys = ("n", "c", "r", "s_float", "profile", "scaled_diff")
     if args.format == "json":
-        text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+        text = _json_list([dict(zip(keys, row)) for row in rows])
     else:
         text = ",".join(keys) + "\n" + "".join(
             f"{n},{c},{r},{','.join(map(format_float, floats))}\n" for n, c, r, *floats in rows
@@ -263,7 +285,7 @@ def cmd_occupancy(args) -> int:
         exact=format_exact(exact), estimate=estimate.estimate, stderr=estimate.stderr,
         samples=estimate.samples, seed=args.seed,
     )
-    _write_output([json.dumps(record), "\n"], args.out)
+    _write_output([_json_line(record)], args.out)
     return 0
 
 
@@ -280,158 +302,10 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _run_checks(checks) -> tuple[list[tuple[str, bool, str]], bool]:
-    results = []
-    for name, thunk in checks:
-        try:
-            thunk()
-            results.append((name, True, ""))
-        except ConsistencyError as exc:  # report and keep going
-            results.append((name, False, str(exc)))
-    return results, all(ok for _, ok, _ in results)
-
-
-def _sn_checks(n: int, r_max: int):
-    def character_kernel():
-        # The kernel validates itself when built. `kernel validation` reports
-        # why it is invalid; every other check that reads it fails with one
-        # fixed message, so one defect is not reported under many names.
-        try:
-            return snwalk.build_kernel_characters(n)
-        except ConsistencyError as exc:
-            raise ConsistencyError(CHARACTER_KERNEL_INVALID) from exc
-
-    def kernel_routes():
-        characters = character_kernel()
-        try:
-            boxes = snwalk.build_kernel_boxes(n)
-        except ConsistencyError as exc:
-            raise ConsistencyError(f"box-move kernel invalid at n={n}: {exc}") from exc
-        if (boxes.scale, boxes.scaled_rows) != (characters.scale, characters.scaled_rows):
-            raise ConsistencyError(
-                f"box-move kernel disagrees with character kernel at n={n}"
-            )
-
-    def eigenfunctions():
-        # chi/d is an eigenfunction with eigenvalue fixed_points/n; scaled by
-        # L, the lcm of the dimensions, into integers w, the identity reads
-        # n D K w = D fixed_points w.
-        k = character_kernel()
-        t = character_table(n)
-        dims = [t.dimension(rho) for rho in k.states]
-        dims_lcm = math.lcm(*dims)
-        for c in t.classes:
-            vec = [
-                t.value(rho, c.cycle_type) * (dims_lcm // d) for rho, d in zip(k.states, dims)
-            ]
-            eig = k.scale * c.fixed_points
-            if any(n * x != eig * v for x, v in zip(k.scaled_image(vec), vec)):
-                raise ConsistencyError(
-                    f"eigenfunction identity fails for class {c.cycle_type}"
-                )
-
-    def spectrum_mass():
-        # the multiplicity of i/n counts the classes with i fixed points
-        spectrum = {int(value * n): mult for value, mult in snwalk.spectrum_sn(n).entries}
-        if spectrum != Counter(c.fixed_points for c in character_table(n).classes):
-            raise ConsistencyError("spectrum multiplicities differ from the class census")
-
-    def four_routes():
-        for _ in snwalk.separations_by_route(n, range(r_max + 1)):
-            pass
-
-    def extremality():
-        snwalk.check_single_column_extremal(character_kernel(), r_max)
-
-    def tv_dominated():
-        separations = snwalk.separation_closed_forms(n, range(r_max + 1))
-        for r, separation in enumerate(separations):
-            if snwalk.tv_exact(n, r) > separation:
-                raise ConsistencyError(f"total variation exceeds separation at r={r}")
-
-    def support_distance():
-        k = character_kernel()
-        try:
-            d = interpolation.verify_distance(
-                k, snwalk.trivial_shape(n), snwalk.sign_shape(n), eigenvalue_count=n
-            )
-        except ValueError as exc:  # the kernel failed its ergodicity check
-            raise ConsistencyError(str(exc)) from exc
-        if d != n - 1:
-            raise ConsistencyError(f"support distance is {d}, expected {n - 1}")
-
-    def fixed_point_sums():
-        for lam in enumerate_partitions(n):
-            for i in range(n + 1):
-                fixed_point_character_sum(n, lam, i)
-
-    def signed_sums():
-        t = character_table(n)
-        for i in range(n):
-            direct = sum(
-                c.class_size * c.sign for c in t.classes if c.fixed_points == i
-            )
-            sums = {"classes": direct, "closed_form": signed_fixed_point_sum(n, i)}
-            common_value(sums, f"the signed fixed point sum, n={n} i={i}")
-
-    tensor_r_max = min(r_max, 12)
-
-    def tensor_powers():
-        # r outside, so the box walk steps up once instead of once per shape
-        shapes = enumerate_partitions(n)
-        for r in range(tensor_r_max + 1):
-            for lam in shapes:
-                snwalk.tensor_power_check(n, r, lam)
-
-    checks = [
-        (f"kernel route equality (n={n})", kernel_routes),
-        (
-            f"kernel validation: rows, stationarity, reversibility (n={n})",
-            lambda: snwalk.build_kernel_characters(n).validate(),
-        ),
-        (f"rational eigenfunction identity (n={n})", eigenfunctions),
-        (f"spectrum multiplicity total (n={n})", spectrum_mass),
-        (f"four-route separation equality (n={n}, r<={r_max})", four_routes),
-        (f"single-column extremality (n={n}, r<={r_max})", extremality),
-        (f"total variation below separation (n={n}, r<={r_max})", tv_dominated),
-        (f"support distance between extremes (n={n})", support_distance),
-        (f"fixed point character sums, both routes (n={n})", fixed_point_sums),
-        (f"signed fixed point sums vs closed form (n={n})", signed_sums),
-    ]
-    if n <= 7:
-        checks.append(
-            (f"tensor power multiplicities (n={n}, r<={tensor_r_max})", tensor_powers)
-        )
-    return checks
-
-
-def _gl_checks(n: int, q: int, r_max: int):
-    def three_routes():
-        for _ in glwalk.gl_separations_by_route(n, q, range(r_max + 1)):
-            pass
-
-    def early_saturation():
-        for r, value in enumerate(glwalk.gl_separation_closed_forms(n, q, range(n))):
-            if value != 1:
-                raise ConsistencyError(f"separation below 1 at r={r} < n")
-
-    def bounds():
-        for c in range(7):
-            glwalk.check_separation_within_bounds(n, q, c)
-
-    def decreasing_terms():
-        for c in range(7):
-            glwalk.check_alternating_terms_decreasing(n, q, n + c)
-
-    return [
-        (f"three-route separation equality (n={n}, q={q}, r<={r_max})", three_routes),
-        (f"separation pinned at 1 before n steps (n={n}, q={q})", early_saturation),
-        (f"separation inside bracketing bounds (n={n}, q={q}, c<=6)", bounds),
-        (f"alternating terms strictly decreasing (n={n}, q={q})", decreasing_terms),
-    ]
-
-
 def cmd_crosscheck(args) -> int:
+    # Imported here, so `import tensorwalk.cli` does not compile it.
+    from .checks import _gl_checks, _run_checks, _sn_checks
+
     n = args.n
     if args.q is None:
         r_max = args.rmax if args.rmax is not None else 4 * n
@@ -486,12 +360,22 @@ def _list_of(item):
 
 
 class _Command(argparse.ArgumentParser):
-    """A subcommand parser that also checks its `rule` default, if it has one.
+    """A subcommand parser that makes its arguments when it first parses, and
+    then also checks its `rule` default, if it has one.
 
-    `rule(args)` says what is wrong with the parsed arguments, or returns None.
+    `arguments(parser)` makes the `add_argument` calls, so a process builds
+    the arguments of the one command it runs. `rule(args)` says what is wrong
+    with the parsed arguments, or returns None.
     """
 
+    def __init__(self, *args, arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
     def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            self._arguments(self)
+            self._arguments = None
         namespace, extras = super().parse_known_args(args, namespace)
         problem = getattr(namespace, "rule", None) and namespace.rule(namespace)
         if problem:
@@ -571,58 +455,76 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         add_out(p)
 
-    p = sub.add_parser("sn-sep", help="separation curve for the symmetric group walk")
-    p.add_argument("--n", type=sn_n, required=True)
-    p.add_argument("--rmax", type=count, required=True)
-    p.add_argument("--with-tv", action="store_true",
-                   help=f"append total variation rows (n <= {PRACTICAL_MAX_N})")
-    add_common(p)
+    def sn_sep_args(p):
+        p.add_argument("--n", type=sn_n, required=True)
+        p.add_argument("--rmax", type=count, required=True)
+        p.add_argument("--with-tv", action="store_true",
+                       help=f"append total variation rows (n <= {PRACTICAL_MAX_N})")
+        add_common(p)
+
+    p = sub.add_parser("sn-sep", help="separation curve for the symmetric group walk",
+                       arguments=sn_sep_args)
     p.set_defaults(func=cmd_sn_sep, rule=_sn_sep_rule)
 
-    p = sub.add_parser("gl-sep", help="separation curve for the general linear walk")
-    p.add_argument("--n", type=gl_n, required=True)
-    p.add_argument("--q", type=gl_q, required=True)
-    p.add_argument("--rmax", type=count, required=True)
-    add_common(p)
+    def gl_sep_args(p):
+        p.add_argument("--n", type=gl_n, required=True)
+        p.add_argument("--q", type=gl_q, required=True)
+        p.add_argument("--rmax", type=count, required=True)
+        add_common(p)
+
+    p = sub.add_parser("gl-sep", help="separation curve for the general linear walk",
+                       arguments=gl_sep_args)
     p.set_defaults(func=cmd_gl_sep, rule=_gl_rule)
 
-    p = sub.add_parser("profile", help="finite-size distance vs limiting profile")
-    p.add_argument("--n", dest="n_list", type=_list_of(sn_n), required=True,
-                   help="comma-separated sizes")
-    p.add_argument("--c", dest="c_list", required=True,
-                   help="comma-separated time offsets; each step count "
-                   "r = ceil(n ln n + c n) must lie in [0, 2 ceil(n ln n)]",
-                   type=_list_of(_checked(float, math.isfinite, "need finite values")))
-    add_common(p)
+    def profile_args(p):
+        p.add_argument("--n", dest="n_list", type=_list_of(sn_n), required=True,
+                       help="comma-separated sizes")
+        p.add_argument("--c", dest="c_list", required=True,
+                       help="comma-separated time offsets; each step count "
+                       "r = ceil(n ln n + c n) must lie in [0, 2 ceil(n ln n)]",
+                       type=_list_of(_checked(float, math.isfinite, "need finite values")))
+        add_common(p)
+
+    p = sub.add_parser("profile", help="finite-size distance vs limiting profile",
+                       arguments=profile_args)
     p.set_defaults(func=cmd_profile, rule=_profile_rule)
 
-    p = sub.add_parser("occupancy", help="Monte Carlo check of an occupancy law (JSON)")
-    p.add_argument("--a", type=count, required=True)
-    p.add_argument("--r", type=count, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=_checked(int, is_prime, "need q to be prime"), default=None,
-                   help="prime field size; omit for balls-in-boxes")
-    p.add_argument("--samples", type=_checked(int, lambda v: v >= 1, "must be >= 1"),
-                   default=100_000)
-    p.add_argument("--seed", type=count, default=0)
-    add_out(p)
+    def occupancy_args(p):
+        p.add_argument("--a", type=count, required=True)
+        p.add_argument("--r", type=count, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--q", type=_checked(int, is_prime, "need q to be prime"), default=None,
+                       help="prime field size; omit for balls-in-boxes")
+        p.add_argument("--samples", type=_checked(int, lambda v: v >= 1, "must be >= 1"),
+                       default=100_000)
+        p.add_argument("--seed", type=count, default=0)
+        add_out(p)
+
+    p = sub.add_parser("occupancy", help="Monte Carlo check of an occupancy law (JSON)",
+                       arguments=occupancy_args)
     p.set_defaults(func=cmd_occupancy, rule=_occupancy_rule)
 
-    p = sub.add_parser("crosscheck", help="run the route-equality matrix")
-    p.add_argument("--n", type=gl_n, required=True)
-    p.add_argument("--q", type=gl_q, default=None)
-    p.add_argument("--rmax", type=count, default=None)
-    # The report is always text; --format is accepted and ignored because
-    # existing scripts (perfbench/workloads.py) pass it.
-    add_common(p)
+    def crosscheck_args(p):
+        p.add_argument("--n", type=gl_n, required=True)
+        p.add_argument("--q", type=gl_q, default=None)
+        p.add_argument("--rmax", type=count, default=None)
+        # The report is always text; --format is accepted and ignored because
+        # existing scripts (perfbench/workloads.py) pass it.
+        add_common(p)
+
+    p = sub.add_parser("crosscheck", help="run the route-equality matrix",
+                       arguments=crosscheck_args)
     p.set_defaults(
         func=cmd_crosscheck, rule=_sn_or_gl_rule(PRACTICAL_MAX_N, " for the full matrix")
     )
 
-    p = sub.add_parser("spectrum", help="distinct eigenvalues of a walk (CSV)")
-    p.add_argument("--n", type=gl_n, required=True)
-    p.add_argument("--q", type=gl_q, default=None)
-    add_out(p)
+    def spectrum_args(p):
+        p.add_argument("--n", type=gl_n, required=True)
+        p.add_argument("--q", type=gl_q, default=None)
+        add_out(p)
+
+    p = sub.add_parser("spectrum", help="distinct eigenvalues of a walk (CSV)",
+                       arguments=spectrum_args)
     p.set_defaults(func=cmd_spectrum, rule=_sn_or_gl_rule(CLOSED_FORM_MAX_N))
 
     return parser

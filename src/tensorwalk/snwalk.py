@@ -13,7 +13,7 @@ from math import comb, exp, factorial
 from operator import mul
 
 from .chains import Spectrum, TransitionKernel, ascending_steps, reduced_over_power
-from .characters import character_table, tensor_multiplicity
+from .characters import character_table, tensor_multiplicities
 from .combinat import (
     Partition,
     count_partitions,
@@ -66,7 +66,7 @@ def build_kernel_characters(n: int) -> TransitionKernel:
     states = enumerate_partitions(n)
     rows = []
     for lam in states:
-        row = (tensor_multiplicity(n, lam, eta, rho) for rho in states)
+        row = tensor_multiplicities(n, lam, eta, states)
         rows.append({j: m for j, m in enumerate(row) if m})
     return _kernel_from_multiplicities(n, rows)
 

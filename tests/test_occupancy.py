@@ -14,17 +14,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tensorwalk import occupancy
+from tensorwalk import montecarlo
 from tensorwalk.errors import UnsupportedFieldError
-from tensorwalk.occupancy import (
+from tensorwalk.montecarlo import (
     _CHUNK_ELEMENTS,
-    McEstimate,
     _batch_rank_mod,
     _count_matches,
     _draws,
     _int_dtype,
     _inverse_mod,
     _mod,
+)
+from tensorwalk.occupancy import (
+    McEstimate,
     occupancy_chain_power,
     occupancy_exact,
     occupancy_mc,
@@ -532,7 +534,7 @@ class TestDraws:
         last one of 15 at shape (5,), and 39 each at (3,), so they end and
         start on half words; a start may take a half buffered before it, and
         empty rows leave it buffered."""
-        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 40)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 40)
         raw, twin = (np.random.PCG64(np.random.SeedSequence(SEED, spawn_key=(0,))) for _ in "ab")
         rng = np.random.Generator(twin)
         if buffered:
@@ -555,7 +557,7 @@ class TestDraws:
                 raise AssertionError("Generator.integers was called")
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 40)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 40)
         runs = [(occupancy_mc, (4, 5, 64, 43, SEED)), (qspan_mc, (2, 3, 3, 2, 43, SEED))]
         expected = [run(*args) for run, args in runs]
         monkeypatch.setattr(np.random, "Generator", NoIntegers)
@@ -597,7 +599,7 @@ class TestStreamSplit:
         """(start, end, chunks) of each `_draws` call of one run on `parts`
         CPUs, and the run's successes."""
         _cpus(monkeypatch, parts)
-        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 40)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 40)
         calls, draws = [], _draws
 
         def recorded(source, *args):
@@ -605,9 +607,9 @@ class TestStreamSplit:
             calls.append((start, _position(source.state), chunks))
             yield from chunks
 
-        monkeypatch.setattr(occupancy, "_draws", recorded)
+        monkeypatch.setattr(montecarlo, "_draws", recorded)
         estimate = _count_matches(SEED, samples, high, shape, _mod4_sums, 2)
-        monkeypatch.setattr(occupancy, "_draws", draws)
+        monkeypatch.setattr(montecarlo, "_draws", draws)
         return calls, estimate.successes
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
@@ -678,14 +680,14 @@ class TestPipeline:
     def test_chunked_counts_match_one_draw(self, monkeypatch, rows):
         threads = threading.active_count()
         r, n = 6, 4
-        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", rows * r)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", rows * r)
         assert len(list(_draws(SEED, self.SAMPLES, n, (r,)))) == -(-self.SAMPLES // rows)
         sizes = Counter(len(set(row)) for row in _one_draw(SEED, self.SAMPLES, n, (r,)).tolist())
         for a in range(n + 1):
             assert occupancy_mc(a, r, n, self.SAMPLES, SEED).successes == sizes[a]
 
         q, r, n = 3, 5, 4
-        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", rows * r * n)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", rows * r * n)
         mats = _one_draw(SEED, self.SAMPLES, q, (r, n)).tolist()
         ranks = Counter(rank_mod(mat, q) for mat in mats)
         for a in range(n + 1):
@@ -697,9 +699,9 @@ class TestPipeline:
         chunks of at most `_CHUNK_ELEMENTS // 2` values and count each chunk
         before they draw the next."""
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 12)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 12)
         events = {}
-        draws = occupancy._draws
+        draws = montecarlo._draws
 
         def watched_draws(*args):
             for chunk in draws(*args):
@@ -710,7 +712,7 @@ class TestPipeline:
             events[threading.current_thread()].append("counted")
             return np.zeros(len(chunk))
 
-        monkeypatch.setattr(occupancy, "_draws", watched_draws)
+        monkeypatch.setattr(montecarlo, "_draws", watched_draws)
         threads = threading.active_count()
         assert _count_matches(SEED, 30, 4, (6,), statistic, 0).successes == 30
         assert len(events) == 2 and threading.current_thread() not in events
@@ -723,7 +725,7 @@ class TestPipeline:
     def test_statistic_error_propagates(self, monkeypatch):
         """An error of `statistic` on a chunk of either part is raised to the caller."""
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(occupancy, "_CHUNK_ELEMENTS", 6)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 6)
         whole = _one_draw(SEED, 10, 4, (6,))
         threads = threading.active_count()
         for bad_row in (1, 7):

@@ -23,6 +23,8 @@ UNREACHED = {
     "gl_separation_limit": "waits for `profile --q` (ROADMAP item 6)",
     "separation_routes": "the S_n route set at one r in the library API; commands step"
     " `separations_by_route` over r",
+    "fixed_point_character_sum": "the fixed point character sum at one i in the library API;"
+    " crosscheck reads every i of a shape through `fixed_point_character_sums`",
 }
 
 
